@@ -27,7 +27,7 @@ from .gaussian import (
     build_sampler,
     load_sites_csv,
 )
-from .pointprocess import SamplingMeasure, VStream, next_v, sample_anchor
+from .pointprocess import SamplingMeasure, VStream, sample_anchor
 from .simulator import (
     ClusterDraw,
     ClusterLimitError,
@@ -55,10 +55,8 @@ from .variogram import (
     VariogramModel,
     as_points,
     cov_w,
-    cov_z,
     covariance_matrix,
     gamma,
-    mean_z,
 )
 
 __all__ = [
@@ -82,7 +80,6 @@ __all__ = [
     "change_of_measure_check",
     "cluster_count_stats",
     "cov_w",
-    "cov_z",
     "covariance_matrix",
     "extremal_index_estimate",
     "fdd_cdf_oracle",
@@ -95,8 +92,6 @@ __all__ = [
     "ks_two_sample",
     "load_sites_csv",
     "mask64",
-    "mean_z",
-    "next_v",
     "pickands_coupled",
     "pickands_estimate",
     "qq_data",

@@ -12,7 +12,9 @@ clusters   cluster-count distributions across a list of alpha values
 Every JSON output echoes {seed, alpha, n, reps, version} so a run can be
 replayed exactly.  Identical configurations produce identical output
 bytes; pass --no-timing to strip the one wall-clock field from simulate
-diagnostics when byte-stable files are required.
+diagnostics when byte-stable files are required.  Clusters are generated
+serially, so --workers (simulate, clusters) changes neither the output nor
+the run time.
 """
 
 from __future__ import annotations
@@ -91,10 +93,13 @@ def parse_grid(expr: str) -> np.ndarray:
 def _load_measure(args, n: int) -> SamplingMeasure | None:
     path = getattr(args, "measure_weights", None)
     if path:
-        weights = np.loadtxt(path, delimiter=",").reshape(-1)
-        if weights.shape[0] != n:
-            raise SystemExit(f"{path}: {weights.shape[0]} weights for {n} sites")
-        return SamplingMeasure(weights)
+        try:
+            measure = SamplingMeasure(np.loadtxt(path, delimiter=",").reshape(-1))
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"{path}: {exc}")
+        if measure.n != n:
+            raise SystemExit(f"{path}: {measure.n} weights for {n} sites")
+        return measure
     return None
 
 
@@ -103,7 +108,10 @@ def _resolve_sites(args, parser) -> SiteSet:
         parser.error("give either --sites or --grid, not both")
     sites = None
     if getattr(args, "sites", None):
-        sites = load_sites_csv(args.sites, header=args.sites_header)
+        try:
+            sites = load_sites_csv(args.sites, header=args.sites_header)
+        except (OSError, ValueError) as exc:
+            raise SystemExit(f"{args.sites}: {exc}")
     elif getattr(args, "grid", None):
         try:
             sites = SiteSet(parse_grid(args.grid))
@@ -461,10 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=default_workers)
     sp.add_argument("--marginals", choices=("gumbel", "frechet", "weibull"),
                     default="gumbel")
-    sp.add_argument("--measure", choices=("uniform",), default="uniform",
-                    help="anchor-site measure (uniform unless weights given)")
     sp.add_argument("--measure-weights",
-                    help="CSV of one positive weight per site")
+                    help="CSV of one positive weight per site (default uniform)")
     sp.add_argument("--out", help="output CSV path (default stdout)")
     sp.add_argument("--diag", help="diagnostics JSON path")
     sp.add_argument("--no-timing", action="store_true",
@@ -485,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s", type=float, default=1.0 - 1.0 / 1024.0,
                     help="site separation for the bivariate check")
     _add_common(sp, default_seed, reps_default=10_000)
-    sp.add_argument("--workers", type=int, default=default_workers)
     sp.add_argument("--skip", action="append", default=[], metavar="CHECK",
                     help=f"skip a named check; one of {', '.join(VALIDATE_CHECKS)}")
     sp.add_argument("--report", default="validate_report.json")

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .gaussian import FactorizedGaussian, SiteSet, build_sampler
+from .gaussian import SiteSet, build_sampler
+from .statseval import mc_mean
 from .streams import RandomStream, mask64
 from .variogram import VariogramModel, as_points, cov_w, gamma
 
@@ -68,35 +69,20 @@ def bivariate_neglog(model: VariogramModel, s, y1: float, y2: float) -> float:
     return float(np.exp(-y1) * ndtr(lam + d) + np.exp(-y2) * ndtr(lam - d))
 
 
-def _mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
-             reduce_fn):
-    """Mean and SE of reduce_fn(column draws of W + shift) over ``reps``."""
-    shift = np.asarray(shift, dtype=np.float64).reshape(-1, 1)
-    total = 0.0
-    total_sq = 0.0
-    left = int(reps)
-    while left:
-        k = min(_CHUNK, left)
-        s = reduce_fn(fg.correlated_normals(stream, k) + shift)
-        total += float(s.sum())
-        total_sq += float((s * s).sum())
-        left -= k
-    mean = total / reps
-    se = 0.0
-    if reps > 1:
-        var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
-        se = float(np.sqrt(var / reps))
-    return mean, se
+def _mc_mean(fg, shift, stream: RandomStream, reps: int, reduce_fn):
+    """Mean and SE of one statistic per draw, in chunks of ``_CHUNK``."""
+    (mean,), (se,) = mc_mean(fg, shift, stream, reps, _CHUNK, reduce_fn)
+    return float(mean), float(se)
 
 
 def _exp_rowmax(x: np.ndarray) -> np.ndarray:
-    return np.exp(x.max(axis=0))
+    return np.exp(x.max(axis=0, keepdims=True))
 
 
 def _peak_share(x: np.ndarray) -> np.ndarray:
     # F(x) = max_j e^{x_j} / sum_l e^{x_l}; invariant to adding a constant
     # to every coordinate, and exactly 1.0 for a single coordinate.
-    return 1.0 / np.exp(x - x.max(axis=0)).sum(axis=0)
+    return 1.0 / np.exp(x - x.max(axis=0)).sum(axis=0, keepdims=True)
 
 
 def fdd_cdf_oracle(sites, model: VariogramModel, y, reps: int, seed: int,

@@ -45,6 +45,8 @@ class SiteSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.size == 0:
             raise ValueError("site set must be a nonempty (n, d) array")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("site coordinates must be finite")
         self.points = pts
         self.rep_points, self.rep_index = np.unique(pts, axis=0, return_inverse=True)
         self.rep_index = self.rep_index.reshape(-1)
@@ -123,30 +125,25 @@ class FactorizedGaussian:
     """Factorized covariance of W over a site set, ready for repeated draws.
 
     Holds the lower-triangular factor L with ``L @ L.T ~= cov + jitter*I``
-    over the non-origin representative sites, together with the full drift
+    over the non-origin representative sites (the origin and its duplicates
+    are pinned to zero and need no factor), together with the full drift
     table ``gamma(t_j - t_k)`` over raw site pairs.  Immutable after
     construction and safe to share across threads; every draw consumes a
     caller-supplied :class:`RandomStream`.
     """
 
-    def __init__(self, sites: SiteSet, model: VariogramModel, covariance, factor,
+    def __init__(self, sites: SiteSet, model: VariogramModel, factor_active,
                  active, jitter_used: float, drift_table):
         self.sites = sites
         self.model = model
-        self.covariance = covariance      # (m, m) over representative sites
-        self.factor = factor              # (m, m), zero rows/cols at origin
         self.jitter_used = float(jitter_used)
         self.drift_table = drift_table    # (n, n) gamma(t_j - t_k), raw sites
         self._active = active             # representative indices factorized
-        self._factor_active = factor[np.ix_(active, active)]
+        self._factor_active = factor_active  # L over the active sites
 
     @property
     def n(self) -> int:
         return self.sites.n
-
-    def normals_per_draw(self) -> int:
-        """Number of standard normals consumed by one draw of W."""
-        return len(self._active)
 
     def correlated_normals(self, stream: RandomStream, size: int) -> np.ndarray:
         """(n, size) zero-mean draws with the covariance of W at the raw sites."""
@@ -186,11 +183,10 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
     as_points(model, sites.points)  # dimension check
 
     cov = covariance_matrix(model, sites.rep_points)
-    m = cov.shape[0]
     is_origin = np.all(sites.rep_points == 0.0, axis=1)
     active = np.flatnonzero(~is_origin)
 
-    factor = np.zeros((m, m))
+    sub_factor = np.zeros((0, 0))
     jitter_used = 0.0
     if len(active):
         sub = cov[np.ix_(active, active)]
@@ -200,7 +196,6 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
         while j <= max_jitter_factor * mean_diag * (1 + 1e-9):
             jitters.append(j)
             j *= 10.0
-        sub_factor = None
         for j in jitters:
             try:
                 sub_factor = np.linalg.cholesky(sub + j * np.eye(len(active)))
@@ -208,27 +203,15 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
                 break
             except np.linalg.LinAlgError:
                 continue
-        if sub_factor is None:
+        else:  # no jitter level gave a factor
             diam = float(np.max(np.linalg.norm(
                 sites.rep_points[:, None, :] - sites.rep_points[None, :, :], axis=-1)))
             raise FactorizationError(
                 f"covariance factorization failed for alpha={model.alpha} "
                 f"over sites of diameter {diam:.6g} even with jitter "
                 f"{max_jitter_factor:g} * mean_diag")
-        factor[np.ix_(active, active)] = sub_factor
 
     drift = model.scale * cdist(sites.points, sites.points) ** model.alpha / 2.0
     np.fill_diagonal(drift, 0.0)
 
-    return FactorizedGaussian(sites, model, cov, factor, active, jitter_used, drift)
-
-
-def sample_w(fg: FactorizedGaussian, stream: RandomStream) -> np.ndarray:
-    """Functional alias for :meth:`FactorizedGaussian.sample_w`."""
-    return fg.sample_w(stream)
-
-
-def sample_drifted(fg: FactorizedGaussian, anchor_index: int,
-                   stream: RandomStream) -> np.ndarray:
-    """Functional alias for :meth:`FactorizedGaussian.sample_drifted`."""
-    return fg.sample_drifted(anchor_index, stream)
+    return FactorizedGaussian(sites, model, sub_factor, active, jitter_used, drift)

@@ -18,16 +18,16 @@ from .streams import RandomStream
 class SamplingMeasure:
     """Discrete probability weights ``w_1 .. w_n`` on the evaluation sites.
 
-    Weights must be strictly positive; they are normalized on construction
-    and the logs are cached.
+    Weights must be finite and strictly positive; they are normalized on
+    construction and the logs are cached.
     """
 
     def __init__(self, weights):
         w = np.asarray(weights, dtype=np.float64).reshape(-1)
         if w.size == 0:
             raise ValueError("measure needs at least one weight")
-        if not np.all(w > 0.0):
-            raise ValueError("all measure weights must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0.0)):
+            raise ValueError("all measure weights must be finite and strictly positive")
         w = w / w.sum()
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights failed to normalize to 1")
@@ -53,18 +53,11 @@ class VStream:
     def __init__(self, stream: RandomStream):
         self.stream = stream
         self.gamma_sum = 0.0
-        self.count = 0
 
     def next_v(self) -> float:
         """Next point ``V_k = -log(Gamma_k)``; strictly below all previous."""
         self.gamma_sum += self.stream.exponential()
-        self.count += 1
         return -np.log(self.gamma_sum)
-
-
-def next_v(vs: VStream) -> float:
-    """Functional alias for :meth:`VStream.next_v`."""
-    return vs.next_v()
 
 
 def sample_anchor(measure: SamplingMeasure, stream: RandomStream) -> int:

@@ -14,7 +14,6 @@ that the exact algorithm removes.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,8 +117,8 @@ def simulate(
         Base seed.  The Poisson points use stream (seed, 0); cluster k uses
         stream (seed, k).  Output is a pure function of the seed.
     workers : int
-        Clusters are generated in batches of this size, in a thread pool
-        when larger than one.  The result is bit-identical for every value.
+        Must be >= 1.  Clusters are generated one at a time in this thread,
+        so the value changes neither the output nor the run time.
     sampler : FactorizedGaussian, optional
         Prefactorized covariance for these sites; built on the fly when
         omitted.  Pass one in when simulating many replications.
@@ -160,43 +159,23 @@ def simulate(
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
     merged = 0
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-
-    def make_cluster(index: int, v: float) -> ClusterDraw:
-        return generate_cluster(sampler, measure, v, RandomStream(seed, index))
-
-    try:
-        done = False
-        while not done:
-            if merged >= max_clusters:
-                raise ClusterLimitError(
-                    f"no termination after {merged} clusters "
-                    f"(alpha={model.alpha}, n={sites.n}, last v="
-                    f"{v_trace[-1] if v_trace else None}, "
-                    f"bound={float(np.min(sup + log_w))})"
-                )
-            batch = min(workers, max_clusters - merged)
-            vs = [vstream.next_v() for _ in range(batch)]
-            ids = range(merged + 1, merged + batch + 1)
-            if pool is None:
-                draws = [make_cluster(i, v) for i, v in zip(ids, vs)]
-            else:
-                draws = list(pool.map(make_cluster, ids, vs))
-            # Merge strictly in cluster-index order; overshoot clusters
-            # beyond the termination point are dropped, so the output does
-            # not depend on the batch size.
-            for draw in draws:
-                hit = draw.v <= np.min(sup + log_w)
-                np.maximum(sup, draw.values, out=sup)
-                merged += 1
-                if len(v_trace) < v_trace_cap:
-                    v_trace.append(draw.v)
-                if hit:
-                    done = True
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+    while True:
+        if merged >= max_clusters:
+            raise ClusterLimitError(
+                f"no termination after {merged} clusters "
+                f"(alpha={model.alpha}, n={sites.n}, last v="
+                f"{v_trace[-1] if v_trace else None}, "
+                f"bound={float(np.min(sup + log_w))})"
+            )
+        v = vstream.next_v()
+        merged += 1
+        draw = generate_cluster(sampler, measure, v, RandomStream(seed, merged))
+        hit = v <= np.min(sup + log_w)
+        np.maximum(sup, draw.values, out=sup)
+        if len(v_trace) < v_trace_cap:
+            v_trace.append(v)
+        if hit:
+            break
 
     return FieldSample(
         values=sup,

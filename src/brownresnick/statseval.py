@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import SiteSet, box_grid, build_sampler
+from .gaussian import FactorizedGaussian, SiteSet, box_grid, build_sampler
 from .streams import RandomStream, mask64
 from .variogram import VariogramModel, as_points, gamma
 
@@ -80,6 +80,37 @@ def qq_data(samples, quantile_fn):
     return list(zip(t.tolist(), x.tolist()))
 
 
+def mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
+            chunk: int, reduce_fn, samples: np.ndarray | None = None):
+    """Monte Carlo means and standard errors of per-draw statistics.
+
+    Draws ``reps`` columns of W + ``shift`` from ``stream``, ``chunk``
+    columns at a time, and maps each (n, k) chunk through ``reduce_fn`` to a
+    (g, k) array holding g statistics per draw.  Returns the g means and
+    their standard errors sqrt(s^2 / reps), with the unbiased sample
+    variance s^2 (0 when ``reps`` is 1).  The statistics are written into
+    ``samples`` of shape (g, reps) when it is given.
+    """
+    shift = np.asarray(shift, dtype=np.float64).reshape(-1, 1)
+    total = 0.0
+    total_sq = 0.0
+    done = 0
+    while done < reps:
+        k = min(chunk, reps - done)
+        s = reduce_fn(fg.correlated_normals(stream, k) + shift)
+        total = total + s.sum(axis=1)
+        total_sq = total_sq + (s * s).sum(axis=1)
+        if samples is not None:
+            samples[:, done:done + k] = s
+        done += k
+    mean = total / reps
+    se = np.zeros_like(mean)
+    if reps > 1:
+        var = np.maximum(total_sq - reps * mean * mean, 0.0) / (reps - 1)
+        se = np.sqrt(var / reps)
+    return mean, se
+
+
 def _region_grid(model: VariogramModel, region, mesh: float) -> np.ndarray:
     """Grid over a box region given as a (low, high) pair.
 
@@ -130,31 +161,16 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
         pos += g.shape[0]
 
     fg = build_sampler(SiteSet(union), model)
-    mean_z = -np.atleast_1d(gamma(model, union)).reshape(-1, 1)
+    mean_z = -np.atleast_1d(gamma(model, union))
     stream = RandomStream(mask64(seed), 0)
-    total = np.zeros(len(grids))
-    total_sq = np.zeros(len(grids))
-    samples = np.empty((len(grids), reps)) if return_samples else None
-    done = 0
-    while done < reps:
-        k = min(_CHUNK, reps - done)
-        z = fg.correlated_normals(stream, k) + mean_z
-        for i, rows in enumerate(row_sets):
-            s = np.exp(z[rows].max(axis=0))
-            total[i] += s.sum()
-            total_sq[i] += (s * s).sum()
-            if samples is not None:
-                samples[i, done:done + k] = s
-        done += k
 
-    estimates = []
-    for i in range(len(grids)):
-        mean = total[i] / reps
-        se = 0.0
-        if reps > 1:
-            var = max(total_sq[i] - reps * mean * mean, 0.0) / (reps - 1)
-            se = float(np.sqrt(var / reps))
-        estimates.append(EstimateWithError(float(mean), se, reps))
+    def grid_maxima(z):
+        return np.stack([np.exp(z[rows].max(axis=0)) for rows in row_sets])
+
+    samples = np.empty((len(grids), reps)) if return_samples else None
+    means, ses = mc_mean(fg, mean_z, stream, reps, _CHUNK, grid_maxima, samples)
+    estimates = [EstimateWithError(float(m), float(se), reps)
+                 for m, se in zip(means, ses)]
     if return_samples:
         return estimates, samples
     return estimates
@@ -186,24 +202,11 @@ def extremal_index_estimate(model: VariogramModel, n: int, reps: int,
     points = np.zeros((n, model.dim))
     points[:, 0] = np.arange(1, n + 1)
     fg = build_sampler(SiteSet(points), model)
-    mean_z = -np.atleast_1d(gamma(model, points)).reshape(-1, 1)
+    mean_z = -np.atleast_1d(gamma(model, points))
     stream = RandomStream(mask64(seed), 0)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < reps:
-        k = min(_CHUNK, reps - done)
-        z = fg.correlated_normals(stream, k) + mean_z
-        s = np.exp(z.max(axis=0)) / n
-        total += float(s.sum())
-        total_sq += float((s * s).sum())
-        done += k
-    mean = total / reps
-    se = 0.0
-    if reps > 1:
-        var = max(total_sq - reps * mean * mean, 0.0) / (reps - 1)
-        se = float(np.sqrt(var / reps))
-    return EstimateWithError(float(mean), se, reps)
+    (mean,), (se,) = mc_mean(fg, mean_z, stream, reps, _CHUNK,
+                             lambda z: np.exp(z.max(axis=0, keepdims=True)) / n)
+    return EstimateWithError(float(mean), float(se), reps)
 
 
 def cluster_count_stats(counts) -> dict:

@@ -31,7 +31,7 @@ class VariogramModel:
         ``alpha == 2`` yields a degenerate rank-``dim`` field of random
         paraboloids.
     scale : float
-        Positive multiplier.
+        Positive, finite multiplier.
     dim : int
         Dimension of the index space, >= 1.
     """
@@ -39,15 +39,12 @@ class VariogramModel:
     alpha: float
     scale: float = 1.0
     dim: int = 1
-    family: str = "fractional"
 
     def __post_init__(self):
-        if self.family != "fractional":
-            raise ValueError(f"unknown variogram family {self.family!r}")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if int(self.dim) < 1 or self.dim != int(self.dim):
             raise ValueError(f"dim must be a positive integer, got {self.dim}")
 
@@ -86,16 +83,6 @@ def cov_w(model: VariogramModel, s, t):
     ps, pt = np.broadcast_arrays(as_points(model, s), as_points(model, t))
     out = _gamma_points(model, ps) + _gamma_points(model, pt) - _gamma_points(model, ps - pt)
     return out[0] if out.shape[0] == 1 else out
-
-
-def mean_z(model: VariogramModel, t):
-    """Mean of Z: ``-gamma(t)``."""
-    return -gamma(model, t)
-
-
-def cov_z(model: VariogramModel, s, t):
-    """Covariance of Z; identical kernel to :func:`cov_w`."""
-    return cov_w(model, s, t)
 
 
 def covariance_matrix(model: VariogramModel, points) -> np.ndarray:

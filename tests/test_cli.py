@@ -86,6 +86,12 @@ def test_simulate_reads_site_csv(tmp_path):
     assert rc == 0
     assert np.loadtxt(out, delimiter=",").shape == (2, 3)
 
+    bad = tmp_path / "bad_sites.csv"
+    bad.write_text("0.0\nnan\n1.0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--sites", str(bad), "--alpha", "1.0", "--out", str(out)])
+    assert str(bad) in str(exc.value.code)
+
 
 def test_simulate_measure_weights(tmp_path):
     weights = tmp_path / "w.csv"
@@ -101,6 +107,14 @@ def test_simulate_measure_weights(tmp_path):
     short.write_text("1\n1\n")
     with pytest.raises(SystemExit):
         _run_simulate(tmp_path, "bad", ("--measure-weights", str(short)))
+
+    # Non-finite or non-positive weights exit with a message naming the file.
+    for tag, text in (("inf", "5\n1\ninf\n1\n1\n"), ("zero", "5\n1\n0\n1\n1\n")):
+        bad = tmp_path / f"{tag}.csv"
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            _run_simulate(tmp_path, tag, ("--measure-weights", str(bad)))
+        assert str(bad) in str(exc.value.code)
 
 
 def test_simulate_rejects_bad_arguments(tmp_path):

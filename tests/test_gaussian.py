@@ -8,18 +8,39 @@ from brownresnick import (
     VariogramModel,
     box_grid,
     build_sampler,
+    covariance_matrix,
     load_sites_csv,
 )
 
 
+class _IdentityNormals:
+    """Stub stream whose normal draws form an identity matrix.
+
+    ``correlated_normals(_IdentityNormals(), n)`` then returns the factor
+    itself, mapped to the raw sites, so ``F @ F.T`` is the covariance the
+    sampler reproduces.
+    """
+
+    def normals(self, shape):
+        return np.eye(*shape)
+
+
+def _sampled_covariance(fg):
+    f = fg.correlated_normals(_IdentityNormals(), fg.n)
+    return f @ f.T
+
+
 def test_covariance_matrix_three_sites_alpha1():
-    fg = build_sampler([0.0, 0.5, 1.0], VariogramModel(alpha=1.0))
+    model = VariogramModel(alpha=1.0)
     expected = np.array([
         [0.0, 0.0, 0.0],
         [0.0, 0.5, 0.5],
         [0.0, 0.5, 1.0],
     ])
-    np.testing.assert_allclose(fg.covariance, expected, atol=1e-14)
+    np.testing.assert_allclose(
+        covariance_matrix(model, [0.0, 0.5, 1.0]), expected, atol=1e-14)
+    fg = build_sampler([0.0, 0.5, 1.0], model)
+    np.testing.assert_allclose(_sampled_covariance(fg), expected, atol=1e-14)
 
 
 def test_factor_reproduces_covariance():
@@ -28,9 +49,11 @@ def test_factor_reproduces_covariance():
         for dim in (1, 2):
             model = VariogramModel(alpha=alpha, dim=dim)
             pts = rng.uniform(-2, 2, size=(8, dim))
+            pts[-1] = pts[0]  # a duplicate site is mapped, not factorized
             fg = build_sampler(pts, model)
-            resid = fg.factor @ fg.factor.T - fg.covariance
-            tol = fg.jitter_used + 1e-8 * np.max(np.diag(fg.covariance))
+            cov = covariance_matrix(model, pts)
+            resid = _sampled_covariance(fg) - cov
+            tol = fg.jitter_used + 1e-8 * np.max(np.diag(cov))
             assert np.max(np.abs(resid)) <= tol
 
 
@@ -104,7 +127,8 @@ def test_alpha2_requires_jitter_but_samples_correctly():
     model = VariogramModel(alpha=2.0)
     fg = build_sampler(np.linspace(0.0, 1.0, 6), model)
     assert fg.jitter_used > 0.0
-    assert fg.jitter_used <= 1e-6 * np.max(np.diag(fg.covariance)) * (1 + 1e-9)
+    cov = covariance_matrix(model, np.linspace(0.0, 1.0, 6))
+    assert fg.jitter_used <= 1e-6 * np.max(np.diag(cov)) * (1 + 1e-9)
     w = fg.correlated_normals(RandomStream(8), 20_000)
     assert np.var(w[-1]) == pytest.approx(1.0, abs=0.05)
     # Rank-one structure: W(t) = t * W(1) up to jitter noise.
@@ -127,6 +151,9 @@ def test_site_set_dedup_and_coercion():
     np.testing.assert_array_equal(s.rep_index, [0, 0, 1])
     with pytest.raises(ValueError):
         SiteSet(np.zeros((0, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SiteSet([[0.0, 1.0], [bad, 2.0]])
     assert SiteSet.from_points(s) is s
 
 

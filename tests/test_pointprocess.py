@@ -8,7 +8,6 @@ from brownresnick import (
     gumbel_cdf,
     ks_critical,
     ks_statistic,
-    next_v,
     sample_anchor,
 )
 
@@ -45,7 +44,7 @@ def test_unit_exponentials_give_v1_zero():
     vs = VStream(_UnitExponential())
     assert vs.next_v() == 0.0
     assert vs.next_v() == -np.log(2.0)
-    assert vs.count == 2
+    assert vs.gamma_sum == 2.0
 
 
 def test_points_strictly_decreasing():
@@ -77,13 +76,6 @@ def test_gamma3_matches_integrated_density(poisson_points):
     assert d <= ks_critical(N_STREAMS, alpha=0.01)
 
 
-def test_module_alias_matches_method():
-    a = VStream(RandomStream(99))
-    b = VStream(RandomStream(99))
-    for _ in range(5):
-        assert next_v(a) == b.next_v()
-
-
 def test_measure_normalizes_and_caches_logs():
     m = SamplingMeasure([2.0, 2.0])
     np.testing.assert_array_equal(m.weights, [0.5, 0.5])
@@ -100,6 +92,9 @@ def test_measure_rejects_bad_weights():
         SamplingMeasure([0.5, 0.0, 0.5])
     with pytest.raises(ValueError):
         SamplingMeasure([0.7, -0.3])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            SamplingMeasure([1.0, bad])
 
 
 def test_single_site_anchor_is_always_first():

@@ -190,6 +190,8 @@ def test_input_validation():
         simulate([0.0, 1.0], M1, SamplingMeasure.uniform(3))
     with pytest.raises(ValueError):
         simulate([0.0, 1.0], M1, workers=0)
+    with pytest.raises(ValueError, match="finite"):
+        simulate([0.0, np.nan], M1)
     with pytest.raises(ValueError):
         list(replications([0.0], M1, reps=0))
     with pytest.raises(ValueError):

@@ -149,6 +149,21 @@ def test_pickands_grid_budget():
         pickands_estimate(M1, (0.0, 1.0), 0.5, reps=0, seed=0)
 
 
+def test_pickands_accumulator_across_chunk_boundary():
+    # 2^14 + 3 draws span two chunks of the shared accumulator; the
+    # estimates must equal plain statistics of the returned samples.
+    reps = 2 ** 14 + 3
+    grids = [box_grid(0.0, 1.0, 0.25), np.array([[0.5]])]
+    estimates, samples = pickands_coupled(M1, grids, reps=reps, seed=21,
+                                          return_samples=True)
+    assert samples.shape == (2, reps)
+    np.testing.assert_allclose([e.value for e in estimates],
+                               samples.mean(axis=1), rtol=1e-12)
+    np.testing.assert_allclose([e.std_error for e in estimates],
+                               samples.std(axis=1, ddof=1) / np.sqrt(reps),
+                               rtol=1e-12)
+
+
 def test_extremal_index_single_site():
     est = extremal_index_estimate(M1, 1, reps=20_000, seed=11)
     assert abs(est.value - 1.0) <= 3.0 * est.std_error

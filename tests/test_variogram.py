@@ -5,10 +5,8 @@ from brownresnick import (
     VariogramModel,
     as_points,
     cov_w,
-    cov_z,
     covariance_matrix,
     gamma,
-    mean_z,
 )
 
 
@@ -76,26 +74,18 @@ def test_cov_w_symmetric_in_arguments():
 
 
 def test_mean_and_variance_of_z():
+    # Z has mean -gamma and the covariance kernel of W.
     m = VariogramModel(alpha=1.0)
-    assert mean_z(m, 1.0) == pytest.approx(-0.5, abs=1e-15)
-    assert cov_z(m, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
-    assert mean_z(m, 0.0) == 0.0
-    assert cov_z(m, 0.0, 0.0) == 0.0
-
-
-def test_cov_z_matches_cov_w():
-    rng = np.random.default_rng(7)
-    m = VariogramModel(alpha=1.6, scale=0.4, dim=2)
-    s = rng.normal(size=(20, 2))
-    t = rng.normal(size=(20, 2))
-    np.testing.assert_array_equal(cov_z(m, s, t), cov_w(m, s, t))
-    assert cov_z(m, (0.25, 0.0), (0.75, 0.0)) == pytest.approx(
-        cov_w(m, (0.25, 0.0), (0.75, 0.0)), rel=1e-15)
+    assert -gamma(m, 1.0) == pytest.approx(-0.5, abs=1e-15)
+    assert cov_w(m, 1.0, 1.0) == pytest.approx(1.0, abs=1e-15)
+    assert -gamma(m, 0.0) == 0.0
+    assert cov_w(m, 0.0, 0.0) == 0.0
 
 
 def test_cov_z_alpha1_min_identity():
+    # Z shares the kernel of W, so cov_w gives Cov(Z(s), Z(t)) = min(s, t).
     m = VariogramModel(alpha=1.0)
-    assert cov_z(m, 0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
+    assert cov_w(m, 0.25, 0.75) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_covariance_matrix_positive_semidefinite():
@@ -128,9 +118,9 @@ def test_model_validation():
     with pytest.raises(ValueError):
         VariogramModel(alpha=1.0, scale=0.0)
     with pytest.raises(ValueError):
-        VariogramModel(alpha=1.0, dim=0)
+        VariogramModel(alpha=1.0, scale=np.inf)
     with pytest.raises(ValueError):
-        VariogramModel(alpha=1.0, family="exponential")
+        VariogramModel(alpha=1.0, dim=0)
     VariogramModel(alpha=2.0)  # the boundary itself is allowed
 
 
