@@ -22,10 +22,10 @@ reps = 200
 
 print(f"{grid.shape[0]} sites on [0, 2], {reps} replications per alpha\n")
 print(f"{'alpha':>6} {'q25':>6} {'median':>7} {'q75':>6} {'mean':>8}")
-for i, alpha in enumerate((0.5, 1.0, 1.5, 2.0)):
+for seed, alpha in enumerate((0.5, 1.0, 1.5, 2.0), start=50):
     model = VariogramModel(alpha=alpha)
     counts = [fs.num_clusters
-              for fs in replications(grid, model, reps, seed=50 + i * 1000)]
+              for fs in replications(grid, model, reps, seed=seed)]
     stats = cluster_count_stats(counts)
     q25, q50, q75 = stats["quartiles"]
     print(f"{alpha:>6.2f} {q25:>6.1f} {q50:>7.1f} {q75:>6.1f} "

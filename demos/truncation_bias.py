@@ -28,6 +28,8 @@ sampler = build_sampler(sites, model)
 reps = 10_000
 bound = ks_critical(reps, alpha=0.01)
 
+# The truncated arm draws from streams (80_000 + r, 0), r < reps; the
+# exact arm's seed lies outside that range, so the arms share no stream.
 naive = np.array([
     simulate_naive(sites, model, seed=80_000 + r, truncation=5,
                    sampler=sampler).values[-1]

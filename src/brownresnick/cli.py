@@ -12,9 +12,9 @@ clusters   cluster-count distributions across a list of alpha values
 Every JSON output echoes {seed, alpha, n, reps, version} so a run can be
 replayed exactly.  Identical configurations produce identical output
 bytes; pass --no-timing to strip the one wall-clock field from simulate
-diagnostics when byte-stable files are required.  Clusters are generated
-serially, so --workers (simulate, clusters) changes neither the output nor
-the run time.
+diagnostics when byte-stable files are required.  simulate, oracle,
+pickands and theta equal the library call at --seed; the arms of clusters
+and validate draw at seeds hashed from (--seed, arm), so none share a stream.
 """
 
 from __future__ import annotations
@@ -29,9 +29,9 @@ import numpy as np
 
 from . import __version__
 from .distributions import fdd_cdf_oracle, gumbel_cdf, gumbel_quantile, std_normal_cdf
-from .gaussian import SiteSet, box_grid, load_sites_csv
+from .gaussian import FactorizationError, SiteSet, box_grid, build_sampler, load_sites_csv
 from .pointprocess import SamplingMeasure
-from .simulator import replications, simulate, transform_marginals
+from .simulator import replications, transform_marginals
 from .statseval import (
     cluster_count_stats,
     extremal_index_estimate,
@@ -41,23 +41,14 @@ from .statseval import (
     pickands_estimate,
     qq_data,
 )
+from .streams import mask64
 from .variogram import VariogramModel, gamma
 
 SVG_SIZE = 480
 SVG_MARGIN = 48
 SVG_MAX_MARKERS = 2000
 
-# Independent experiment arms are separated this far in seed space so that
-# the per-replication seeds (base + r) of different arms never collide.
-ARM_STRIDE = 10_000_000
-
-VALIDATE_CHECKS = (
-    "marginal",
-    "bivariate",
-    "mu_invariance",
-    "stationarity",
-    "parallel_determinism",
-)
+VALIDATE_CHECKS = ("marginal", "bivariate", "mu_invariance", "stationarity")
 
 # Fixed 5-site set for the invariance experiments.
 FIVE_SITES = (0.0, 0.2, 0.45, 0.7, 1.0)
@@ -71,6 +62,16 @@ def _env_int(name: str, fallback: int) -> int:
         return int(raw)
     except ValueError:
         raise SystemExit(f"environment variable {name} must be an integer, got {raw!r}")
+
+
+def _arm_seeds(seed: int, count: int) -> list[int]:
+    """Library seeds for ``count`` arms: 64-bit SeedSequence hashes of (seed, k).
+
+    Two arms, of one run or of runs at different seeds, collide with
+    probability about 2^-64.
+    """
+    children = np.random.SeedSequence(mask64(seed)).spawn(count)
+    return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
 def parse_grid(expr: str) -> np.ndarray:
@@ -222,17 +223,19 @@ def cmd_simulate(args, parser) -> int:
     sites = _resolve_sites(args, parser)
     if args.reps < 1:
         parser.error("reps must be a positive integer")
-    if args.workers < 1:
-        parser.error("workers must be >= 1")
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
     measure = _load_measure(args, sites.n)
 
     t0 = time.perf_counter()
+    try:
+        sampler = build_sampler(sites, model)
+    except FactorizationError as exc:
+        raise SystemExit(str(exc))
     rows = np.empty((args.reps, sites.n))
     counts = []
     for r, fs in enumerate(replications(sites, model, args.reps,
                                         measure=measure, seed=args.seed,
-                                        workers=args.workers)):
+                                        sampler=sampler)):
         rows[r] = transform_marginals(fs, args.marginals).values
         counts.append(fs.num_clusters)
     wall = time.perf_counter() - t0
@@ -241,7 +244,7 @@ def cmd_simulate(args, parser) -> int:
     if args.diag:
         diag = _echo(args.seed, args.alpha, sites.n, args.reps)
         diag.update({
-            "workers": args.workers,
+            "jitter_used": sampler.jitter_used,
             "marginals": args.marginals,
             "cluster_counts": counts,
         })
@@ -315,12 +318,10 @@ def cmd_clusters(args, parser) -> int:
 
     rows = []
     summaries = []
-    for i, alpha in enumerate(alphas):
+    for alpha, arm_seed in zip(alphas, _arm_seeds(args.seed, len(alphas))):
         model = _build_model(parser, alpha, args.scale, sites.dim)
         counts = [fs.num_clusters
-                  for fs in replications(sites, model, args.reps,
-                                         seed=args.seed + i * ARM_STRIDE,
-                                         workers=args.workers)]
+                  for fs in replications(sites, model, args.reps, seed=arm_seed)]
         rows.extend((alpha, c) for c in counts)
         summary = {"alpha": alpha}
         summary.update(cluster_count_stats(counts))
@@ -350,6 +351,9 @@ def cmd_validate(args, parser) -> int:
             parser.error(f"unknown check {name!r}; choose from {VALIDATE_CHECKS}")
     reps = args.reps
     seed = args.seed
+    # Arms 0-7: marginal, bivariate, the two mu_invariance arms, then the
+    # unshifted and shifted stationarity arms at alpha 1 and at alpha 2.
+    arm = _arm_seeds(seed, 8)
     model = _build_model(parser, args.alpha, args.scale, 1)
     sites5 = SiteSet(np.asarray(FIVE_SITES))
     checks = []
@@ -360,7 +364,7 @@ def cmd_validate(args, parser) -> int:
 
     if active("marginal"):
         samples = [fs.values[0]
-                   for fs in replications([0.7], model, reps, seed=seed)]
+                   for fs in replications([0.7], model, reps, seed=arm[0])]
         d = ks_statistic(samples, gumbel_cdf)
         checks.append({"name": "marginal", "pass": bool(d <= ks_thr),
                        "statistic": d, "threshold": ks_thr})
@@ -369,8 +373,7 @@ def cmd_validate(args, parser) -> int:
         pair = np.array([0.0, args.s])
         loc = float(np.log(2.0 * std_normal_cdf(np.sqrt(gamma(model, args.s) / 2.0))))
         samples = [fs.values.max() - loc
-                   for fs in replications(pair, model, reps,
-                                          seed=seed + ARM_STRIDE)]
+                   for fs in replications(pair, model, reps, seed=arm[1])]
         d = ks_statistic(samples, gumbel_cdf)
         emit_svg_qq(qq_data(samples, gumbel_quantile), args.qq)
         checks.append({"name": "bivariate", "pass": bool(d <= ks_thr),
@@ -379,23 +382,21 @@ def cmd_validate(args, parser) -> int:
     if active("mu_invariance"):
         skewed = SamplingMeasure([0.6, 0.1, 0.1, 0.1, 0.1])
         arm_a = [fs.values.max()
-                 for fs in replications(sites5, model, reps,
-                                        seed=seed + 2 * ARM_STRIDE)]
+                 for fs in replications(sites5, model, reps, seed=arm[2])]
         arm_b = [fs.values.max()
                  for fs in replications(sites5, model, reps, measure=skewed,
-                                        seed=seed + 3 * ARM_STRIDE)]
+                                        seed=arm[3])]
         checks.append(_two_sample_check("mu_invariance", arm_a, arm_b, reps))
 
     if active("stationarity"):
         worst = None
         for k, alpha in enumerate((1.0, 2.0)):
             m = VariogramModel(alpha=alpha, scale=args.scale)
-            base = seed + (4 + 2 * k) * ARM_STRIDE
             runs_a = [fs.values
-                      for fs in replications(sites5, m, reps, seed=base)]
+                      for fs in replications(sites5, m, reps, seed=arm[4 + 2 * k])]
             runs_b = [fs.values
                       for fs in replications(sites5.shifted(10.0), m, reps,
-                                             seed=base + ARM_STRIDE)]
+                                             seed=arm[5 + 2 * k])]
             a = np.asarray(runs_a)
             b = np.asarray(runs_b)
             for stat_a, stat_b in ((a.max(axis=1), b.max(axis=1)),
@@ -406,19 +407,6 @@ def cmd_validate(args, parser) -> int:
         thr = ks_critical(reps, m=reps)
         checks.append({"name": "stationarity", "pass": bool(worst <= thr),
                        "statistic": float(worst), "threshold": thr})
-
-    if active("parallel_determinism"):
-        mismatches = 0
-        base = seed + 8 * ARM_STRIDE
-        for i in range(100):
-            one = simulate(sites5, model, seed=base + i, workers=1)
-            eight = simulate(sites5, model, seed=base + i, workers=8)
-            if (not np.array_equal(one.values, eight.values)
-                    or one.num_clusters != eight.num_clusters):
-                mismatches += 1
-        checks.append({"name": "parallel_determinism",
-                       "pass": mismatches == 0,
-                       "statistic": mismatches, "threshold": 0})
 
     all_pass = all(c["pass"] for c in checks)
     report = _echo(seed, args.alpha, sites5.n, reps)
@@ -454,7 +442,6 @@ def _add_common(sp, default_seed, reps_default):
 
 def build_parser() -> argparse.ArgumentParser:
     default_seed = _env_int("BROWNRESNICK_SEED", 1)
-    default_workers = _env_int("BROWNRESNICK_WORKERS", 1)
 
     parser = argparse.ArgumentParser(
         prog="brownresnick",
@@ -466,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_site_args(sp)
     sp.add_argument("--alpha", type=float, required=True)
     _add_common(sp, default_seed, reps_default=1)
-    sp.add_argument("--workers", type=int, default=default_workers)
     sp.add_argument("--marginals", choices=("gumbel", "frechet", "weibull"),
                     default="gumbel")
     sp.add_argument("--measure-weights",
@@ -520,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alphas", required=True,
                     help="comma list of alpha values")
     _add_common(sp, default_seed, reps_default=200)
-    sp.add_argument("--workers", type=int, default=default_workers)
     sp.add_argument("--out", help="per-run counts CSV (rows alpha,count)")
     sp.add_argument("--summary", help="summary JSON path (default stdout)")
     sp.set_defaults(func=cmd_clusters)

@@ -175,27 +175,35 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
 
     Factorization starts jitter-free and escalates a diagonal jitter by
     factors of 10 from ``1e-12 * mean_diag`` up to
-    ``max_jitter_factor * mean_diag``.  Jitter is needed whenever the
-    covariance is rank-deficient beyond the origin/duplicate structure,
+    ``min(max_jitter_factor, 1) * mean_diag``.  Jitter is needed whenever
+    the covariance is rank-deficient beyond the origin/duplicate structure,
     e.g. for ``alpha == 2`` where the field is a rank-``dim`` paraboloid.
+    A covariance that overflows to inf or NaN raises at once.
     """
     sites = SiteSet.from_points(sites)
     as_points(model, sites.points)  # dimension check
 
-    cov = covariance_matrix(model, sites.rep_points)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        cov = covariance_matrix(model, sites.rep_points)
     is_origin = np.all(sites.rep_points == 0.0, axis=1)
     active = np.flatnonzero(~is_origin)
 
+    def failure(reason):
+        diam = float(np.max(np.hypot.reduce(
+            sites.rep_points[:, None, :] - sites.rep_points[None, :, :], axis=-1)))
+        return FactorizationError(
+            f"{reason} for alpha={model.alpha}, scale={model.scale:g} "
+            f"over sites of diameter {diam:.6g}")
+
+    if not np.all(np.isfinite(cov)):
+        raise failure("covariance overflowed to a non-finite value")
     sub_factor = np.zeros((0, 0))
     jitter_used = 0.0
     if len(active):
         sub = cov[np.ix_(active, active)]
         mean_diag = float(np.mean(np.diag(sub)))
-        jitters = [0.0]
-        j = 1e-12 * mean_diag
-        while j <= max_jitter_factor * mean_diag * (1 + 1e-9):
-            jitters.append(j)
-            j *= 10.0
+        jitters = [0.0] + [mean_diag * 10.0 ** k for k in range(-12, 1)
+                           if 10.0 ** k <= max_jitter_factor * (1 + 1e-9)]
         for j in jitters:
             try:
                 sub_factor = np.linalg.cholesky(sub + j * np.eye(len(active)))
@@ -204,12 +212,8 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
             except np.linalg.LinAlgError:
                 continue
         else:  # no jitter level gave a factor
-            diam = float(np.max(np.linalg.norm(
-                sites.rep_points[:, None, :] - sites.rep_points[None, :, :], axis=-1)))
-            raise FactorizationError(
-                f"covariance factorization failed for alpha={model.alpha} "
-                f"over sites of diameter {diam:.6g} even with jitter "
-                f"{max_jitter_factor:g} * mean_diag")
+            raise failure(f"covariance factorization failed even with jitter "
+                          f"{max_jitter_factor:g} * mean_diag")
 
     drift = model.scale * cdist(sites.points, sites.points) ** model.alpha / 2.0
     np.fill_diagonal(drift, 0.0)

@@ -7,6 +7,11 @@ dominance bound C(t_j) <= v - log w_j guarantees that no future cluster can
 change any coordinate.  The algorithm is exact: its output has the law of
 the field restricted to the sites, with no truncation error.
 
+Random streams: sample r of ``replications(seed=s)`` draws its Poisson
+points, anchors and normals, in loop order, from the one stream (s, r), and
+``simulate(seed=s)`` is sample 0.  Distinct keys give independent streams,
+so no two samples share a draw, and each replays bit for bit from its key.
+
 A deliberately naive truncated variant is included to demonstrate the bias
 that the exact algorithm removes.
 """
@@ -55,7 +60,8 @@ class FieldSample:
     ``num_clusters`` counts the Poisson points consumed, including the final
     one that triggered termination; ``v_trace`` records them in decreasing
     order (truncated at the retention cap in pathological runs, in which
-    case ``len(v_trace) < num_clusters``).
+    case ``len(v_trace) < num_clusters``).  ``elapsed`` is the wall time of
+    the draw, factorization excluded.
     """
 
     values: np.ndarray
@@ -79,7 +85,7 @@ def generate_cluster(
         C(t_j) = v + X_j - logsumexp_l(log w_l + X_l).
 
     The anchor draw and the Gaussian draw consume ``stream`` in that fixed
-    order, so the cluster is a pure function of (v, stream key).
+    order, so the cluster is a pure function of v and the stream's state.
     """
     anchor = sample_anchor(measure, stream)
     x = fg.sample_drifted(anchor, stream)
@@ -91,12 +97,63 @@ def generate_cluster(
     return ClusterDraw(v=v, anchor=anchor, values=v + (x - lse))
 
 
+def _prepare(sites, model, measure, sampler):
+    """Site set, anchor measure and factorization shared by every sample."""
+    sites = SiteSet.from_points(sites)
+    if sampler is None:
+        sampler = build_sampler(sites, model)
+    if measure is None:
+        measure = SamplingMeasure.uniform(sites.n)
+    if measure.n != sites.n:
+        raise ValueError(
+            f"measure has {measure.n} weights but there are {sites.n} sites"
+        )
+    return sites, measure, sampler
+
+
+def _simulate(sites, model, measure, sampler, seed, replication,
+              max_clusters=DEFAULT_MAX_CLUSTERS,
+              v_trace_cap=DEFAULT_V_TRACE_CAP) -> FieldSample:
+    """Sample ``replication`` of ``seed``, drawn from one stream in loop order."""
+    t0 = time.perf_counter()
+    stream = RandomStream(seed, replication)
+    vstream = VStream(stream)
+    log_w = measure.log_weights
+    sup = np.full(sites.n, -np.inf)
+    v_trace: list = []
+    merged = 0
+    while True:
+        if merged >= max_clusters:
+            raise ClusterLimitError(
+                f"no termination after {merged} clusters "
+                f"(alpha={model.alpha}, n={sites.n}, last v="
+                f"{v_trace[-1] if v_trace else None}, "
+                f"bound={float(np.min(sup + log_w))})"
+            )
+        v = vstream.next_v()
+        merged += 1
+        draw = generate_cluster(sampler, measure, v, stream)
+        hit = v <= np.min(sup + log_w)
+        np.maximum(sup, draw.values, out=sup)
+        if len(v_trace) < v_trace_cap:
+            v_trace.append(v)
+        if hit:
+            break
+
+    return FieldSample(
+        values=sup,
+        num_clusters=merged,
+        v_trace=v_trace,
+        seed=seed,
+        elapsed=time.perf_counter() - t0,
+    )
+
+
 def simulate(
     sites,
     model,
     measure: SamplingMeasure | None = None,
     seed: int = 0,
-    workers: int = 1,
     *,
     sampler: FactorizedGaussian | None = None,
     max_clusters: int = DEFAULT_MAX_CLUSTERS,
@@ -114,11 +171,9 @@ def simulate(
         Anchor-site distribution mu; uniform when omitted.  The output law
         does not depend on the choice as long as all weights are positive.
     seed : int
-        Base seed.  The Poisson points use stream (seed, 0); cluster k uses
-        stream (seed, k).  Output is a pure function of the seed.
-    workers : int
-        Must be >= 1.  Clusters are generated one at a time in this thread,
-        so the value changes neither the output nor the run time.
+        Every draw (Poisson points, anchors, normals) comes from the one
+        stream (seed, 0), so the output is a pure function of the seed and
+        equals item 0 of ``replications(..., seed=seed)``.
     sampler : FactorizedGaussian, optional
         Prefactorized covariance for these sites; built on the fly when
         omitted.  Pass one in when simulating many replications.
@@ -139,51 +194,9 @@ def simulate(
     cluster attached to that final point is still merged, so every consumed
     point contributes and ``num_clusters`` counts them all.
     """
-    t0 = time.perf_counter()
-    sites = SiteSet.from_points(sites)
-    if sampler is None:
-        sampler = build_sampler(sites, model)
-    if measure is None:
-        measure = SamplingMeasure.uniform(sites.n)
-    if measure.n != sites.n:
-        raise ValueError(
-            f"measure has {measure.n} weights but there are {sites.n} sites"
-        )
-    seed = mask64(seed)
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
-    vstream = VStream(RandomStream(seed, 0))
-    log_w = measure.log_weights
-    sup = np.full(sites.n, -np.inf)
-    v_trace: list = []
-    merged = 0
-    while True:
-        if merged >= max_clusters:
-            raise ClusterLimitError(
-                f"no termination after {merged} clusters "
-                f"(alpha={model.alpha}, n={sites.n}, last v="
-                f"{v_trace[-1] if v_trace else None}, "
-                f"bound={float(np.min(sup + log_w))})"
-            )
-        v = vstream.next_v()
-        merged += 1
-        draw = generate_cluster(sampler, measure, v, RandomStream(seed, merged))
-        hit = v <= np.min(sup + log_w)
-        np.maximum(sup, draw.values, out=sup)
-        if len(v_trace) < v_trace_cap:
-            v_trace.append(v)
-        if hit:
-            break
-
-    return FieldSample(
-        values=sup,
-        num_clusters=merged,
-        v_trace=v_trace,
-        seed=seed,
-        elapsed=time.perf_counter() - t0,
-    )
+    sites, measure, sampler = _prepare(sites, model, measure, sampler)
+    return _simulate(sites, model, measure, sampler, mask64(seed), 0,
+                     max_clusters, v_trace_cap)
 
 
 def simulate_naive(
@@ -201,25 +214,26 @@ def simulate_naive(
     where gamma is large, so far-field marginals come out stochastically
     too small.  Kept only to demonstrate that failure mode.
 
-    W_i is drawn pinned at the origin and cluster i uses stream (seed, i),
-    so for a fixed seed the output is coordinatewise nondecreasing in N.
+    W_i is drawn pinned at the origin, and V_i and W_i come in turn from
+    the one stream (seed, 0).  A shorter run consumes a prefix of the same
+    draws, so for a fixed seed the output is coordinatewise nondecreasing
+    in N.
     """
     t0 = time.perf_counter()
     truncation = int(truncation)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    sites = SiteSet.from_points(sites)
-    if sampler is None:
-        sampler = build_sampler(sites, model)
+    sites, _, sampler = _prepare(sites, model, None, sampler)
     seed = mask64(seed)
     g = np.atleast_1d(gamma(model, sites.points))
 
-    vstream = VStream(RandomStream(seed, 0))
+    stream = RandomStream(seed, 0)
+    vstream = VStream(stream)
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
-    for i in range(1, truncation + 1):
+    for _ in range(truncation):
         v = vstream.next_v()
-        w = sampler.sample_w(RandomStream(seed, i))
+        w = sampler.sample_w(stream)
         np.maximum(sup, v + w - g, out=sup)
         if len(v_trace) < v_trace_cap:
             v_trace.append(v)
@@ -258,21 +272,16 @@ def replications(
     *,
     sampler: FactorizedGaussian | None = None,
 ):
-    """Yield ``reps`` independent FieldSamples; replication r uses seed + r.
+    """Yield ``reps`` independent FieldSamples of one run at ``seed``.
 
-    The covariance factorization is shared across replications.
+    Sample r draws everything from the one stream (seed, r), so item 0
+    equals ``simulate(..., seed=seed)`` bit for bit and runs at different
+    seeds share no draw.  The covariance factorization is shared across
+    replications.  ``workers`` is ignored; samples are drawn one at a time.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    sites = SiteSet.from_points(sites)
-    if sampler is None:
-        sampler = build_sampler(sites, model)
+    sites, measure, sampler = _prepare(sites, model, measure, sampler)
+    seed = mask64(seed)
     for r in range(int(reps)):
-        yield simulate(
-            sites,
-            model,
-            measure,
-            seed=mask64(seed + r),
-            workers=workers,
-            sampler=sampler,
-        )
+        yield _simulate(sites, model, measure, sampler, seed, r)

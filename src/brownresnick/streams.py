@@ -1,11 +1,12 @@
-"""Counter-based uniform random streams for reproducible parallel Monte Carlo.
+"""Counter-based uniform random streams for reproducible Monte Carlo.
 
 Every stream is keyed by a ``(seed, stream_id)`` pair and backed by the
 Philox counter-based generator, so streams with distinct keys are
 statistically independent and a stream's output depends only on its key
-and on how many values have been drawn from it.  Work that consumes a
-dedicated stream therefore produces the same numbers no matter which
-thread or worker executes it, or in which order.
+and on how many values have been drawn from it.  The simulator keys one
+stream per sample as ``(seed, replication)`` and draws everything for
+that sample from it in a fixed order; the Monte Carlo oracles key theirs
+as ``(seed, 0)`` and ``(seed, 1)``.
 """
 
 from __future__ import annotations

@@ -60,7 +60,16 @@ def test_simulate_diag_fields(tmp_path):
     assert d["seed"] == 9 and d["n"] == 5 and d["reps"] == 3
     assert d["marginals"] == "gumbel"
     assert len(d["cluster_counts"]) == 3
+    assert d["jitter_used"] == 0.0
+    assert "workers" not in d
     assert "wall_time_s" not in d
+
+    # Two sites off the origin at alpha 2 give a rank-one covariance.
+    paraboloid = tmp_path / "alpha2.json"
+    main(["simulate", "--grid", "1:2:1", "--alpha", "2.0", "--reps", "1",
+          "--seed", "1", "--no-timing", "--out", str(tmp_path / "alpha2.csv"),
+          "--diag", str(paraboloid)])
+    assert json.loads(paraboloid.read_text())["jitter_used"] > 0.0
 
     out = tmp_path / "timed.csv"
     timed = tmp_path / "timed.json"
@@ -126,8 +135,9 @@ def test_simulate_rejects_bad_arguments(tmp_path):
         main(base + ["--reps", "1"])  # no sites and no grid
     with pytest.raises(SystemExit):
         main(base + ["--grid", "0:1:0.5", "--sites", "x.csv", "--reps", "1"])
-    with pytest.raises(SystemExit):
-        main(base + ["--grid", "0:1:0.5", "--workers", "0"])
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--grid", "0:10:10", "--scale", "1e308"])
+    assert "overflowed" in str(exc.value.code)
     with pytest.raises(SystemExit):
         main(base + ["--grid", "0:1:0.7"])  # mesh does not divide the span
     with pytest.raises(SystemExit) as exc:
@@ -241,14 +251,12 @@ def test_validate_default_checks(tmp_path, capsys):
     d = json.loads(report.read_text())
     assert ECHO_KEYS <= d.keys()
     assert [c["name"] for c in d["checks"]] == [
-        "marginal", "bivariate", "mu_invariance", "stationarity",
-        "parallel_determinism"]
+        "marginal", "bivariate", "mu_invariance", "stationarity"]
     assert d["all_pass"] is True
     assert d["s"] == pytest.approx(1.0 - 1.0 / 1024.0)
     assert qq.exists()
     out = capsys.readouterr().out
-    for name in ("marginal", "bivariate", "mu_invariance", "stationarity",
-                 "parallel_determinism"):
+    for name in ("marginal", "bivariate", "mu_invariance", "stationarity"):
         assert name in out
     assert "FAIL" not in out
 
@@ -261,7 +269,7 @@ def test_validate_skip_bivariate(tmp_path):
                "--qq", str(qq)])
     assert rc == 0
     d = json.loads(report.read_text())
-    assert len(d["checks"]) == 4
+    assert len(d["checks"]) == 3
     assert "bivariate" not in [c["name"] for c in d["checks"]]
     assert not qq.exists()
 
@@ -272,8 +280,7 @@ def test_validate_honors_scale(tmp_path):
     # --scale does; margins stay Gumbel either way, so both runs pass
     # (the single-site marginal check is scale-invariant by construction)
     skips = []
-    for name in ("marginal", "mu_invariance", "stationarity",
-                 "parallel_determinism"):
+    for name in ("marginal", "mu_invariance", "stationarity"):
         skips += ["--skip", name]
     stats = {}
     for scale in ("1.0", "4.0"):

@@ -140,6 +140,12 @@ def test_factorization_error_names_model_and_diameter():
     with pytest.raises(FactorizationError, match="alpha=2"):
         build_sampler([1.0, 2.0, 3.0], VariogramModel(alpha=2.0),
                       max_jitter_factor=0.0)
+    # Finite input whose covariance overflows fails at once, not in the
+    # jitter ladder.
+    with pytest.raises(FactorizationError, match="overflowed.*alpha=2.*diameter 1e\\+200"):
+        build_sampler([0.0, 1e200], VariogramModel(alpha=2.0))
+    with pytest.raises(FactorizationError, match="overflowed.*scale=1e\\+308.*diameter 10"):
+        build_sampler([0.0, 10.0], VariogramModel(alpha=1.0, scale=1e308))
 
 
 def test_site_set_dedup_and_coercion():

@@ -96,8 +96,7 @@ def test_identical_sites_count_law():
     # against that stopping rule drawn with an unrelated generator.
     n, reps = 16, 2500
     counts = np.array([
-        simulate([0.3] * n, M1, seed=3000 + r).num_clusters
-        for r in range(reps)
+        fs.num_clusters for fs in replications([0.3] * n, M1, reps, seed=3000)
     ])
     rng = np.random.default_rng(42)
     g1 = rng.exponential(size=reps)
@@ -116,10 +115,8 @@ def test_mean_count_grows_with_site_multiplicity():
     reps = 300
     means = []
     for n in (2, 8, 32, 128):
-        counts = [
-            simulate([0.3] * n, M1, seed=9000 + r).num_clusters
-            for r in range(reps)
-        ]
+        counts = [fs.num_clusters
+                  for fs in replications([0.3] * n, M1, reps, seed=n)]
         means.append(np.mean(counts))
     assert all(a < b for a, b in zip(means, means[1:]))
 
@@ -153,17 +150,6 @@ def test_transform_marginals_values():
         transform_marginals(base, "gompertz")
 
 
-def test_worker_count_does_not_change_output():
-    mu = SamplingMeasure([0.5, 0.2, 0.1, 0.1, 0.1])
-    for seed in range(20):
-        ref = simulate(FIVE_SITES, M1, mu, seed=seed, workers=1)
-        for workers in (2, 8):
-            alt = simulate(FIVE_SITES, M1, mu, seed=seed, workers=workers)
-            np.testing.assert_array_equal(ref.values, alt.values)
-            assert ref.num_clusters == alt.num_clusters
-            assert ref.v_trace == alt.v_trace
-
-
 def test_termination_bound_recoverable_from_sample():
     mu = SamplingMeasure.uniform(5)
     for seed in range(30):
@@ -188,8 +174,6 @@ def test_cluster_cap_aborts():
 def test_input_validation():
     with pytest.raises(ValueError):
         simulate([0.0, 1.0], M1, SamplingMeasure.uniform(3))
-    with pytest.raises(ValueError):
-        simulate([0.0, 1.0], M1, workers=0)
     with pytest.raises(ValueError, match="finite"):
         simulate([0.0, np.nan], M1)
     with pytest.raises(ValueError):
@@ -219,3 +203,33 @@ def test_replications_are_deterministic():
         np.testing.assert_array_equal(a, b)
     # Distinct replications really are distinct draws.
     assert not np.array_equal(runs1[0], runs1[1])
+
+
+def test_simulate_is_replication_zero():
+    mu = SamplingMeasure([0.5, 0.2, 0.1, 0.1, 0.1])
+    for seed in (0, 6, 2 ** 63 + 1):
+        ref = simulate(FIVE_SITES, M1, mu, seed=seed)
+        first = next(replications(FIVE_SITES, M1, 3, mu, seed=seed))
+        np.testing.assert_array_equal(ref.values, first.values)
+        assert ref.num_clusters == first.num_clusters
+        assert ref.v_trace == first.v_trace
+        assert ref.seed == first.seed
+
+
+def test_one_stream_per_sample(monkeypatch):
+    import brownresnick.simulator as simulator
+
+    keys = []
+
+    class Recording(RandomStream):
+        def __init__(self, seed, stream_id=0):
+            super().__init__(seed, stream_id)
+            keys.append((self.seed, self.stream_id))
+
+    monkeypatch.setattr(simulator, "RandomStream", Recording)
+    samples = list(replications(FIVE_SITES, M1, 4, seed=8))
+    assert keys == [(8, 0), (8, 1), (8, 2), (8, 3)]
+    assert sum(fs.num_clusters for fs in samples) > 4
+    keys.clear()
+    simulate_naive(FIVE_SITES, M1, seed=8, truncation=7)
+    assert keys == [(8, 0)]
