@@ -9,7 +9,9 @@ with lam = sqrt(gamma(s)/2).  Monte Carlo: the finite-dimensional CDF
 identity P(eta <= y) = exp(-E exp(max_j (Z(t_j - t*) - y_j))) and the
 change-of-measure identity E e^{W(t)-gamma(t)} F(W - gamma) = E F(Z(. - t))
 for translation-invariant F.  The oracles share no code path with the
-simulator, so agreement is evidence, not tautology.
+simulator, so agreement is evidence, not tautology.  Both average through
+``statseval.mc_mean``, whose chunks hold about 2 MiB per array, so their
+memory does not grow with the draw count.
 """
 
 from __future__ import annotations
@@ -23,8 +25,6 @@ from .gaussian import SiteSet, build_sampler
 from .statseval import mc_mean
 from .streams import RandomStream, mask64
 from .variogram import VariogramModel, as_points, cov_w, gamma
-
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,6 @@ def bivariate_neglog(model: VariogramModel, s, y1: float, y2: float) -> float:
     return float(np.exp(-y1) * ndtr(lam + d) + np.exp(-y2) * ndtr(lam - d))
 
 
-def _mc_mean(fg, shift, stream: RandomStream, reps: int, reduce_fn):
-    """Mean and SE of one statistic per draw, in chunks of ``_CHUNK``."""
-    (mean,), (se,) = mc_mean(fg, shift, stream, reps, _CHUNK, reduce_fn)
-    return float(mean), float(se)
-
-
 def _exp_rowmax(x: np.ndarray) -> np.ndarray:
     return np.exp(x.max(axis=0, keepdims=True))
 
@@ -111,9 +105,9 @@ def fdd_cdf_oracle(sites, model: VariogramModel, y, reps: int, seed: int,
     fg = build_sampler(shifted, model)
     mean_z = -np.atleast_1d(gamma(model, shifted.points))
     stream = RandomStream(mask64(seed), 0)
-    m, se_m = _mc_mean(fg, mean_z - y, stream, reps, _exp_rowmax)
+    (m,), (se_m,) = mc_mean(fg, mean_z - y, stream, reps, _exp_rowmax)
     value = float(np.exp(-m))
-    return CdfEstimate(value=value, std_error=value * se_m, reps=reps)
+    return CdfEstimate(value=value, std_error=value * float(se_m), reps=reps)
 
 
 def change_of_measure_check(model: VariogramModel, grid, t, reps: int,
@@ -144,16 +138,16 @@ def change_of_measure_check(model: VariogramModel, grid, t, reps: int,
     g_sites = np.atleast_1d(gamma(model, grid.points))
     c_t = np.atleast_1d(cov_w(model, grid.points, np.broadcast_to(tpt, grid.points.shape)))
     fg_left = build_sampler(grid, model)
-    m_left, se_left = _mc_mean(
+    (m_left,), (se_left,) = mc_mean(
         fg_left, c_t - g_sites, RandomStream(seed, 0), reps, _peak_share)
 
     shifted = grid.shifted(-tpt)
     fg_right = build_sampler(shifted, model)
     mean_z = -np.atleast_1d(gamma(model, shifted.points))
-    m_right, se_right = _mc_mean(
+    (m_right,), (se_right,) = mc_mean(
         fg_right, mean_z, RandomStream(seed, 1), reps, _peak_share)
 
     denom = float(np.hypot(se_left, se_right))
     if denom == 0.0:
         return 0.0
-    return (m_left - m_right) / denom
+    return float((m_left - m_right) / denom)

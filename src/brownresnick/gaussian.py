@@ -13,10 +13,9 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .streams import RandomStream
-from .variogram import VariogramModel, as_points, covariance_matrix
+from .variogram import VariogramModel, as_points, covariance_matrix, pairwise_gamma
 
 
 class FactorizationError(RuntimeError):
@@ -184,7 +183,8 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
     as_points(model, sites.points)  # dimension check
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        cov = covariance_matrix(model, sites.rep_points)
+        pairs = pairwise_gamma(model, sites.rep_points)
+        cov = covariance_matrix(model, sites.rep_points, pairs)
     is_origin = np.all(sites.rep_points == 0.0, axis=1)
     active = np.flatnonzero(~is_origin)
 
@@ -206,7 +206,8 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
                            if 10.0 ** k <= max_jitter_factor * (1 + 1e-9)]
         for j in jitters:
             try:
-                sub_factor = np.linalg.cholesky(sub + j * np.eye(len(active)))
+                sub_factor = np.linalg.cholesky(
+                    sub + j * np.eye(len(active)) if j else sub)
                 jitter_used = j
                 break
             except np.linalg.LinAlgError:
@@ -215,7 +216,6 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
             raise failure(f"covariance factorization failed even with jitter "
                           f"{max_jitter_factor:g} * mean_diag")
 
-    drift = model.scale * cdist(sites.points, sites.points) ** model.alpha / 2.0
-    np.fill_diagonal(drift, 0.0)
+    drift = pairs[np.ix_(sites.rep_index, sites.rep_index)]
 
     return FactorizedGaussian(sites, model, sub_factor, active, jitter_used, drift)

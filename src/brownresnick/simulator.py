@@ -18,6 +18,7 @@ that the exact algorithm removes.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -35,7 +36,8 @@ MARGINALS = ("gumbel", "frechet", "weibull")
 
 
 class ClusterLimitError(RuntimeError):
-    """Raised when the cluster safety cap is hit before termination."""
+    """Raised when the cluster safety cap is hit before termination, or at
+    once when the dominance bound turns NaN, which no Poisson point meets."""
 
 
 @dataclass(frozen=True)
@@ -132,8 +134,14 @@ def _simulate(sites, model, measure, sampler, seed, replication,
             )
         v = vstream.next_v()
         merged += 1
+        bound = np.min(sup + log_w)
+        if math.isnan(bound):
+            raise ClusterLimitError(
+                f"dominance bound turned NaN before cluster {merged}: a merged "
+                f"cluster had a NaN value (alpha={model.alpha}, n={sites.n}), "
+                f"so no Poisson point could ever stop the loop")
         draw = generate_cluster(sampler, measure, v, stream)
-        hit = v <= np.min(sup + log_w)
+        hit = v <= bound
         np.maximum(sup, draw.values, out=sup)
         if len(v_trace) < v_trace_cap:
             v_trace.append(v)

@@ -19,7 +19,9 @@ from .gaussian import FactorizedGaussian, SiteSet, box_grid, build_sampler
 from .streams import RandomStream, mask64
 from .variogram import VariogramModel, as_points, gamma
 
-_CHUNK = 1 << 14
+# Monte Carlo chunks hold at most this many doubles (2 MiB) per (n, k) array,
+# so a chunk's arrays stay near cache size whatever the draw count.
+_CHUNK_DOUBLES = 1 << 18
 MAX_GRID = 4096
 
 
@@ -81,23 +83,31 @@ def qq_data(samples, quantile_fn):
 
 
 def mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
-            chunk: int, reduce_fn, samples: np.ndarray | None = None):
+            reduce_fn, samples: np.ndarray | None = None):
     """Monte Carlo means and standard errors of per-draw statistics.
 
-    Draws ``reps`` columns of W + ``shift`` from ``stream``, ``chunk``
-    columns at a time, and maps each (n, k) chunk through ``reduce_fn`` to a
-    (g, k) array holding g statistics per draw.  Returns the g means and
-    their standard errors sqrt(s^2 / reps), with the unbiased sample
-    variance s^2 (0 when ``reps`` is 1).  The statistics are written into
-    ``samples`` of shape (g, reps) when it is given.
+    Draws ``reps`` columns of W + ``shift`` from ``stream`` and maps them,
+    one (n, k) chunk at a time, through ``reduce_fn`` to a (g, k) array
+    holding g statistics per draw.  Chunks are ``k = max(1,
+    _CHUNK_DOUBLES // n)`` columns wide, the last one narrower, so each
+    chunk array holds about 2 MiB whatever n and ``reps``.  Draw order:
+    chunk after chunk, each takes the stream's next m * k normals as an
+    (m, k) array filled row by row, m the number of factorized sites, so
+    which normals a draw gets depends on k and hence on n.  Returns the g
+    means and their standard errors sqrt(s^2 / reps), with the unbiased
+    sample variance s^2 (0 when ``reps`` is 1).  The statistics are
+    written into ``samples`` of shape (g, reps) when it is given.
     """
     shift = np.asarray(shift, dtype=np.float64).reshape(-1, 1)
+    chunk = max(1, _CHUNK_DOUBLES // fg.n)
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < reps:
         k = min(chunk, reps - done)
-        s = reduce_fn(fg.correlated_normals(stream, k) + shift)
+        z = fg.correlated_normals(stream, k)
+        z += shift
+        s = reduce_fn(z)
         total = total + s.sum(axis=1)
         total_sq = total_sq + (s * s).sum(axis=1)
         if samples is not None:
@@ -168,7 +178,7 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
         return np.stack([np.exp(z[rows].max(axis=0)) for rows in row_sets])
 
     samples = np.empty((len(grids), reps)) if return_samples else None
-    means, ses = mc_mean(fg, mean_z, stream, reps, _CHUNK, grid_maxima, samples)
+    means, ses = mc_mean(fg, mean_z, stream, reps, grid_maxima, samples)
     estimates = [EstimateWithError(float(m), float(se), reps)
                  for m, se in zip(means, ses)]
     if return_samples:
@@ -204,7 +214,7 @@ def extremal_index_estimate(model: VariogramModel, n: int, reps: int,
     fg = build_sampler(SiteSet(points), model)
     mean_z = -np.atleast_1d(gamma(model, points))
     stream = RandomStream(mask64(seed), 0)
-    (mean,), (se,) = mc_mean(fg, mean_z, stream, reps, _CHUNK,
+    (mean,), (se,) = mc_mean(fg, mean_z, stream, reps,
                              lambda z: np.exp(z.max(axis=0, keepdims=True)) / n)
     return EstimateWithError(float(mean), float(se), reps)
 

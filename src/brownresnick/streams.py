@@ -6,7 +6,9 @@ statistically independent and a stream's output depends only on its key
 and on how many values have been drawn from it.  The simulator keys one
 stream per sample as ``(seed, replication)`` and draws everything for
 that sample from it in a fixed order; the Monte Carlo oracles key theirs
-as ``(seed, 0)`` and ``(seed, 1)``.
+as ``(seed, 0)`` and ``(seed, 1)`` and take normals from them in chunks of
+about 2 MiB, one (sites, columns) array per chunk filled row by row (see
+``statseval.mc_mean``).
 """
 
 from __future__ import annotations
@@ -44,10 +46,13 @@ class RandomStream:
         return self._gen.random(size)
 
     def normals(self, size=None):
-        """Standard normal draws via the inverse normal CDF."""
+        """Standard normal draws via the inverse normal CDF, in place."""
         u = self._gen.random(size)
         # u == 0 occurs with probability 2^-53 per draw; ndtri(0) is -inf.
-        return ndtri(np.maximum(u, _TINY))
+        if size is None:
+            return ndtri(max(u, _TINY))
+        np.maximum(u, _TINY, out=u)
+        return ndtri(u, out=u)
 
     def exponential(self) -> float:
         """One Exp(1) draw, guaranteed strictly positive."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,35 @@ def cov_w(model: VariogramModel, s, t):
     return out[0] if out.shape[0] == 1 else out
 
 
-def covariance_matrix(model: VariogramModel, points) -> np.ndarray:
-    """Assemble the (n, n) covariance matrix of W over ``points``."""
+def pairwise_gamma(model: VariogramModel, points) -> np.ndarray:
+    """(n, n) matrix of ``gamma(t_j - t_k)`` over ``points``.
+
+    Squared differences are summed one axis at a time into one (n, n)
+    array, so the work space is at most two (n, n) arrays in any dimension.
+    The diagonal is exactly zero.
+    """
+    pts = as_points(model, points)
+    out = pts[:, None, 0] - pts[None, :, 0]
+    out *= out
+    for axis in range(1, pts.shape[1]):
+        diff = pts[:, None, axis] - pts[None, :, axis]
+        diff *= diff
+        out += diff
+    np.sqrt(out, out=out)
+    out **= model.alpha
+    out *= model.scale
+    out /= 2.0
+    return out
+
+
+def covariance_matrix(model: VariogramModel, points, pairs=None) -> np.ndarray:
+    """Assemble the (n, n) covariance matrix of W over ``points``.
+
+    ``pairs`` is ``pairwise_gamma(model, points)`` when the caller already
+    holds it; it is computed here otherwise.
+    """
     pts = as_points(model, points)
     g = _gamma_points(model, pts)
-    cross = model.scale * cdist(pts, pts) ** model.alpha / 2.0
-    return g[:, None] + g[None, :] - cross
+    cov = g[:, None] + g[None, :]
+    cov -= pairwise_gamma(model, pts) if pairs is None else pairs
+    return cov

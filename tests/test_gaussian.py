@@ -9,6 +9,7 @@ from brownresnick import (
     box_grid,
     build_sampler,
     covariance_matrix,
+    gamma,
     load_sites_csv,
 )
 
@@ -55,6 +56,11 @@ def test_factor_reproduces_covariance():
             resid = _sampled_covariance(fg) - cov
             tol = fg.jitter_used + 1e-8 * np.max(np.diag(cov))
             assert np.max(np.abs(resid)) <= tol
+            # Drift gamma(t_j - t_k) over raw sites: exactly 0 on the
+            # diagonal and between the duplicates.
+            diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, dim)
+            np.testing.assert_allclose(
+                fg.drift_table, gamma(model, diffs).reshape(8, 8), rtol=1e-13, atol=0.0)
 
 
 def test_origin_site_is_pinned_to_zero():

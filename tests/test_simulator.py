@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from brownresnick import (
+    ClusterDraw,
     ClusterLimitError,
     FieldSample,
     RandomStream,
@@ -18,6 +19,7 @@ from brownresnick import (
     simulate_naive,
     transform_marginals,
 )
+from brownresnick import simulator
 
 M1 = VariogramModel(alpha=1.0)
 FIVE_SITES = [0.0, 0.2, 0.45, 0.7, 1.0]
@@ -169,6 +171,21 @@ def test_v_trace_retention_cap():
 def test_cluster_cap_aborts():
     with pytest.raises(ClusterLimitError, match="alpha"):
         simulate([0.0, 1.0], M1, seed=0, max_clusters=1)
+
+
+def test_nan_bound_fails_fast(monkeypatch):
+    # A NaN cluster value makes the bound NaN, which no Poisson point meets;
+    # the loop must stop at the next cluster, not at the default cap.
+    calls = []
+
+    def nan_cluster(fg, measure, v, stream):
+        calls.append(v)
+        return ClusterDraw(v=v, anchor=0, values=np.full(fg.n, np.nan))
+
+    monkeypatch.setattr(simulator, "generate_cluster", nan_cluster)
+    with pytest.raises(ClusterLimitError, match="NaN before cluster 2"):
+        simulate([0.0, 1.0], M1, seed=0)
+    assert len(calls) == 1
 
 
 def test_input_validation():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from brownresnick import (
     box_grid,
     cluster_count_stats,
     extremal_index_estimate,
+    fdd_cdf_oracle,
     gumbel_cdf,
     gumbel_quantile,
     ks_critical,
@@ -17,6 +20,7 @@ from brownresnick import (
     pickands_estimate,
     qq_data,
 )
+from brownresnick.statseval import _CHUNK_DOUBLES
 
 M1 = VariogramModel(alpha=1.0)
 
@@ -150,10 +154,11 @@ def test_pickands_grid_budget():
 
 
 def test_pickands_accumulator_across_chunk_boundary():
-    # 2^14 + 3 draws span two chunks of the shared accumulator; the
-    # estimates must equal plain statistics of the returned samples.
-    reps = 2 ** 14 + 3
+    # The 5-site union takes _CHUNK_DOUBLES // 5 draws per chunk, so 3 more
+    # span two chunks of the shared accumulator; the estimates must equal
+    # plain statistics of the returned samples.
     grids = [box_grid(0.0, 1.0, 0.25), np.array([[0.5]])]
+    reps = _CHUNK_DOUBLES // 5 + 3
     estimates, samples = pickands_coupled(M1, grids, reps=reps, seed=21,
                                           return_samples=True)
     assert samples.shape == (2, reps)
@@ -162,6 +167,25 @@ def test_pickands_accumulator_across_chunk_boundary():
     np.testing.assert_allclose([e.std_error for e in estimates],
                                samples.std(axis=1, ddof=1) / np.sqrt(reps),
                                rtol=1e-12)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda: fdd_cdf_oracle(box_grid(0.0, 4.0, 1.0 / 16.0), M1, np.full(65, 2.0),
+                           reps=1 << 16, seed=3),
+    lambda: pickands_coupled(M1, [np.array([[0.0]]), box_grid(0.0, 1.0, 1.0 / 16.0),
+                                  box_grid(0.0, 4.0, 1.0 / 16.0)], reps=1 << 15, seed=4),
+    lambda: extremal_index_estimate(M1, 64, reps=1 << 16, seed=5),
+], ids=["fdd_cdf_oracle", "pickands_coupled", "extremal_index_estimate"])
+def test_oracle_memory_is_bounded_by_the_chunk(oracle):
+    # Chunked accumulation keeps the peak at a few chunk arrays of
+    # 8 * _CHUNK_DOUBLES bytes each, whatever the draw count.
+    tracemalloc.start()
+    try:
+        oracle()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 def test_extremal_index_single_site():

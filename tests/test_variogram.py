@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import brownresnick
 from brownresnick import (
     VariogramModel,
     as_points,
@@ -101,13 +106,23 @@ def test_covariance_matrix_positive_semidefinite():
 
 
 def test_covariance_matrix_matches_pairwise_kernel():
-    m = VariogramModel(alpha=1.2, scale=1.5, dim=2)
-    pts = np.array([[0.0, 0.0], [0.5, 0.25], [1.0, -1.0]])
-    cov = covariance_matrix(m, pts)
-    for j in range(3):
-        for k in range(3):
-            assert cov[j, k] == pytest.approx(
-                cov_w(m, pts[j], pts[k]), rel=1e-13, abs=1e-15)
+    for pts in (np.array([[0.0, 0.0], [0.5, 0.25], [1.0, -1.0]]),
+                np.array([[0.0, 0.0, 0.0], [0.5, 0.25, -2.0], [1.0, -1.0, 0.5]])):
+        m = VariogramModel(alpha=1.2, scale=1.5, dim=pts.shape[1])
+        cov = covariance_matrix(m, pts)
+        for j in range(3):
+            for k in range(3):
+                assert cov[j, k] == pytest.approx(
+                    cov_w(m, pts[j], pts[k]), rel=1e-13, abs=1e-15)
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    src = Path(brownresnick.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import brownresnick; "
+            "print('scipy.spatial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, str(src)], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_model_validation():
