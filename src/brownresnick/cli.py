@@ -11,7 +11,7 @@ clusters   cluster-count distributions across a list of alpha values
 
 Every JSON output echoes {seed, alpha, n, reps, version} so a run can be
 replayed exactly.  Identical configurations produce identical output
-bytes; pass --no-timing to strip the one wall-clock field from simulate
+bytes; pass --no-timing to strip the wall-clock fields from simulate
 diagnostics when byte-stable files are required.  simulate, oracle,
 pickands and theta equal the library call at --seed; the arms of clusters
 and validate draw at seeds hashed from (--seed, arm), so none share a stream.
@@ -31,7 +31,7 @@ from . import __version__
 from .distributions import fdd_cdf_oracle, gumbel_cdf, gumbel_quantile, std_normal_cdf
 from .gaussian import FactorizationError, SiteSet, box_grid, build_sampler, load_sites_csv
 from .pointprocess import SamplingMeasure
-from .simulator import replications, transform_marginals
+from .simulator import ClusterLimitError, replications, transform_marginals
 from .statseval import (
     cluster_count_stats,
     extremal_index_estimate,
@@ -231,14 +231,20 @@ def cmd_simulate(args, parser) -> int:
         sampler = build_sampler(sites, model)
     except FactorizationError as exc:
         raise SystemExit(str(exc))
+    t1 = time.perf_counter()
     rows = np.empty((args.reps, sites.n))
     counts = []
-    for r, fs in enumerate(replications(sites, model, args.reps,
-                                        measure=measure, seed=args.seed,
-                                        sampler=sampler)):
-        rows[r] = transform_marginals(fs, args.marginals).values
-        counts.append(fs.num_clusters)
-    wall = time.perf_counter() - t0
+    gaps = []
+    try:
+        for r, fs in enumerate(replications(sites, model, args.reps,
+                                            measure=measure, seed=args.seed,
+                                            sampler=sampler)):
+            rows[r] = transform_marginals(fs, args.marginals).values
+            counts.append(fs.num_clusters)
+            gaps.append(fs.bound_gap)
+    except ClusterLimitError as exc:
+        raise SystemExit(str(exc))
+    t2 = time.perf_counter()
 
     _emit_csv(rows, args.out)
     if args.diag:
@@ -247,9 +253,11 @@ def cmd_simulate(args, parser) -> int:
             "jitter_used": sampler.jitter_used,
             "marginals": args.marginals,
             "cluster_counts": counts,
+            "bound_gaps": gaps,
         })
         if not args.no_timing:
-            diag["wall_time_s"] = wall
+            diag.update({"wall_time_s": t2 - t0, "factorization_s": t1 - t0,
+                         "loop_s": t2 - t1})
         _emit_json(diag, args.diag)
     return 0
 
@@ -460,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output CSV path (default stdout)")
     sp.add_argument("--diag", help="diagnostics JSON path")
     sp.add_argument("--no-timing", action="store_true",
-                    help="omit wall_time_s from diagnostics for byte-stable replays")
+                    help="omit wall_time_s, factorization_s and loop_s from "
+                         "diagnostics for byte-stable replays")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("oracle", help="finite-dimensional CDF oracle")

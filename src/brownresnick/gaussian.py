@@ -1,11 +1,14 @@
 """One-time factorized Gaussian sampling of W over a fixed site set.
 
 The covariance of ``(W(t_1), ..., W(t_n))`` is assembled and Cholesky
-factorized once per site set; every subsequent draw is a matrix-vector
-product.  Exactly coinciding sites are deduplicated (the field takes a
-single value there almost surely) and sites at the origin are pinned to
-zero rather than factorized, because ``Cov(W(0), W(t)) = 0`` makes their
-covariance row identically zero.
+factorized once per site set; every subsequent draw is one product of the
+factor with a block of standard normals.  Exactly coinciding sites are
+deduplicated (the field takes a single value there almost surely) and
+sites at the origin are pinned to zero rather than factorized, because
+``Cov(W(0), W(t)) = 0`` makes their covariance row identically zero.  The
+m remaining distinct sites are factorized, and the stored factor has one
+row per raw site: the Cholesky row of its representative, or zeros at the
+origin.
 """
 
 from __future__ import annotations
@@ -123,35 +126,35 @@ def load_sites_csv(path, header: bool = False) -> SiteSet:
 class FactorizedGaussian:
     """Factorized covariance of W over a site set, ready for repeated draws.
 
-    Holds the lower-triangular factor L with ``L @ L.T ~= cov + jitter*I``
-    over the non-origin representative sites (the origin and its duplicates
-    are pinned to zero and need no factor), together with the full drift
-    table ``gamma(t_j - t_k)`` over raw site pairs.  Immutable after
-    construction and safe to share across threads; every draw consumes a
-    caller-supplied :class:`RandomStream`.
+    ``factor`` is the (n, m) matrix F with ``F @ F.T ~= cov + jitter*I`` at
+    the raw sites, m the number of distinct sites off the origin.  Row j is
+    the lower-triangular Cholesky row of site j's representative, so
+    duplicates share a row and sites at the origin get a zero row; with
+    duplicates F is larger than the m x m Cholesky factor.  ``drift_table``
+    holds ``gamma(t_j - t_k)`` over raw site pairs and is symmetric bit for
+    bit.  Immutable after construction and safe to share across threads;
+    every draw consumes a caller-supplied :class:`RandomStream`.
     """
 
-    def __init__(self, sites: SiteSet, model: VariogramModel, factor_active,
-                 active, jitter_used: float, drift_table):
+    def __init__(self, sites: SiteSet, model: VariogramModel, factor,
+                 jitter_used: float, drift_table):
         self.sites = sites
         self.model = model
         self.jitter_used = float(jitter_used)
+        self.factor = factor              # (n, m), one row per raw site
         self.drift_table = drift_table    # (n, n) gamma(t_j - t_k), raw sites
-        self._active = active             # representative indices factorized
-        self._factor_active = factor_active  # L over the active sites
 
     @property
     def n(self) -> int:
         return self.sites.n
 
     def correlated_normals(self, stream: RandomStream, size: int) -> np.ndarray:
-        """(n, size) zero-mean draws with the covariance of W at the raw sites."""
-        m_act = len(self._active)
-        w_rep = np.zeros((self.sites.num_representatives, size))
-        if m_act:
-            z = stream.normals((m_act, size))
-            w_rep[self._active] = self._factor_active @ z
-        return w_rep[self.sites.rep_index]
+        """(n, size) zero-mean draws with the covariance of W at the raw sites.
+
+        Takes the stream's next ``m * size`` normals as one (m, size) array,
+        filled row by row, and returns ``factor @ normals``.
+        """
+        return self.factor @ stream.normals((self.factor.shape[1], size))
 
     def sample_w(self, stream: RandomStream) -> np.ndarray:
         """One draw of ``(W(t_1), ..., W(t_n))``."""
@@ -161,7 +164,9 @@ class FactorizedGaussian:
         """One draw of ``X_j = W(t_j) - gamma(t_j - t_anchor)``."""
         if not 0 <= anchor_index < self.n:
             raise IndexError(f"anchor index {anchor_index} out of range [0, {self.n})")
-        return self.sample_w(stream) - self.drift_table[:, anchor_index]
+        x = self.sample_w(stream)
+        x -= self.drift_table[anchor_index]  # a contiguous row of the symmetric table
+        return x
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"FactorizedGaussian(n={self.n}, alpha={self.model.alpha}, "
@@ -182,11 +187,16 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
     sites = SiteSet.from_points(sites)
     as_points(model, sites.points)  # dimension check
 
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        pairs = pairwise_gamma(model, sites.rep_points)
-        cov = covariance_matrix(model, sites.rep_points, pairs)
+    # The factorized sites: one raw site per representative off the origin
+    # (coinciding raw sites are equal bit for bit, so any one will do), in
+    # representative order.
     is_origin = np.all(sites.rep_points == 0.0, axis=1)
-    active = np.flatnonzero(~is_origin)
+    raw_of_rep = np.empty(sites.num_representatives, dtype=np.intp)
+    raw_of_rep[sites.rep_index] = np.arange(sites.n)
+    active = raw_of_rep[~is_origin]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        drift = pairwise_gamma(model, sites.points)
+        cov = covariance_matrix(model, sites.points[active], drift[np.ix_(active, active)])
 
     def failure(reason):
         diam = float(np.max(np.hypot.reduce(
@@ -195,19 +205,21 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
             f"{reason} for alpha={model.alpha}, scale={model.scale:g} "
             f"over sites of diameter {diam:.6g}")
 
+    # Each drift entry enters an entry of cov, or is gamma(t_j) at a site
+    # pair with the origin and so half of cov's diagonal entry at t_j: a
+    # finite cov means a finite drift table.
     if not np.all(np.isfinite(cov)):
         raise failure("covariance overflowed to a non-finite value")
-    sub_factor = np.zeros((0, 0))
+    sub_factor = np.zeros((1, 0))  # every site at the origin: rows of width 0
     jitter_used = 0.0
     if len(active):
-        sub = cov[np.ix_(active, active)]
-        mean_diag = float(np.mean(np.diag(sub)))
+        mean_diag = float(np.mean(np.diag(cov)))
         jitters = [0.0] + [mean_diag * 10.0 ** k for k in range(-12, 1)
                            if 10.0 ** k <= max_jitter_factor * (1 + 1e-9)]
         for j in jitters:
             try:
                 sub_factor = np.linalg.cholesky(
-                    sub + j * np.eye(len(active)) if j else sub)
+                    cov + j * np.eye(len(active)) if j else cov)
                 jitter_used = j
                 break
             except np.linalg.LinAlgError:
@@ -216,6 +228,10 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
             raise failure(f"covariance factorization failed even with jitter "
                           f"{max_jitter_factor:g} * mean_diag")
 
-    drift = pairs[np.ix_(sites.rep_index, sites.rep_index)]
+    # Raw site j takes the Cholesky row of its representative, and sites at
+    # the origin a zeroed row, in one (n, m) allocation.
+    row = np.cumsum(~is_origin)[sites.rep_index] - 1
+    factor = sub_factor[np.maximum(row, 0)]
+    factor[is_origin[sites.rep_index]] = 0.0
 
-    return FactorizedGaussian(sites, model, sub_factor, active, jitter_used, drift)
+    return FactorizedGaussian(sites, model, factor, jitter_used, drift)

@@ -37,7 +37,9 @@ MARGINALS = ("gumbel", "frechet", "weibull")
 
 class ClusterLimitError(RuntimeError):
     """Raised when the cluster safety cap is hit before termination, or at
-    once when the dominance bound turns NaN, which no Poisson point meets."""
+    once when the dominance bound turns NaN, which no Poisson point meets.
+    The message names the site with the worst gap, the one where
+    ``sup_j + log w_j`` is smallest (or NaN)."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +65,10 @@ class FieldSample:
     one that triggered termination; ``v_trace`` records them in decreasing
     order (truncated at the retention cap in pathological runs, in which
     case ``len(v_trace) < num_clusters``).  ``elapsed`` is the wall time of
-    the draw, factorization excluded.
+    the draw, factorization excluded.  ``bound_gap`` is the stopping
+    bound's slack ``min_j (sup_j + log w_j) - v >= 0`` at the final point,
+    with sup taken before that point's cluster is merged; NaN for
+    ``simulate_naive``, which has no stopping bound.
     """
 
     values: np.ndarray
@@ -71,6 +76,7 @@ class FieldSample:
     v_trace: list
     seed: int
     elapsed: float
+    bound_gap: float = math.nan
 
 
 def generate_cluster(
@@ -93,10 +99,14 @@ def generate_cluster(
     x = fg.sample_drifted(anchor, stream)
     a = measure.log_weights + x
     m = a.max()
-    lse = m + np.log(np.exp(a - m).sum())
+    a -= m
+    np.exp(a, out=a)
+    lse = m + np.log(a.sum())
     # v + (x - lse), not (v + x) - lse: with one site lse == x exactly and
     # the cluster collapses to v with no rounding.
-    return ClusterDraw(v=v, anchor=anchor, values=v + (x - lse))
+    x -= lse
+    x += v
+    return ClusterDraw(v=v, anchor=anchor, values=x)
 
 
 def _prepare(sites, model, measure, sampler):
@@ -130,15 +140,17 @@ def _simulate(sites, model, measure, sampler, seed, replication,
                 f"no termination after {merged} clusters "
                 f"(alpha={model.alpha}, n={sites.n}, last v="
                 f"{v_trace[-1] if v_trace else None}, "
-                f"bound={float(np.min(sup + log_w))})"
+                f"bound={float((sup + log_w).min())}, "
+                f"{_worst_site(sites, sup, log_w)})"
             )
         v = vstream.next_v()
         merged += 1
-        bound = np.min(sup + log_w)
+        bound = (sup + log_w).min()
         if math.isnan(bound):
             raise ClusterLimitError(
                 f"dominance bound turned NaN before cluster {merged}: a merged "
-                f"cluster had a NaN value (alpha={model.alpha}, n={sites.n}), "
+                f"cluster had a NaN value (alpha={model.alpha}, n={sites.n}, "
+                f"{_worst_site(sites, sup, log_w)}), "
                 f"so no Poisson point could ever stop the loop")
         draw = generate_cluster(sampler, measure, v, stream)
         hit = v <= bound
@@ -154,7 +166,14 @@ def _simulate(sites, model, measure, sampler, seed, replication,
         v_trace=v_trace,
         seed=seed,
         elapsed=time.perf_counter() - t0,
+        bound_gap=float(bound - v),
     )
+
+
+def _worst_site(sites, sup, log_w) -> str:
+    """Name the site where ``sup_j + log w_j`` is smallest, or the first NaN."""
+    j = int((sup + log_w).argmin())
+    return f"worst gap at site {j}, t={sites.points[j].tolist()}"
 
 
 def simulate(

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from brownresnick import VariogramModel, extremal_index_estimate, fdd_cdf_oracle
+from brownresnick import (
+    ClusterDraw,
+    VariogramModel,
+    extremal_index_estimate,
+    fdd_cdf_oracle,
+    replications,
+)
+from brownresnick import simulator
 from brownresnick.cli import emit_svg_qq, main, parse_grid
 
 ECHO_KEYS = {"seed", "alpha", "n", "reps", "version"}
@@ -62,7 +69,7 @@ def test_simulate_diag_fields(tmp_path):
     assert len(d["cluster_counts"]) == 3
     assert d["jitter_used"] == 0.0
     assert "workers" not in d
-    assert "wall_time_s" not in d
+    assert not {"wall_time_s", "factorization_s", "loop_s"} & d.keys()
 
     # Two sites off the origin at alpha 2 give a rank-one covariance.
     paraboloid = tmp_path / "alpha2.json"
@@ -75,7 +82,29 @@ def test_simulate_diag_fields(tmp_path):
     timed = tmp_path / "timed.json"
     main(["simulate", "--grid", "0:1:0.5", "--alpha", "1.0", "--reps", "1",
           "--seed", "1", "--out", str(out), "--diag", str(timed)])
-    assert "wall_time_s" in json.loads(timed.read_text())
+    d = json.loads(timed.read_text())
+    assert d["factorization_s"] > 0.0 and d["loop_s"] > 0.0
+    assert d["factorization_s"] + d["loop_s"] == pytest.approx(d["wall_time_s"])
+
+
+def test_simulate_diag_bound_gaps(tmp_path):
+    _, diag = _run_simulate(tmp_path, "gaps")
+    gaps = json.loads(diag.read_text())["bound_gaps"]
+    lib = [fs.bound_gap for fs in replications(
+        np.linspace(0.0, 1.0, 5), VariogramModel(alpha=1.0), 3, seed=9)]
+    assert gaps == lib
+    assert all(g >= 0.0 for g in gaps)
+
+
+def test_simulate_cluster_limit_exits_with_message(tmp_path, monkeypatch):
+    def nan_cluster(fg, measure, v, stream):
+        return ClusterDraw(v=v, anchor=0, values=np.full(fg.n, np.nan))
+
+    monkeypatch.setattr(simulator, "generate_cluster", nan_cluster)
+    with pytest.raises(SystemExit) as exc:
+        _run_simulate(tmp_path, "nan")
+    assert "NaN before cluster 2" in exc.value.code
+    assert "worst gap at site 0" in exc.value.code
 
 
 def test_simulate_marginal_transforms(tmp_path):

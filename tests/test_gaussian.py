@@ -11,6 +11,7 @@ from brownresnick import (
     covariance_matrix,
     gamma,
     load_sites_csv,
+    simulate,
 )
 
 
@@ -61,6 +62,8 @@ def test_factor_reproduces_covariance():
             diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, dim)
             np.testing.assert_allclose(
                 fg.drift_table, gamma(model, diffs).reshape(8, 8), rtol=1e-13, atol=0.0)
+            # The cluster loop reads drift rows where the law needs columns.
+            assert np.array_equal(fg.drift_table, fg.drift_table.T)
 
 
 def test_origin_site_is_pinned_to_zero():
@@ -69,6 +72,31 @@ def test_origin_site_is_pinned_to_zero():
     for _ in range(50):
         w = fg.sample_w(stream)
         assert w[0] == 0.0
+
+    # Every site at the origin: nothing is factorized (m = 0), and every
+    # draw is exactly zero.
+    model = VariogramModel(alpha=1.3)
+    fg = build_sampler([0.0, 0.0], model)
+    assert fg.factor.shape == (2, 0)
+    np.testing.assert_array_equal(fg.correlated_normals(RandomStream(3), 4),
+                                  np.zeros((2, 4)))
+    np.testing.assert_array_equal(fg.sample_w(RandomStream(3)), [0.0, 0.0])
+    np.testing.assert_array_equal(fg.sample_drifted(1, RandomStream(3)), [0.0, 0.0])
+    assert simulate([0.0, 0.0], model, seed=3).num_clusters >= 2
+
+    # The origin mid-grid: the factorized rows around it are not contiguous.
+    grid = box_grid([-1, -1], [1, 1], 0.5)
+    origin = int(np.flatnonzero(np.all(grid == 0.0, axis=1))[0])
+    assert 0 < origin < len(grid) - 1
+    model = VariogramModel(alpha=1.3, dim=2)
+    fg = build_sampler(grid, model)
+    assert fg.factor.shape == (25, 24)
+    for _ in range(20):
+        w = fg.sample_w(stream)
+        assert w[origin] == 0.0
+        assert np.all(np.delete(w, origin) != 0.0)
+    resid = _sampled_covariance(fg) - covariance_matrix(model, grid)
+    assert np.max(np.abs(resid)) <= 1e-12
 
 
 def test_duplicate_sites_share_one_value():

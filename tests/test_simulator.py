@@ -7,9 +7,12 @@ from brownresnick import (
     FieldSample,
     RandomStream,
     SamplingMeasure,
+    SiteSet,
     VariogramModel,
     VStream,
+    box_grid,
     build_sampler,
+    covariance_matrix,
     generate_cluster,
     gumbel_cdf,
     ks_critical,
@@ -20,6 +23,7 @@ from brownresnick import (
     transform_marginals,
 )
 from brownresnick import simulator
+from brownresnick.variogram import pairwise_gamma
 
 M1 = VariogramModel(alpha=1.0)
 FIVE_SITES = [0.0, 0.2, 0.45, 0.7, 1.0]
@@ -250,3 +254,88 @@ def test_one_stream_per_sample(monkeypatch):
     keys.clear()
     simulate_naive(FIVE_SITES, M1, seed=8, truncation=7)
     assert keys == [(8, 0)]
+
+
+def test_cluster_limit_names_worst_site(monkeypatch):
+    def fixed_cluster(fg, measure, v, stream):
+        return ClusterDraw(v=v, anchor=0, values=np.array([0.0, -3.0, 1.0]))
+
+    monkeypatch.setattr(simulator, "generate_cluster", fixed_cluster)
+    with pytest.raises(ClusterLimitError, match=r"worst gap at site 1, t=\[0\.5\]"):
+        simulate([0.0, 0.5, 1.0], M1, seed=0, max_clusters=1)
+
+    def nan_cluster(fg, measure, v, stream):
+        return ClusterDraw(v=v, anchor=0, values=np.array([0.0, 1.0, np.nan]))
+
+    monkeypatch.setattr(simulator, "generate_cluster", nan_cluster)
+    with pytest.raises(ClusterLimitError, match=r"NaN .*worst gap at site 2, t=\[1\.0\]"):
+        simulate([0.0, 0.5, 1.0], M1, seed=0)
+
+
+def test_bound_gap_is_the_final_slack():
+    # One site: the first cluster collapses to V_1 and the second point
+    # always stops the loop, so the gap is V_1 - V_2 exactly.
+    for seed in range(20):
+        s = simulate([0.7], M1, seed=seed)
+        assert s.bound_gap == s.v_trace[0] - s.v_trace[1]
+    mu = SamplingMeasure([0.4, 0.3, 0.1, 0.1, 0.1])
+    for s in replications(FIVE_SITES, M1, 30, mu, seed=4):
+        assert 0.0 <= s.bound_gap < np.inf
+    assert np.isnan(simulate_naive(FIVE_SITES, M1, seed=4, truncation=3).bound_gap)
+
+
+def _reference_sample(sites, model, measure, seed, r):
+    """The exact sampler written out plainly: a Cholesky factor over the
+    non-origin representatives, a zero-filled scatter/gather draw and an
+    out-of-place log-sum-exp, all on stream (seed, r).  Per cluster: one
+    exponential, one anchor uniform, then m normals."""
+    s = SiteSet(sites)
+    active = np.flatnonzero(np.any(s.rep_points != 0.0, axis=1))
+    cov = covariance_matrix(model, s.rep_points)[np.ix_(active, active)]
+    jitter = build_sampler(s, model).jitter_used
+    chol = np.linalg.cholesky(cov + jitter * np.eye(len(active)))
+    drift = pairwise_gamma(model, s.rep_points)[np.ix_(s.rep_index, s.rep_index)]
+    log_w = np.log(measure.weights)
+    stream = RandomStream(seed, r)
+    sup = np.full(s.n, -np.inf)
+    gamma_sum, trace = 0.0, []
+    while True:
+        gamma_sum += stream.exponential()
+        v = -np.log(gamma_sum)
+        trace.append(v)
+        bound = np.min(sup + log_w)
+        u = stream.uniforms()
+        anchor = min(int(np.searchsorted(np.cumsum(measure.weights), u, side="right")),
+                     s.n - 1)
+        w_rep = np.zeros((s.num_representatives, 1))
+        w_rep[active] = chol @ stream.normals((len(active), 1))
+        x = w_rep[s.rep_index][:, 0] - drift[:, anchor]
+        a = log_w + x
+        lse = a.max() + np.log(np.exp(a - a.max()).sum())
+        np.maximum(sup, v + (x - lse), out=sup)
+        if v <= bound:
+            return sup, len(trace), trace, bound - v
+
+
+REFERENCE_CASES = [
+    (box_grid(0.0, 2.0, 0.25), 1, None),
+    (box_grid([-1, -1], [1, 1], 0.5), 2, None),
+    ([0.0, 0.5, -0.7, 0.5, 1.2, 0.0], 1, None),
+    ([0.0, 0.5, -0.7, 0.5, 1.2, 0.0], 1, [3.0, 1.0, 0.5, 1.0, 2.0, 0.2]),
+    (box_grid([0, 0], [1, 1], 0.5), 2, np.arange(1.0, 10.0)),
+]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sites, dim, weights", REFERENCE_CASES)
+def test_matches_reference_loop(sites, dim, weights, alpha):
+    model = VariogramModel(alpha=alpha, dim=dim)
+    n = len(sites)
+    mu = SamplingMeasure.uniform(n) if weights is None else SamplingMeasure(weights)
+    for r, fs in enumerate(replications(sites, model, 20, mu, seed=31)):
+        values, count, trace, gap = _reference_sample(sites, model, mu, 31, r)
+        assert fs.num_clusters == count
+        assert fs.v_trace == trace
+        tol = 1e-12 * np.maximum(1.0, np.abs(values))
+        assert np.all(np.abs(fs.values - values) <= tol)
+        assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
