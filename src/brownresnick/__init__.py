@@ -27,12 +27,11 @@ from .gaussian import (
     build_sampler,
     load_sites_csv,
 )
-from .pointprocess import SamplingMeasure, VStream, sample_anchor
+from .pointprocess import SamplingMeasure, poisson_point
 from .simulator import (
-    ClusterDraw,
     ClusterLimitError,
     FieldSample,
-    generate_cluster,
+    cluster_values,
     replications,
     simulate,
     simulate_naive,
@@ -61,7 +60,6 @@ from .variogram import (
 
 __all__ = [
     "CdfEstimate",
-    "ClusterDraw",
     "ClusterLimitError",
     "EstimateWithError",
     "FactorizationError",
@@ -71,20 +69,19 @@ __all__ = [
     "ResourceLimitError",
     "SamplingMeasure",
     "SiteSet",
-    "VStream",
     "VariogramModel",
     "as_points",
     "bivariate_neglog",
     "box_grid",
     "build_sampler",
     "change_of_measure_check",
+    "cluster_values",
     "cluster_count_stats",
     "cov_w",
     "covariance_matrix",
     "extremal_index_estimate",
     "fdd_cdf_oracle",
     "gamma",
-    "generate_cluster",
     "gumbel_cdf",
     "gumbel_quantile",
     "ks_critical",
@@ -94,9 +91,9 @@ __all__ = [
     "mask64",
     "pickands_coupled",
     "pickands_estimate",
+    "poisson_point",
     "qq_data",
     "replications",
-    "sample_anchor",
     "simulate",
     "simulate_naive",
     "std_normal_cdf",

@@ -133,7 +133,7 @@ class FactorizedGaussian:
     duplicates F is larger than the m x m Cholesky factor.  ``drift_table``
     holds ``gamma(t_j - t_k)`` over raw site pairs and is symmetric bit for
     bit.  Immutable after construction and safe to share across threads;
-    every draw consumes a caller-supplied :class:`RandomStream`.
+    every draw is one product of the factor with normals the caller draws.
     """
 
     def __init__(self, sites: SiteSet, model: VariogramModel, factor,
@@ -148,24 +148,27 @@ class FactorizedGaussian:
     def n(self) -> int:
         return self.sites.n
 
+    @property
+    def m(self) -> int:
+        """Standard normals per draw: the distinct sites off the origin."""
+        return self.factor.shape[1]
+
     def correlated_normals(self, stream: RandomStream, size: int) -> np.ndarray:
         """(n, size) zero-mean draws with the covariance of W at the raw sites.
 
         Takes the stream's next ``m * size`` normals as one (m, size) array,
         filled row by row, and returns ``factor @ normals``.
         """
-        return self.factor @ stream.normals((self.factor.shape[1], size))
+        return self.factor @ stream.normals((self.m, size))
 
-    def sample_w(self, stream: RandomStream) -> np.ndarray:
-        """One draw of ``(W(t_1), ..., W(t_n))``."""
-        return self.correlated_normals(stream, 1)[:, 0]
-
-    def sample_drifted(self, anchor_index: int, stream: RandomStream) -> np.ndarray:
-        """One draw of ``X_j = W(t_j) - gamma(t_j - t_anchor)``."""
-        if not 0 <= anchor_index < self.n:
-            raise IndexError(f"anchor index {anchor_index} out of range [0, {self.n})")
-        x = self.sample_w(stream)
-        x -= self.drift_table[anchor_index]  # a contiguous row of the symmetric table
+    def from_normals(self, z: np.ndarray, anchor: int | None = None) -> np.ndarray:
+        """One draw of ``(W(t_1), ..., W(t_n))`` from m standard normals ``z``,
+        or with an anchor site, of ``X_j = W(t_j) - gamma(t_j - t_anchor)``."""
+        x = self.factor @ z
+        if anchor is not None:
+            if not 0 <= anchor < self.n:
+                raise IndexError(f"anchor index {anchor} out of range [0, {self.n})")
+            x -= self.drift_table[anchor]  # a contiguous row of the symmetric table
         return x
 
     def __repr__(self) -> str:  # pragma: no cover

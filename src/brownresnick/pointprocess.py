@@ -5,14 +5,29 @@ The points ``V_1 > V_2 > ...`` of a Poisson process with intensity
 ``V_k = -log(Gamma_k)``, where ``Gamma_k`` is the running sum of i.i.d.
 standard exponentials (a unit-rate Poisson process on the positive axis).
 Anchor sites are drawn independently from a discrete probability measure
-on the evaluation sites.
+on the evaluation sites.  Both take one uniform each, so a cluster's row of
+m + 2 uniforms starts with its Poisson point's and then its anchor's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from .streams import RandomStream
+from .streams import _TINY
+
+
+def poisson_point(gamma_sum: float, u: float) -> tuple[float, float]:
+    """Next ``(Gamma_k, V_k)`` from ``Gamma_{k-1}`` and one uniform ``u``.
+
+    The increment is the Exp(1) draw ``-log(1 - u)``, raised to the
+    smallest positive double when ``u == 0``, so the points are strictly
+    decreasing.
+    """
+    e = -np.log1p(-u)
+    gamma_sum += e if e > 0.0 else _TINY
+    return gamma_sum, -np.log(gamma_sum)
 
 
 class SamplingMeasure:
@@ -33,35 +48,22 @@ class SamplingMeasure:
             raise ValueError("weights failed to normalize to 1")
         self.weights = w
         self.log_weights = np.log(w)
-        self._cumulative = np.cumsum(w)
+        self._cumulative = np.cumsum(w).tolist()
+        self._last = len(w) - 1
 
     @classmethod
     def uniform(cls, n: int) -> "SamplingMeasure":
-        return cls(np.full(int(n), 1.0 / int(n)))
+        n = int(n)
+        return cls(np.full(n, 1.0 / max(n, 1)))
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
 
+    def anchor(self, u: float) -> int:
+        """The site index with probability ``weights`` for one uniform ``u``."""
+        # The last cumulative weight can round below 1; clamp onto the last site.
+        return min(bisect_right(self._cumulative, u), self._last)
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"SamplingMeasure(n={self.n})"
-
-
-class VStream:
-    """Emitter of the Poisson points ``V_1 > V_2 > ...`` in strict order."""
-
-    def __init__(self, stream: RandomStream):
-        self.stream = stream
-        self.gamma_sum = 0.0
-
-    def next_v(self) -> float:
-        """Next point ``V_k = -log(Gamma_k)``; strictly below all previous."""
-        self.gamma_sum += self.stream.exponential()
-        return -np.log(self.gamma_sum)
-
-
-def sample_anchor(measure: SamplingMeasure, stream: RandomStream) -> int:
-    """Draw a site index with probability ``measure.weights``."""
-    u = stream.uniforms()
-    idx = int(np.searchsorted(measure._cumulative, u, side="right"))
-    return min(idx, measure.n - 1)

@@ -7,10 +7,12 @@ dominance bound C(t_j) <= v - log w_j guarantees that no future cluster can
 change any coordinate.  The algorithm is exact: its output has the law of
 the field restricted to the sites, with no truncation error.
 
-Random streams: sample r of ``replications(seed=s)`` draws its Poisson
-points, anchors and normals, in loop order, from the one stream (s, r), and
-``simulate(seed=s)`` is sample 0.  Distinct keys give independent streams,
-so no two samples share a draw, and each replays bit for bit from its key.
+Random streams: sample r of ``replications(seed=s)`` draws everything from
+the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Each cluster
+takes the stream's next row of m + 2 uniforms (m the number of factorized
+sites) in one call: its Poisson point, its anchor, then its m normals.
+Distinct keys give independent streams, so no two samples share a draw, and
+each replays bit for bit from its key.
 
 A deliberately naive truncated variant is included to demonstrate the bias
 that the exact algorithm removes.
@@ -25,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gaussian import FactorizedGaussian, SiteSet, build_sampler
-from .pointprocess import SamplingMeasure, VStream, sample_anchor
-from .streams import RandomStream, mask64
+from .pointprocess import SamplingMeasure, poisson_point
+from .streams import RandomStream, mask64, to_normals
 from .variogram import gamma
 
 DEFAULT_MAX_CLUSTERS = 10_000_000
@@ -40,21 +42,6 @@ class ClusterLimitError(RuntimeError):
     once when the dominance bound turns NaN, which no Poisson point meets.
     The message names the site with the worst gap, the one where
     ``sup_j + log w_j`` is smallest (or NaN)."""
-
-
-@dataclass(frozen=True)
-class ClusterDraw:
-    """One cluster: the Poisson point, its anchor site, and C(t_1..t_n).
-
-    Every coordinate obeys the dominance bound
-    ``values[j] <= v - log_weights[j]`` exactly, because the log-sum-exp
-    normalizer is computed max-shifted and therefore never falls below the
-    largest of its terms.
-    """
-
-    v: float
-    anchor: int
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,24 +66,25 @@ class FieldSample:
     bound_gap: float = math.nan
 
 
-def generate_cluster(
+def cluster_values(
     fg: FactorizedGaussian,
     measure: SamplingMeasure,
     v: float,
-    stream: RandomStream,
-) -> ClusterDraw:
-    """Generate the cluster attached to the Poisson point ``v``.
+    u: np.ndarray,
+) -> np.ndarray:
+    """The cluster attached to the Poisson point ``v``, from m + 1 uniforms.
 
-    Draws an anchor T from ``measure``, then a Gaussian vector
-    X_j = W(t_j) - gamma(t_j - T), and returns
+    ``u[0]`` draws an anchor T from ``measure``; ``u[1:]``, turned into
+    normals in place, gives the Gaussian vector X_j = W(t_j) - gamma(t_j - T).
+    Returns
 
         C(t_j) = v + X_j - logsumexp_l(log w_l + X_l).
 
-    The anchor draw and the Gaussian draw consume ``stream`` in that fixed
-    order, so the cluster is a pure function of v and the stream's state.
+    Every coordinate obeys the dominance bound ``C(t_j) <= v - log w_j``
+    exactly, because the log-sum-exp is computed max-shifted and therefore
+    never falls below the largest of its terms.
     """
-    anchor = sample_anchor(measure, stream)
-    x = fg.sample_drifted(anchor, stream)
+    x = fg.from_normals(to_normals(u[1:]), measure.anchor(u[0]))
     a = measure.log_weights + x
     m = a.max()
     a -= m
@@ -106,7 +94,7 @@ def generate_cluster(
     # the cluster collapses to v with no rounding.
     x -= lse
     x += v
-    return ClusterDraw(v=v, anchor=anchor, values=x)
+    return x
 
 
 def _prepare(sites, model, measure, sampler):
@@ -126,13 +114,14 @@ def _prepare(sites, model, measure, sampler):
 def _simulate(sites, model, measure, sampler, seed, replication,
               max_clusters=DEFAULT_MAX_CLUSTERS,
               v_trace_cap=DEFAULT_V_TRACE_CAP) -> FieldSample:
-    """Sample ``replication`` of ``seed``, drawn from one stream in loop order."""
+    """Sample ``replication`` of ``seed``, one row of uniforms per cluster."""
     t0 = time.perf_counter()
     stream = RandomStream(seed, replication)
-    vstream = VStream(stream)
+    width = sampler.m + 2
     log_w = measure.log_weights
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
+    gamma_sum = 0.0
     merged = 0
     while True:
         if merged >= max_clusters:
@@ -143,7 +132,8 @@ def _simulate(sites, model, measure, sampler, seed, replication,
                 f"bound={float((sup + log_w).min())}, "
                 f"{_worst_site(sites, sup, log_w)})"
             )
-        v = vstream.next_v()
+        row = stream.uniforms(width)
+        gamma_sum, v = poisson_point(gamma_sum, row[0])
         merged += 1
         bound = (sup + log_w).min()
         if math.isnan(bound):
@@ -152,9 +142,9 @@ def _simulate(sites, model, measure, sampler, seed, replication,
                 f"cluster had a NaN value (alpha={model.alpha}, n={sites.n}, "
                 f"{_worst_site(sites, sup, log_w)}), "
                 f"so no Poisson point could ever stop the loop")
-        draw = generate_cluster(sampler, measure, v, stream)
+        values = cluster_values(sampler, measure, v, row[1:])
         hit = v <= bound
-        np.maximum(sup, draw.values, out=sup)
+        np.maximum(sup, values, out=sup)
         if len(v_trace) < v_trace_cap:
             v_trace.append(v)
         if hit:
@@ -241,26 +231,28 @@ def simulate_naive(
     where gamma is large, so far-field marginals come out stochastically
     too small.  Kept only to demonstrate that failure mode.
 
-    W_i is drawn pinned at the origin, and V_i and W_i come in turn from
-    the one stream (seed, 0).  A shorter run consumes a prefix of the same
-    draws, so for a fixed seed the output is coordinatewise nondecreasing
-    in N.
+    W_i is drawn pinned at the origin.  Point i takes the next row of
+    m + 1 uniforms from the one stream (seed, 0): V_i, then W_i's m
+    normals.  A shorter run consumes a prefix of the same draws, so for a
+    fixed seed the output is coordinatewise nondecreasing in N.
     """
-    t0 = time.perf_counter()
     truncation = int(truncation)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
     sites, _, sampler = _prepare(sites, model, None, sampler)
+    t0 = time.perf_counter()
     seed = mask64(seed)
     g = np.atleast_1d(gamma(model, sites.points))
 
     stream = RandomStream(seed, 0)
-    vstream = VStream(stream)
+    width = sampler.m + 1
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
+    gamma_sum = 0.0
     for _ in range(truncation):
-        v = vstream.next_v()
-        w = sampler.sample_w(stream)
+        row = stream.uniforms(width)
+        gamma_sum, v = poisson_point(gamma_sum, row[0])
+        w = sampler.from_normals(to_normals(row[1:]))
         np.maximum(sup, v + w - g, out=sup)
         if len(v_trace) < v_trace_cap:
             v_trace.append(v)

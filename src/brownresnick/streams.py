@@ -5,10 +5,13 @@ Philox counter-based generator, so streams with distinct keys are
 statistically independent and a stream's output depends only on its key
 and on how many values have been drawn from it.  The simulator keys one
 stream per sample as ``(seed, replication)`` and draws everything for
-that sample from it in a fixed order; the Monte Carlo oracles key theirs
-as ``(seed, 0)`` and ``(seed, 1)`` and take normals from them in chunks of
-about 2 MiB, one (sites, columns) array per chunk filled row by row (see
-``statseval.mc_mean``).
+that sample from it as rows of uniforms: m + 2 per cluster (its Poisson
+point, its anchor, then m normals) and m + 1 per ``simulate_naive`` point
+(no anchor), m being the number of factorized sites.  The Monte Carlo
+oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and take normals
+from them in chunks of about 2 MiB, one (sites, columns) array per chunk
+filled row by row (see ``statseval.mc_mean``).  Every normal is
+``to_normals`` of one uniform.
 """
 
 from __future__ import annotations
@@ -23,6 +26,13 @@ _TINY = np.finfo(np.float64).tiny
 def mask64(value: int) -> int:
     """Reduce an integer to its low 64 bits (Python ints may be signed/huge)."""
     return int(value) & _MASK64
+
+
+def to_normals(u: np.ndarray) -> np.ndarray:
+    """Standard normals from uniforms on [0, 1) by the inverse CDF, in place."""
+    # u == 0 occurs with probability 2^-53 per draw; ndtri(0) is -inf.
+    np.maximum(u, _TINY, out=u)
+    return ndtri(u, out=u)
 
 
 class RandomStream:
@@ -45,19 +55,9 @@ class RandomStream:
         """Uniform draws on [0, 1)."""
         return self._gen.random(size)
 
-    def normals(self, size=None):
-        """Standard normal draws via the inverse normal CDF, in place."""
-        u = self._gen.random(size)
-        # u == 0 occurs with probability 2^-53 per draw; ndtri(0) is -inf.
-        if size is None:
-            return ndtri(max(u, _TINY))
-        np.maximum(u, _TINY, out=u)
-        return ndtri(u, out=u)
-
-    def exponential(self) -> float:
-        """One Exp(1) draw, guaranteed strictly positive."""
-        e = -np.log1p(-self._gen.random())
-        return float(e) if e > 0.0 else float(_TINY)
+    def normals(self, size):
+        """An array of standard normal draws, by ``to_normals``."""
+        return to_normals(self._gen.random(size))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brownresnick import (
-    ClusterDraw,
     VariogramModel,
     extremal_index_estimate,
     fdd_cdf_oracle,
@@ -97,10 +96,10 @@ def test_simulate_diag_bound_gaps(tmp_path):
 
 
 def test_simulate_cluster_limit_exits_with_message(tmp_path, monkeypatch):
-    def nan_cluster(fg, measure, v, stream):
-        return ClusterDraw(v=v, anchor=0, values=np.full(fg.n, np.nan))
+    def nan_cluster(fg, measure, v, u):
+        return np.full(fg.n, np.nan)
 
-    monkeypatch.setattr(simulator, "generate_cluster", nan_cluster)
+    monkeypatch.setattr(simulator, "cluster_values", nan_cluster)
     with pytest.raises(SystemExit) as exc:
         _run_simulate(tmp_path, "nan")
     assert "NaN before cluster 2" in exc.value.code

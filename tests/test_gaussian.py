@@ -27,6 +27,11 @@ class _IdentityNormals:
         return np.eye(*shape)
 
 
+def _w(fg, stream):
+    """One draw of W at the raw sites from the stream's next m normals."""
+    return fg.from_normals(stream.normals(fg.m))
+
+
 def _sampled_covariance(fg):
     f = fg.correlated_normals(_IdentityNormals(), fg.n)
     return f @ f.T
@@ -70,7 +75,7 @@ def test_origin_site_is_pinned_to_zero():
     fg = build_sampler([0.0, 1.0, 2.0], VariogramModel(alpha=1.3))
     stream = RandomStream(17)
     for _ in range(50):
-        w = fg.sample_w(stream)
+        w = _w(fg, stream)
         assert w[0] == 0.0
 
     # Every site at the origin: nothing is factorized (m = 0), and every
@@ -80,8 +85,8 @@ def test_origin_site_is_pinned_to_zero():
     assert fg.factor.shape == (2, 0)
     np.testing.assert_array_equal(fg.correlated_normals(RandomStream(3), 4),
                                   np.zeros((2, 4)))
-    np.testing.assert_array_equal(fg.sample_w(RandomStream(3)), [0.0, 0.0])
-    np.testing.assert_array_equal(fg.sample_drifted(1, RandomStream(3)), [0.0, 0.0])
+    np.testing.assert_array_equal(_w(fg, RandomStream(3)), [0.0, 0.0])
+    np.testing.assert_array_equal(fg.from_normals(np.zeros(0), 1), [0.0, 0.0])
     assert simulate([0.0, 0.0], model, seed=3).num_clusters >= 2
 
     # The origin mid-grid: the factorized rows around it are not contiguous.
@@ -92,7 +97,7 @@ def test_origin_site_is_pinned_to_zero():
     fg = build_sampler(grid, model)
     assert fg.factor.shape == (25, 24)
     for _ in range(20):
-        w = fg.sample_w(stream)
+        w = _w(fg, stream)
         assert w[origin] == 0.0
         assert np.all(np.delete(w, origin) != 0.0)
     resid = _sampled_covariance(fg) - covariance_matrix(model, grid)
@@ -104,16 +109,16 @@ def test_duplicate_sites_share_one_value():
     assert fg.sites.num_representatives == 2
     stream = RandomStream(9)
     for _ in range(50):
-        w = fg.sample_w(stream)
+        w = _w(fg, stream)
         assert w[0] == w[2]
 
 
 def test_identical_key_streams_replay_exactly():
     fg = build_sampler([0.2, 0.9], VariogramModel(alpha=0.7))
-    a = fg.sample_w(RandomStream(123, 4))
-    b = fg.sample_w(RandomStream(123, 4))
+    a = _w(fg, RandomStream(123, 4))
+    b = _w(fg, RandomStream(123, 4))
     np.testing.assert_array_equal(a, b)
-    c = fg.sample_w(RandomStream(123, 5))
+    c = _w(fg, RandomStream(123, 5))
     assert not np.array_equal(a, c)
 
 
@@ -133,9 +138,10 @@ def test_sample_moments_match_kernel():
 def test_drifted_draw_subtracts_drift_exactly():
     model = VariogramModel(alpha=1.4, scale=0.8)
     fg = build_sampler([0.0, 0.4, 1.1], model)
-    # Same stream key consumes the same normals, isolating the drift term.
-    plain = fg.sample_w(RandomStream(77, 3))
-    drifted = fg.sample_drifted(1, RandomStream(77, 3))
+    # The same normals, isolating the drift term.
+    z = RandomStream(77, 3).normals(fg.m)
+    plain = fg.from_normals(z)
+    drifted = fg.from_normals(z, 1)
     np.testing.assert_array_equal(drifted, plain - fg.drift_table[:, 1])
 
 
@@ -149,10 +155,11 @@ def test_drifted_mean_is_minus_gamma():
 
 def test_anchor_index_validated():
     fg = build_sampler([0.0, 1.0], VariogramModel(alpha=1.0))
+    z = RandomStream(1).normals(fg.m)
     with pytest.raises(IndexError):
-        fg.sample_drifted(2, RandomStream(1))
+        fg.from_normals(z, 2)
     with pytest.raises(IndexError):
-        fg.sample_drifted(-1, RandomStream(1))
+        fg.from_normals(z, -1)
 
 
 def test_alpha2_requires_jitter_but_samples_correctly():

@@ -4,22 +4,14 @@ import pytest
 from brownresnick import (
     RandomStream,
     SamplingMeasure,
-    VStream,
     gumbel_cdf,
     ks_critical,
     ks_statistic,
-    sample_anchor,
+    poisson_point,
 )
 
 N_STREAMS = 100_000
 BASE_SEED = 60_000
-
-
-class _UnitExponential:
-    """Stub stream whose exponential draws are always exactly 1."""
-
-    def exponential(self):
-        return 1.0
 
 
 @pytest.fixture(scope="module")
@@ -32,26 +24,30 @@ def poisson_points():
     v1 = np.empty(N_STREAMS)
     g3 = np.empty(N_STREAMS)
     for r in range(N_STREAMS):
-        vs = VStream(RandomStream(BASE_SEED + r))
-        v1[r] = vs.next_v()
-        vs.next_v()
-        vs.next_v()
-        g3[r] = vs.gamma_sum
+        u = RandomStream(BASE_SEED + r).uniforms(3)
+        gamma_sum, v1[r] = poisson_point(0.0, u[0])
+        gamma_sum, _ = poisson_point(gamma_sum, u[1])
+        g3[r], _ = poisson_point(gamma_sum, u[2])
     return v1, g3
 
 
 def test_unit_exponentials_give_v1_zero():
-    vs = VStream(_UnitExponential())
-    assert vs.next_v() == 0.0
-    assert vs.next_v() == -np.log(2.0)
-    assert vs.gamma_sum == 2.0
+    u = -np.expm1(-1.0)  # -log(1 - u) == 1 up to rounding
+    gamma_sum, v = poisson_point(0.0, u)
+    assert gamma_sum == pytest.approx(1.0, rel=1e-15)
+    assert v == pytest.approx(0.0, abs=1e-15)
+    gamma_sum, v = poisson_point(gamma_sum, u)
+    assert gamma_sum == pytest.approx(2.0, rel=1e-15)
+    assert v == pytest.approx(-np.log(2.0), rel=1e-15)
+    # u == 0 gives the smallest positive increment, never a zero one.
+    tiny = np.finfo(np.float64).tiny
+    assert poisson_point(0.0, 0.0) == (tiny, -np.log(tiny))
 
 
 def test_points_strictly_decreasing():
-    vs = VStream(RandomStream(4))
-    prev = np.inf
-    for _ in range(2000):
-        v = vs.next_v()
+    gamma_sum, prev = 0.0, np.inf
+    for u in RandomStream(4).uniforms(2000):
+        gamma_sum, v = poisson_point(gamma_sum, u)
         assert v < prev
         prev = v
 
@@ -88,6 +84,8 @@ def test_measure_normalizes_and_caches_logs():
 def test_measure_rejects_bad_weights():
     with pytest.raises(ValueError):
         SamplingMeasure([])
+    with pytest.raises(ValueError, match="at least one weight"):
+        SamplingMeasure.uniform(0)
     with pytest.raises(ValueError):
         SamplingMeasure([0.5, 0.0, 0.5])
     with pytest.raises(ValueError):
@@ -99,28 +97,25 @@ def test_measure_rejects_bad_weights():
 
 def test_single_site_anchor_is_always_first():
     m = SamplingMeasure.uniform(1)
-    stream = RandomStream(12)
-    for _ in range(100):
-        assert sample_anchor(m, stream) == 0
+    for u in RandomStream(12).uniforms(100):
+        assert m.anchor(u) == 0
 
 
 def test_uniform_anchor_frequencies():
     m = SamplingMeasure.uniform(4)
-    stream = RandomStream(13)
     n = 100_000
     counts = np.zeros(4)
-    for _ in range(n):
-        counts[sample_anchor(m, stream)] += 1
+    for u in RandomStream(13).uniforms(n):
+        counts[m.anchor(u)] += 1
     np.testing.assert_allclose(counts / n, 0.25, atol=0.01)
 
 
 def test_weighted_anchor_frequencies():
     probs = np.array([0.5, 0.3, 0.2])
     m = SamplingMeasure(probs)
-    stream = RandomStream(14)
     n = 50_000
     counts = np.zeros(3)
-    for _ in range(n):
-        counts[sample_anchor(m, stream)] += 1
+    for u in RandomStream(14).uniforms(n):
+        counts[m.anchor(u)] += 1
     sigma = np.sqrt(probs * (1 - probs) / n)
     assert np.all(np.abs(counts / n - probs) <= 4.0 * sigma)

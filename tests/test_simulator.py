@@ -1,22 +1,24 @@
+import time
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from brownresnick import (
-    ClusterDraw,
     ClusterLimitError,
     FieldSample,
     RandomStream,
     SamplingMeasure,
     SiteSet,
     VariogramModel,
-    VStream,
     box_grid,
     build_sampler,
+    cluster_values,
     covariance_matrix,
-    generate_cluster,
     gumbel_cdf,
     ks_critical,
     ks_statistic,
+    poisson_point,
     replications,
     simulate,
     simulate_naive,
@@ -39,21 +41,25 @@ def single_site_values():
     return vals
 
 
+def _cluster(fg, mu, v, stream):
+    """A cluster from the stream's next m + 1 uniforms: anchor, then normals."""
+    return cluster_values(fg, mu, v, stream.uniforms(fg.m + 1))
+
+
 def test_single_site_cluster_collapses_to_v_exactly():
     fg = build_sampler([0.7], M1)
     mu = SamplingMeasure.uniform(1)
     for k, v in enumerate((1.7, 0.0, -3.25)):
-        draw = generate_cluster(fg, mu, v, RandomStream(5, k + 1))
-        assert draw.values[0] == v
-        assert draw.anchor == 0
+        values = _cluster(fg, mu, v, RandomStream(5, k + 1))
+        assert values[0] == v
 
 
 def test_identical_sites_cluster_collapses_to_v():
     fg = build_sampler([0.3] * 16, M1)
     mu = SamplingMeasure.uniform(16)
-    draw = generate_cluster(fg, mu, -0.8, RandomStream(6, 1))
-    assert np.all(draw.values == draw.values[0])
-    np.testing.assert_allclose(draw.values, -0.8, atol=1e-12)
+    values = _cluster(fg, mu, -0.8, RandomStream(6, 1))
+    assert np.all(values == values[0])
+    np.testing.assert_allclose(values, -0.8, atol=1e-12)
 
 
 def test_dominance_bound_holds_exactly():
@@ -62,18 +68,19 @@ def test_dominance_bound_holds_exactly():
     fg = build_sampler([0.0, 0.25, 0.6, 1.0], M1)
     mu = SamplingMeasure([0.4, 0.3, 0.2, 0.1])
     for k in range(200):
-        draw = generate_cluster(fg, mu, 0.5 - 0.01 * k, RandomStream(7, k + 1))
-        assert np.all(draw.values <= draw.v - mu.log_weights)
+        v = 0.5 - 0.01 * k
+        values = _cluster(fg, mu, v, RandomStream(7, k + 1))
+        assert np.all(values <= v - mu.log_weights)
 
 
 def test_cluster_normalizer_identity():
     fg = build_sampler(FIVE_SITES, M1)
     mu = SamplingMeasure.uniform(5)
     for k in range(50):
-        draw = generate_cluster(fg, mu, 0.0, RandomStream(8, k + 1))
-        total = np.sum(mu.weights * np.exp(draw.values - draw.v))
+        values = _cluster(fg, mu, 0.0, RandomStream(8, k + 1))
+        total = np.sum(mu.weights * np.exp(values))
         assert total == pytest.approx(1.0, abs=1e-10)
-        assert np.max(draw.values + mu.log_weights) <= draw.v
+        assert np.max(values + mu.log_weights) <= 0.0
 
 
 def test_single_site_consumes_exactly_two_points():
@@ -138,7 +145,7 @@ def test_truncated_variant_monotone_in_truncation():
 def test_truncated_variant_first_point_at_origin():
     for seed in (0, 1, 2):
         s = simulate_naive([0.0], M1, seed=seed, truncation=1)
-        v1 = VStream(RandomStream(seed, 0)).next_v()
+        _, v1 = poisson_point(0.0, RandomStream(seed, 0).uniforms())
         assert s.values[0] == v1
 
 
@@ -182,14 +189,24 @@ def test_nan_bound_fails_fast(monkeypatch):
     # the loop must stop at the next cluster, not at the default cap.
     calls = []
 
-    def nan_cluster(fg, measure, v, stream):
+    def nan_cluster(fg, measure, v, u):
         calls.append(v)
-        return ClusterDraw(v=v, anchor=0, values=np.full(fg.n, np.nan))
+        return np.full(fg.n, np.nan)
 
-    monkeypatch.setattr(simulator, "generate_cluster", nan_cluster)
+    monkeypatch.setattr(simulator, "cluster_values", nan_cluster)
     with pytest.raises(ClusterLimitError, match="NaN before cluster 2"):
         simulate([0.0, 1.0], M1, seed=0)
     assert len(calls) == 1
+
+
+def test_elapsed_excludes_factorization(monkeypatch):
+    def slow_build(sites, model):
+        time.sleep(0.2)
+        return build_sampler(sites, model)
+
+    monkeypatch.setattr(simulator, "build_sampler", slow_build)
+    assert simulate(FIVE_SITES, M1, seed=2).elapsed < 0.1
+    assert simulate_naive(FIVE_SITES, M1, seed=2, truncation=5).elapsed < 0.1
 
 
 def test_input_validation():
@@ -257,17 +274,17 @@ def test_one_stream_per_sample(monkeypatch):
 
 
 def test_cluster_limit_names_worst_site(monkeypatch):
-    def fixed_cluster(fg, measure, v, stream):
-        return ClusterDraw(v=v, anchor=0, values=np.array([0.0, -3.0, 1.0]))
+    def fixed_cluster(fg, measure, v, u):
+        return np.array([0.0, -3.0, 1.0])
 
-    monkeypatch.setattr(simulator, "generate_cluster", fixed_cluster)
+    monkeypatch.setattr(simulator, "cluster_values", fixed_cluster)
     with pytest.raises(ClusterLimitError, match=r"worst gap at site 1, t=\[0\.5\]"):
         simulate([0.0, 0.5, 1.0], M1, seed=0, max_clusters=1)
 
-    def nan_cluster(fg, measure, v, stream):
-        return ClusterDraw(v=v, anchor=0, values=np.array([0.0, 1.0, np.nan]))
+    def nan_cluster(fg, measure, v, u):
+        return np.array([0.0, 1.0, np.nan])
 
-    monkeypatch.setattr(simulator, "generate_cluster", nan_cluster)
+    monkeypatch.setattr(simulator, "cluster_values", nan_cluster)
     with pytest.raises(ClusterLimitError, match=r"NaN .*worst gap at site 2, t=\[1\.0\]"):
         simulate([0.0, 0.5, 1.0], M1, seed=0)
 
@@ -284,11 +301,15 @@ def test_bound_gap_is_the_final_slack():
     assert np.isnan(simulate_naive(FIVE_SITES, M1, seed=4, truncation=3).bound_gap)
 
 
-def _reference_sample(sites, model, measure, seed, r):
+def _reference_sample(sites, model, measure, seed, r, rows):
     """The exact sampler written out plainly: a Cholesky factor over the
     non-origin representatives, a zero-filled scatter/gather draw and an
-    out-of-place log-sum-exp, all on stream (seed, r).  Per cluster: one
-    exponential, one anchor uniform, then m normals."""
+    out-of-place log-sum-exp, all on stream (seed, r).
+
+    Per cluster, one exponential, one anchor uniform, then m normals.  With
+    ``rows`` they come from rows of m + 2 uniforms taken 64 at a time as one
+    (64, m + 2) block, the layout a block engine draws; otherwise from one
+    stream call each."""
     s = SiteSet(sites)
     active = np.flatnonzero(np.any(s.rep_points != 0.0, axis=1))
     cov = covariance_matrix(model, s.rep_points)[np.ix_(active, active)]
@@ -296,19 +317,32 @@ def _reference_sample(sites, model, measure, seed, r):
     chol = np.linalg.cholesky(cov + jitter * np.eye(len(active)))
     drift = pairwise_gamma(model, s.rep_points)[np.ix_(s.rep_index, s.rep_index)]
     log_w = np.log(measure.weights)
+    tiny = np.finfo(np.float64).tiny
     stream = RandomStream(seed, r)
+    block = np.empty((0, len(active) + 2))
     sup = np.full(s.n, -np.inf)
     gamma_sum, trace = 0.0, []
     while True:
-        gamma_sum += stream.exponential()
+        if rows:
+            if not len(block):
+                block = stream.uniforms((64, len(active) + 2))
+            (u_exp, u_anchor), u_normal = block[0, :2], block[0, 2:, None]
+            z = ndtri(np.maximum(u_normal, tiny))
+            block = block[1:]
+        else:
+            u_exp = stream.uniforms()
+        e = -np.log1p(-u_exp)
+        gamma_sum += e if e > 0.0 else tiny
         v = -np.log(gamma_sum)
         trace.append(v)
         bound = np.min(sup + log_w)
-        u = stream.uniforms()
-        anchor = min(int(np.searchsorted(np.cumsum(measure.weights), u, side="right")),
-                     s.n - 1)
+        if not rows:
+            u_anchor = stream.uniforms()
+            z = stream.normals((len(active), 1))
+        anchor = min(int(np.searchsorted(np.cumsum(measure.weights), u_anchor,
+                                         side="right")), s.n - 1)
         w_rep = np.zeros((s.num_representatives, 1))
-        w_rep[active] = chol @ stream.normals((len(active), 1))
+        w_rep[active] = chol @ z
         x = w_rep[s.rep_index][:, 0] - drift[:, anchor]
         a = log_w + x
         lse = a.max() + np.log(np.exp(a - a.max()).sum())
@@ -333,9 +367,10 @@ def test_matches_reference_loop(sites, dim, weights, alpha):
     n = len(sites)
     mu = SamplingMeasure.uniform(n) if weights is None else SamplingMeasure(weights)
     for r, fs in enumerate(replications(sites, model, 20, mu, seed=31)):
-        values, count, trace, gap = _reference_sample(sites, model, mu, 31, r)
-        assert fs.num_clusters == count
-        assert fs.v_trace == trace
-        tol = 1e-12 * np.maximum(1.0, np.abs(values))
-        assert np.all(np.abs(fs.values - values) <= tol)
-        assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
+        for rows in (False, True):
+            values, count, trace, gap = _reference_sample(sites, model, mu, 31, r, rows)
+            assert fs.num_clusters == count
+            assert fs.v_trace == trace
+            tol = 1e-12 * np.maximum(1.0, np.abs(values))
+            assert np.all(np.abs(fs.values - values) <= tol)
+            assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
