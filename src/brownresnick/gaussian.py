@@ -159,7 +159,7 @@ class FactorizedGaussian:
         Takes the stream's next ``m * size`` normals as one (m, size) array,
         filled row by row, and returns ``factor @ normals``.
         """
-        return self.factor @ stream.normals((self.m, size))
+        return self.from_normals(stream.normals((self.m, size)))
 
     def from_normals(self, z: np.ndarray, anchor: int | None = None) -> np.ndarray:
         """One draw of ``(W(t_1), ..., W(t_n))`` from m standard normals ``z``,

@@ -32,13 +32,12 @@ def poisson_points():
 
 
 def test_unit_exponentials_give_v1_zero():
-    u = -np.expm1(-1.0)  # -log(1 - u) == 1 up to rounding
+    u = -np.expm1(-1.0)  # rounds so that -log(1 - u) is exactly 1.0
     gamma_sum, v = poisson_point(0.0, u)
-    assert gamma_sum == pytest.approx(1.0, rel=1e-15)
-    assert v == pytest.approx(0.0, abs=1e-15)
+    assert v == 0.0
     gamma_sum, v = poisson_point(gamma_sum, u)
-    assert gamma_sum == pytest.approx(2.0, rel=1e-15)
-    assert v == pytest.approx(-np.log(2.0), rel=1e-15)
+    assert v == -np.log(2.0)
+    assert gamma_sum == 2.0
     # u == 0 gives the smallest positive increment, never a zero one.
     tiny = np.finfo(np.float64).tiny
     assert poisson_point(0.0, 0.0) == (tiny, -np.log(tiny))

@@ -2,7 +2,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 from brownresnick import (
     ClusterLimitError,
@@ -301,15 +300,11 @@ def test_bound_gap_is_the_final_slack():
     assert np.isnan(simulate_naive(FIVE_SITES, M1, seed=4, truncation=3).bound_gap)
 
 
-def _reference_sample(sites, model, measure, seed, r, rows):
+def _reference_sample(sites, model, measure, seed, r):
     """The exact sampler written out plainly: a Cholesky factor over the
     non-origin representatives, a zero-filled scatter/gather draw and an
-    out-of-place log-sum-exp, all on stream (seed, r).
-
-    Per cluster, one exponential, one anchor uniform, then m normals.  With
-    ``rows`` they come from rows of m + 2 uniforms taken 64 at a time as one
-    (64, m + 2) block, the layout a block engine draws; otherwise from one
-    stream call each."""
+    out-of-place log-sum-exp, all on stream (seed, r).  Per cluster: one
+    exponential, one anchor uniform, then m normals."""
     s = SiteSet(sites)
     active = np.flatnonzero(np.any(s.rep_points != 0.0, axis=1))
     cov = covariance_matrix(model, s.rep_points)[np.ix_(active, active)]
@@ -319,30 +314,19 @@ def _reference_sample(sites, model, measure, seed, r, rows):
     log_w = np.log(measure.weights)
     tiny = np.finfo(np.float64).tiny
     stream = RandomStream(seed, r)
-    block = np.empty((0, len(active) + 2))
     sup = np.full(s.n, -np.inf)
     gamma_sum, trace = 0.0, []
     while True:
-        if rows:
-            if not len(block):
-                block = stream.uniforms((64, len(active) + 2))
-            (u_exp, u_anchor), u_normal = block[0, :2], block[0, 2:, None]
-            z = ndtri(np.maximum(u_normal, tiny))
-            block = block[1:]
-        else:
-            u_exp = stream.uniforms()
-        e = -np.log1p(-u_exp)
+        e = -np.log1p(-stream.uniforms())
         gamma_sum += e if e > 0.0 else tiny
         v = -np.log(gamma_sum)
         trace.append(v)
         bound = np.min(sup + log_w)
-        if not rows:
-            u_anchor = stream.uniforms()
-            z = stream.normals((len(active), 1))
-        anchor = min(int(np.searchsorted(np.cumsum(measure.weights), u_anchor,
-                                         side="right")), s.n - 1)
+        u = stream.uniforms()
+        anchor = min(int(np.searchsorted(np.cumsum(measure.weights), u, side="right")),
+                     s.n - 1)
         w_rep = np.zeros((s.num_representatives, 1))
-        w_rep[active] = chol @ z
+        w_rep[active] = chol @ stream.normals((len(active), 1))
         x = w_rep[s.rep_index][:, 0] - drift[:, anchor]
         a = log_w + x
         lse = a.max() + np.log(np.exp(a - a.max()).sum())
@@ -367,10 +351,9 @@ def test_matches_reference_loop(sites, dim, weights, alpha):
     n = len(sites)
     mu = SamplingMeasure.uniform(n) if weights is None else SamplingMeasure(weights)
     for r, fs in enumerate(replications(sites, model, 20, mu, seed=31)):
-        for rows in (False, True):
-            values, count, trace, gap = _reference_sample(sites, model, mu, 31, r, rows)
-            assert fs.num_clusters == count
-            assert fs.v_trace == trace
-            tol = 1e-12 * np.maximum(1.0, np.abs(values))
-            assert np.all(np.abs(fs.values - values) <= tol)
-            assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
+        values, count, trace, gap = _reference_sample(sites, model, mu, 31, r)
+        assert fs.num_clusters == count
+        assert fs.v_trace == trace
+        tol = 1e-12 * np.maximum(1.0, np.abs(values))
+        assert np.all(np.abs(fs.values - values) <= tol)
+        assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
