@@ -163,7 +163,11 @@ class FactorizedGaussian:
 
     def from_normals(self, z: np.ndarray, anchor: int | None = None) -> np.ndarray:
         """One draw of ``(W(t_1), ..., W(t_n))`` from m standard normals ``z``,
-        or with an anchor site, of ``X_j = W(t_j) - gamma(t_j - t_anchor)``."""
+        or with an anchor site, of ``X_j = W(t_j) - gamma(t_j - t_anchor)``.
+
+        Without an anchor ``z`` may also be an (m, k) array, one draw's
+        normals per column, and the result is the (n, k) array of k draws
+        from one matrix product."""
         x = self.factor @ z
         if anchor is not None:
             if not 0 <= anchor < self.n:

@@ -6,7 +6,8 @@ The points ``V_1 > V_2 > ...`` of a Poisson process with intensity
 standard exponentials (a unit-rate Poisson process on the positive axis).
 Anchor sites are drawn independently from a discrete probability measure
 on the evaluation sites.  Both take one uniform each, so a cluster's row of
-m + 2 uniforms starts with its Poisson point's and then its anchor's.
+m + 2 uniforms starts with its Poisson point's and then its anchor's; the
+simulator draws these rows in blocks and takes one row's pair per cluster.
 """
 
 from __future__ import annotations

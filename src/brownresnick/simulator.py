@@ -8,11 +8,15 @@ change any coordinate.  The algorithm is exact: its output has the law of
 the field restricted to the sites, with no truncation error.
 
 Random streams: sample r of ``replications(seed=s)`` draws everything from
-the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Each cluster
-takes the stream's next row of m + 2 uniforms (m the number of factorized
-sites) in one call: its Poisson point, its anchor, then its m normals.
-Distinct keys give independent streams, so no two samples share a draw, and
-each replays bit for bit from its key.
+the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Cluster k
+reads row k of the stream's uniforms, m + 2 wide (m the number of factorized
+sites): its Poisson point, its anchor, then its m normals.  The rows are
+drawn in blocks of a fixed private size B, one generator call, one inverse
+CDF and one product with the factor per block; the uniforms past the
+stopping cluster's row go unused.  B changes which clusters share a product
+and so the output bytes only by the rounding of that product, never which
+uniforms a cluster reads.  Distinct keys give independent streams, so no
+two samples share a draw, and each replays bit for bit from its key.
 
 A deliberately naive truncated variant is included to demonstrate the bias
 that the exact algorithm removes.
@@ -33,6 +37,9 @@ from .variogram import gamma
 
 DEFAULT_MAX_CLUSTERS = 10_000_000
 DEFAULT_V_TRACE_CAP = 100_000
+
+# Rows of uniforms (clusters, or simulate_naive points) drawn per block.
+_BLOCK = 64
 
 MARGINALS = ("gumbel", "frechet", "weibull")
 
@@ -76,7 +83,15 @@ def cluster_values(
 
     ``u[0]`` draws an anchor T from ``measure``; ``u[1:]``, turned into
     normals in place, gives the Gaussian vector X_j = W(t_j) - gamma(t_j - T).
-    Returns
+    Returns the cluster C(t_j) = v + X_j - logsumexp_l(log w_l + X_l),
+    computed by the same step as the sampler's loop.
+    """
+    x = fg.from_normals(to_normals(u[1:]), measure.anchor(u[0]))
+    return _cluster_step(x, measure.log_weights, v)
+
+
+def _cluster_step(x: np.ndarray, log_w: np.ndarray, v: float) -> np.ndarray:
+    """Turn the drifted draw ``x`` in place into the cluster
 
         C(t_j) = v + X_j - logsumexp_l(log w_l + X_l).
 
@@ -84,8 +99,7 @@ def cluster_values(
     exactly, because the log-sum-exp is computed max-shifted and therefore
     never falls below the largest of its terms.
     """
-    x = fg.from_normals(to_normals(u[1:]), measure.anchor(u[0]))
-    a = measure.log_weights + x
+    a = log_w + x
     m = a.max()
     a -= m
     np.exp(a, out=a)
@@ -114,41 +128,49 @@ def _prepare(sites, model, measure, sampler):
 def _simulate(sites, model, measure, sampler, seed, replication,
               max_clusters=DEFAULT_MAX_CLUSTERS,
               v_trace_cap=DEFAULT_V_TRACE_CAP) -> FieldSample:
-    """Sample ``replication`` of ``seed``, one row of uniforms per cluster."""
+    """Sample ``replication`` of ``seed``, one row of uniforms per cluster,
+    drawn ``_BLOCK`` rows at a time."""
     t0 = time.perf_counter()
     stream = RandomStream(seed, replication)
-    width = sampler.m + 2
+    shape = (_BLOCK, sampler.m + 2)
+    drift = sampler.drift_table
     log_w = measure.log_weights
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
     gamma_sum = 0.0
     merged = 0
-    while True:
-        if merged >= max_clusters:
-            raise ClusterLimitError(
-                f"no termination after {merged} clusters "
-                f"(alpha={model.alpha}, n={sites.n}, last v="
-                f"{v_trace[-1] if v_trace else None}, "
-                f"bound={float((sup + log_w).min())}, "
-                f"{_worst_site(sites, sup, log_w)})"
-            )
-        row = stream.uniforms(width)
-        gamma_sum, v = poisson_point(gamma_sum, row[0])
-        merged += 1
-        bound = (sup + log_w).min()
-        if math.isnan(bound):
-            raise ClusterLimitError(
-                f"dominance bound turned NaN before cluster {merged}: a merged "
-                f"cluster had a NaN value (alpha={model.alpha}, n={sites.n}, "
-                f"{_worst_site(sites, sup, log_w)}), "
-                f"so no Poisson point could ever stop the loop")
-        values = cluster_values(sampler, measure, v, row[1:])
-        hit = v <= bound
-        np.maximum(sup, values, out=sup)
-        if len(v_trace) < v_trace_cap:
-            v_trace.append(v)
-        if hit:
-            break
+    hit = False
+    while not hit:
+        block = stream.uniforms(shape)
+        # Column k of w is W for row k's normals, in one product per block.
+        w = sampler.from_normals(to_normals(block[:, 2:]).T)
+        for k, (u_v, u_anchor) in enumerate(block[:, :2].tolist()):
+            if merged >= max_clusters:
+                raise ClusterLimitError(
+                    f"no termination after {merged} clusters "
+                    f"(alpha={model.alpha}, n={sites.n}, last v="
+                    f"{v_trace[-1] if v_trace else None}, "
+                    f"bound={float((sup + log_w).min())}, "
+                    f"{_worst_site(sites, sup, log_w)})"
+                )
+            gamma_sum, v = poisson_point(gamma_sum, u_v)
+            merged += 1
+            bound = (sup + log_w).min()
+            if math.isnan(bound):
+                raise ClusterLimitError(
+                    f"dominance bound turned NaN before cluster {merged}: a merged "
+                    f"cluster had a NaN value (alpha={model.alpha}, n={sites.n}, "
+                    f"{_worst_site(sites, sup, log_w)}), "
+                    f"so no Poisson point could ever stop the loop")
+            x = w[:, k]
+            x -= drift[measure.anchor(u_anchor)]  # as from_normals with an anchor
+            values = _cluster_step(x, log_w, v)
+            hit = v <= bound
+            np.maximum(sup, values, out=sup)
+            if len(v_trace) < v_trace_cap:
+                v_trace.append(v)
+            if hit:
+                break
 
     return FieldSample(
         values=sup,
@@ -231,10 +253,12 @@ def simulate_naive(
     where gamma is large, so far-field marginals come out stochastically
     too small.  Kept only to demonstrate that failure mode.
 
-    W_i is drawn pinned at the origin.  Point i takes the next row of
-    m + 1 uniforms from the one stream (seed, 0): V_i, then W_i's m
-    normals.  A shorter run consumes a prefix of the same draws, so for a
-    fixed seed the output is coordinatewise nondecreasing in N.
+    W_i is drawn pinned at the origin.  Point i takes row i of m + 1
+    uniforms from the one stream (seed, 0): V_i, then W_i's m normals.  The
+    rows are drawn in full blocks of the sampler's block size whatever N,
+    so a point's draws, W_i's bits included, do not depend on N: a shorter
+    run consumes a prefix of the same draws, and for a fixed seed the
+    output is coordinatewise nondecreasing in N.
     """
     truncation = int(truncation)
     if truncation < 1:
@@ -245,15 +269,17 @@ def simulate_naive(
     g = np.atleast_1d(gamma(model, sites.points))
 
     stream = RandomStream(seed, 0)
-    width = sampler.m + 1
+    shape = (_BLOCK, sampler.m + 1)
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
     gamma_sum = 0.0
-    for _ in range(truncation):
-        row = stream.uniforms(width)
-        gamma_sum, v = poisson_point(gamma_sum, row[0])
-        w = sampler.from_normals(to_normals(row[1:]))
-        np.maximum(sup, v + w - g, out=sup)
+    for i in range(truncation):
+        k = i % _BLOCK
+        if k == 0:
+            block = stream.uniforms(shape)
+            w = sampler.from_normals(to_normals(block[:, 1:]).T)
+        gamma_sum, v = poisson_point(gamma_sum, block[k, 0])
+        np.maximum(sup, v + w[:, k] - g, out=sup)
         if len(v_trace) < v_trace_cap:
             v_trace.append(v)
 

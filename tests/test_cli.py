@@ -96,10 +96,10 @@ def test_simulate_diag_bound_gaps(tmp_path):
 
 
 def test_simulate_cluster_limit_exits_with_message(tmp_path, monkeypatch):
-    def nan_cluster(fg, measure, v, u):
-        return np.full(fg.n, np.nan)
+    def nan_step(x, log_w, v):
+        return np.full(x.shape, np.nan)
 
-    monkeypatch.setattr(simulator, "cluster_values", nan_cluster)
+    monkeypatch.setattr(simulator, "_cluster_step", nan_step)
     with pytest.raises(SystemExit) as exc:
         _run_simulate(tmp_path, "nan")
     assert "NaN before cluster 2" in exc.value.code

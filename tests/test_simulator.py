@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,12 @@ def test_truncated_variant_monotone_in_truncation():
     hi = simulate_naive(sites, M1, seed=11, truncation=6)
     assert np.all(hi.values >= lo.values)
     assert hi.num_clusters == 6
+    # 64, 65 and 130 points cross the boundaries of the rows drawn per block.
+    runs = [hi] + [simulate_naive(sites, M1, seed=11, truncation=n)
+                   for n in (64, 65, 130)]
+    for short, long in zip(runs, runs[1:]):
+        assert np.all(long.values >= short.values)
+        assert long.v_trace[:len(short.v_trace)] == short.v_trace
 
 
 def test_truncated_variant_first_point_at_origin():
@@ -188,11 +195,11 @@ def test_nan_bound_fails_fast(monkeypatch):
     # the loop must stop at the next cluster, not at the default cap.
     calls = []
 
-    def nan_cluster(fg, measure, v, u):
+    def nan_step(x, log_w, v):
         calls.append(v)
-        return np.full(fg.n, np.nan)
+        return np.full(x.shape, np.nan)
 
-    monkeypatch.setattr(simulator, "cluster_values", nan_cluster)
+    monkeypatch.setattr(simulator, "_cluster_step", nan_step)
     with pytest.raises(ClusterLimitError, match="NaN before cluster 2"):
         simulate([0.0, 1.0], M1, seed=0)
     assert len(calls) == 1
@@ -273,17 +280,17 @@ def test_one_stream_per_sample(monkeypatch):
 
 
 def test_cluster_limit_names_worst_site(monkeypatch):
-    def fixed_cluster(fg, measure, v, u):
+    def fixed_step(x, log_w, v):
         return np.array([0.0, -3.0, 1.0])
 
-    monkeypatch.setattr(simulator, "cluster_values", fixed_cluster)
+    monkeypatch.setattr(simulator, "_cluster_step", fixed_step)
     with pytest.raises(ClusterLimitError, match=r"worst gap at site 1, t=\[0\.5\]"):
         simulate([0.0, 0.5, 1.0], M1, seed=0, max_clusters=1)
 
-    def nan_cluster(fg, measure, v, u):
+    def nan_step(x, log_w, v):
         return np.array([0.0, 1.0, np.nan])
 
-    monkeypatch.setattr(simulator, "cluster_values", nan_cluster)
+    monkeypatch.setattr(simulator, "_cluster_step", nan_step)
     with pytest.raises(ClusterLimitError, match=r"NaN .*worst gap at site 2, t=\[1\.0\]"):
         simulate([0.0, 0.5, 1.0], M1, seed=0)
 
@@ -344,9 +351,7 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-@pytest.mark.parametrize("sites, dim, weights", REFERENCE_CASES)
-def test_matches_reference_loop(sites, dim, weights, alpha):
+def _check_reference(sites, dim, weights, alpha):
     model = VariogramModel(alpha=alpha, dim=dim)
     n = len(sites)
     mu = SamplingMeasure.uniform(n) if weights is None else SamplingMeasure(weights)
@@ -357,3 +362,73 @@ def test_matches_reference_loop(sites, dim, weights, alpha):
         tol = 1e-12 * np.maximum(1.0, np.abs(values))
         assert np.all(np.abs(fs.values - values) <= tol)
         assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sites, dim, weights", REFERENCE_CASES)
+def test_matches_reference_loop(sites, dim, weights, alpha):
+    _check_reference(sites, dim, weights, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("sites, dim, weights", REFERENCE_CASES)
+def test_matches_reference_loop_in_blocks_of_7(sites, dim, weights, alpha, monkeypatch):
+    # Most of these samples stop before 64 clusters; blocks of 7 put block
+    # boundaries inside them.
+    monkeypatch.setattr(simulator, "_BLOCK", 7)
+    _check_reference(sites, dim, weights, alpha)
+
+
+BLOCK_CASES = [
+    (box_grid(0.0, 4.0, 1.0 / 16.0), 1, None),
+    (box_grid([0, 0], [1, 1], 0.25), 2, None),
+    (FIVE_SITES, 1, [0.6, 0.1, 0.1, 0.1, 0.1]),
+]
+
+
+@pytest.mark.parametrize("sites, dim, weights", BLOCK_CASES)
+def test_block_size_changes_only_rounding(sites, dim, weights, monkeypatch):
+    model = VariogramModel(alpha=1.0, dim=dim)
+    fg = build_sampler(sites, model)
+    mu = SamplingMeasure.uniform(len(sites)) if weights is None else SamplingMeasure(weights)
+
+    def run(block):
+        monkeypatch.setattr(simulator, "_BLOCK", block)
+        return list(replications(sites, model, 12, mu, seed=17, sampler=fg))
+
+    base = run(64)
+    assert max(fs.num_clusters for fs in base) > 7
+    for block in (1, 7, 64):
+        first, again = run(block), run(block)
+        for ref, fs, fs2 in zip(base, first, again):
+            assert fs.num_clusters == ref.num_clusters
+            assert fs.v_trace == ref.v_trace
+            tol = 1e-12 * np.maximum(1.0, np.abs(ref.values))
+            assert np.all(np.abs(fs.values - ref.values) <= tol)
+            assert fs.values.tobytes() == fs2.values.tobytes()
+
+
+def test_sample_values_own_their_memory():
+    # A view into a block would keep the whole block alive with the sample.
+    fg = build_sampler(FIVE_SITES, M1)
+    samples = [simulate(FIVE_SITES, M1, seed=3, sampler=fg),
+               simulate_naive(FIVE_SITES, M1, seed=3, truncation=70, sampler=fg)]
+    samples += list(replications(FIVE_SITES, M1, 3, seed=3, sampler=fg))
+    for fs in samples:
+        assert fs.values.base is None
+
+
+def test_sample_memory_peak_is_a_few_blocks():
+    sites = box_grid(0.0, 4.0, 1.0 / 64.0)
+    fg = build_sampler(sites, M1)
+    mu = SamplingMeasure.uniform(fg.n)
+    block_bytes = 8 * simulator._BLOCK * ((fg.m + 2) + fg.n)  # uniforms and W
+    tracemalloc.start()
+    try:
+        fs = simulate(sites, M1, mu, seed=3, sampler=fg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Five or more blocks: keeping each block alive would pass the bound.
+    assert fs.num_clusters > 4 * simulator._BLOCK
+    assert peak < 3 * block_bytes
