@@ -11,7 +11,6 @@ are included, along with a command-line front end.
 __version__ = "0.1.0"
 
 from .distributions import (
-    CdfEstimate,
     bivariate_neglog,
     change_of_measure_check,
     fdd_cdf_oracle,
@@ -31,7 +30,6 @@ from .pointprocess import SamplingMeasure, poisson_point
 from .simulator import (
     ClusterLimitError,
     FieldSample,
-    cluster_values,
     replications,
     simulate,
     simulate_naive,
@@ -59,7 +57,6 @@ from .variogram import (
 )
 
 __all__ = [
-    "CdfEstimate",
     "ClusterLimitError",
     "EstimateWithError",
     "FactorizationError",
@@ -75,7 +72,6 @@ __all__ = [
     "box_grid",
     "build_sampler",
     "change_of_measure_check",
-    "cluster_values",
     "cluster_count_stats",
     "cov_w",
     "covariance_matrix",

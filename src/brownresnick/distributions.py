@@ -16,24 +16,13 @@ memory does not grow with the draw count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtr
 
 from .gaussian import SiteSet, build_sampler
-from .statseval import mc_mean
+from .statseval import EstimateWithError, mc_mean
 from .streams import RandomStream, mask64
 from .variogram import VariogramModel, as_points, cov_w, gamma
-
-
-@dataclass(frozen=True)
-class CdfEstimate:
-    """Monte Carlo probability estimate with a delta-method standard error."""
-
-    value: float
-    std_error: float
-    reps: int
 
 
 def gumbel_cdf(x, loc: float = 0.0):
@@ -80,7 +69,7 @@ def _peak_share(x: np.ndarray) -> np.ndarray:
 
 
 def fdd_cdf_oracle(sites, model: VariogramModel, y, reps: int, seed: int,
-                   *, anchor_index: int = 0) -> CdfEstimate:
+                   *, anchor_index: int = 0) -> EstimateWithError:
     """P(eta(t_1) <= y_1, ..., eta(t_n) <= y_n) by the CDF identity.
 
     Draws Z at the sites shifted by -t_anchor (mean -gamma, covariance
@@ -107,7 +96,7 @@ def fdd_cdf_oracle(sites, model: VariogramModel, y, reps: int, seed: int,
     stream = RandomStream(mask64(seed), 0)
     (m,), (se_m,) = mc_mean(fg, mean_z - y, stream, reps, _exp_rowmax)
     value = float(np.exp(-m))
-    return CdfEstimate(value=value, std_error=value * float(se_m), reps=reps)
+    return EstimateWithError(value, value * float(se_m), reps)
 
 
 def change_of_measure_check(model: VariogramModel, grid, t, reps: int,

@@ -8,7 +8,9 @@ sites at the origin are pinned to zero rather than factorized, because
 ``Cov(W(0), W(t)) = 0`` makes their covariance row identically zero.  The
 m remaining distinct sites are factorized, and the stored factor has one
 row per raw site: the Cholesky row of its representative, or zeros at the
-origin.
+origin.  The simulator's one row reader, ``simulator._rows``, makes one
+``from_normals`` call per block of clusters, which also subtracts each
+cluster's drift row ``gamma(. - t_anchor)``.
 """
 
 from __future__ import annotations
@@ -161,18 +163,21 @@ class FactorizedGaussian:
         """
         return self.from_normals(stream.normals((self.m, size)))
 
-    def from_normals(self, z: np.ndarray, anchor: int | None = None) -> np.ndarray:
-        """One draw of ``(W(t_1), ..., W(t_n))`` from m standard normals ``z``,
-        or with an anchor site, of ``X_j = W(t_j) - gamma(t_j - t_anchor)``.
+    def from_normals(self, z: np.ndarray, anchors=None) -> np.ndarray:
+        """Draws of ``(W(t_1), ..., W(t_n))`` from standard normals ``z``, or
+        with anchor sites, of ``X_j = W(t_j) - gamma(t_j - t_anchor)``.
 
-        Without an anchor ``z`` may also be an (m, k) array, one draw's
-        normals per column, and the result is the (n, k) array of k draws
-        from one matrix product."""
+        ``z`` holds m normals, or is an (m, k) array with one draw's normals
+        per column, and the result is the (n,) or (n, k) array from one
+        matrix product.  ``anchors`` is one site index, or k of them, one per
+        column; the simulator's row reader passes a whole block's."""
         x = self.factor @ z
-        if anchor is not None:
-            if not 0 <= anchor < self.n:
-                raise IndexError(f"anchor index {anchor} out of range [0, {self.n})")
-            x -= self.drift_table[anchor]  # a contiguous row of the symmetric table
+        if anchors is not None:
+            anchors = np.asarray(anchors)
+            if anchors.min() < 0 or anchors.max() >= self.n:
+                raise IndexError(f"anchor index {anchors} out of range [0, {self.n})")
+            # Rows of the symmetric table are its columns, bit for bit.
+            x -= self.drift_table[anchors].T
         return x
 
     def __repr__(self) -> str:  # pragma: no cover

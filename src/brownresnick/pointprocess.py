@@ -6,13 +6,13 @@ The points ``V_1 > V_2 > ...`` of a Poisson process with intensity
 standard exponentials (a unit-rate Poisson process on the positive axis).
 Anchor sites are drawn independently from a discrete probability measure
 on the evaluation sites.  Both take one uniform each, so a cluster's row of
-m + 2 uniforms starts with its Poisson point's and then its anchor's; the
-simulator draws these rows in blocks and takes one row's pair per cluster.
+m + 2 uniforms starts with its Poisson point's and then its anchor's.  The
+simulator's one row reader, ``simulator._rows``, draws these rows in blocks,
+maps a block's anchor column through ``SamplingMeasure.anchors`` at once and
+hands each cluster its Poisson uniform for ``poisson_point``.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -49,8 +49,7 @@ class SamplingMeasure:
             raise ValueError("weights failed to normalize to 1")
         self.weights = w
         self.log_weights = np.log(w)
-        self._cumulative = np.cumsum(w).tolist()
-        self._last = len(w) - 1
+        self._cumulative = np.cumsum(w)
 
     @classmethod
     def uniform(cls, n: int) -> "SamplingMeasure":
@@ -61,10 +60,11 @@ class SamplingMeasure:
     def n(self) -> int:
         return self.weights.shape[0]
 
-    def anchor(self, u: float) -> int:
-        """The site index with probability ``weights`` for one uniform ``u``."""
+    def anchors(self, u):
+        """Site indices with probabilities ``weights``, one per uniform in ``u``."""
         # The last cumulative weight can round below 1; clamp onto the last site.
-        return min(bisect_right(self._cumulative, u), self._last)
+        return np.minimum(np.searchsorted(self._cumulative, u, side="right"),
+                          self.n - 1)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"SamplingMeasure(n={self.n})"

@@ -10,9 +10,11 @@ the field restricted to the sites, with no truncation error.
 Random streams: sample r of ``replications(seed=s)`` draws everything from
 the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Cluster k
 reads row k of the stream's uniforms, m + 2 wide (m the number of factorized
-sites): its Poisson point, its anchor, then its m normals.  The rows are
-drawn in blocks of a fixed private size B, one generator call, one inverse
-CDF and one product with the factor per block; the uniforms past the
+sites): its Poisson point, its anchor, then its m normals.  One row reader,
+``_rows``, reads every sample's stream, for the exact loop and for
+``simulate_naive`` alike.  It draws the rows in blocks of a fixed private
+size B: one generator call, one anchor lookup, one inverse CDF and one
+product with the factor, drift included, per block; the uniforms past the
 stopping cluster's row go unused.  B changes which clusters share a product
 and so the output bytes only by the rounding of that product, never which
 uniforms a cluster reads.  Distinct keys give independent streams, so no
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -73,23 +76,6 @@ class FieldSample:
     bound_gap: float = math.nan
 
 
-def cluster_values(
-    fg: FactorizedGaussian,
-    measure: SamplingMeasure,
-    v: float,
-    u: np.ndarray,
-) -> np.ndarray:
-    """The cluster attached to the Poisson point ``v``, from m + 1 uniforms.
-
-    ``u[0]`` draws an anchor T from ``measure``; ``u[1:]``, turned into
-    normals in place, gives the Gaussian vector X_j = W(t_j) - gamma(t_j - T).
-    Returns the cluster C(t_j) = v + X_j - logsumexp_l(log w_l + X_l),
-    computed by the same step as the sampler's loop.
-    """
-    x = fg.from_normals(to_normals(u[1:]), measure.anchor(u[0]))
-    return _cluster_step(x, measure.log_weights, v)
-
-
 def _cluster_step(x: np.ndarray, log_w: np.ndarray, v: float) -> np.ndarray:
     """Turn the drifted draw ``x`` in place into the cluster
 
@@ -112,65 +98,79 @@ def _cluster_step(x: np.ndarray, log_w: np.ndarray, v: float) -> np.ndarray:
 
 
 def _prepare(sites, model, measure, sampler):
-    """Site set, anchor measure and factorization shared by every sample."""
+    """Anchor measure and factorization shared by every sample, checked
+    against the sites and the model."""
     sites = SiteSet.from_points(sites)
     if sampler is None:
         sampler = build_sampler(sites, model)
+    elif sampler.sites is not sites and not np.array_equal(sampler.sites.points,
+                                                           sites.points):
+        raise ValueError(
+            f"sampler was built for different sites: {sampler.n} in dimension "
+            f"{sampler.sites.dim}, against {sites.n} given in dimension {sites.dim}")
+    if sampler.model != model:
+        raise ValueError(f"sampler was built for {sampler.model}, not {model}")
     if measure is None:
         measure = SamplingMeasure.uniform(sites.n)
     if measure.n != sites.n:
         raise ValueError(
             f"measure has {measure.n} weights but there are {sites.n} sites"
         )
-    return sites, measure, sampler
+    return measure, sampler
 
 
-def _simulate(sites, model, measure, sampler, seed, replication,
+def _rows(stream, sampler, measure=None):
+    """Yield ``(Poisson uniform, column)`` for row after row of ``stream``.
+
+    The one reader of a sample's stream.  A row is the Poisson point's
+    uniform, then with a ``measure`` the anchor's, then m normals' uniforms;
+    the column is the row's draw of X = W - gamma(. - t_anchor) at the raw
+    sites, or of W without a measure.  Rows are drawn ``_BLOCK`` at a time:
+    one ``uniforms`` call, one ``anchors`` lookup, one inverse CDF and one
+    ``from_normals`` product per block.  The columns are views into the
+    block's draw, free for the caller to overwrite.
+    """
+    lead = 1 if measure is None else 2
+    while True:
+        block = stream.uniforms((_BLOCK, sampler.m + lead))
+        anchors = None if measure is None else measure.anchors(block[:, 1])
+        x = sampler.from_normals(to_normals(block[:, lead:]).T, anchors)
+        yield from zip(block[:, 0].tolist(), x.T)
+
+
+def _simulate(measure, sampler, seed, replication,
               max_clusters=DEFAULT_MAX_CLUSTERS,
               v_trace_cap=DEFAULT_V_TRACE_CAP) -> FieldSample:
-    """Sample ``replication`` of ``seed``, one row of uniforms per cluster,
-    drawn ``_BLOCK`` rows at a time."""
+    """Sample ``replication`` of ``seed``, one row of uniforms per cluster."""
     t0 = time.perf_counter()
-    stream = RandomStream(seed, replication)
-    shape = (_BLOCK, sampler.m + 2)
-    drift = sampler.drift_table
+    sites, alpha = sampler.sites, sampler.model.alpha
     log_w = measure.log_weights
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
     gamma_sum = 0.0
-    merged = 0
-    hit = False
-    while not hit:
-        block = stream.uniforms(shape)
-        # Column k of w is W for row k's normals, in one product per block.
-        w = sampler.from_normals(to_normals(block[:, 2:]).T)
-        for k, (u_v, u_anchor) in enumerate(block[:, :2].tolist()):
-            if merged >= max_clusters:
-                raise ClusterLimitError(
-                    f"no termination after {merged} clusters "
-                    f"(alpha={model.alpha}, n={sites.n}, last v="
-                    f"{v_trace[-1] if v_trace else None}, "
-                    f"bound={float((sup + log_w).min())}, "
-                    f"{_worst_site(sites, sup, log_w)})"
-                )
-            gamma_sum, v = poisson_point(gamma_sum, u_v)
-            merged += 1
-            bound = (sup + log_w).min()
-            if math.isnan(bound):
-                raise ClusterLimitError(
-                    f"dominance bound turned NaN before cluster {merged}: a merged "
-                    f"cluster had a NaN value (alpha={model.alpha}, n={sites.n}, "
-                    f"{_worst_site(sites, sup, log_w)}), "
-                    f"so no Poisson point could ever stop the loop")
-            x = w[:, k]
-            x -= drift[measure.anchor(u_anchor)]  # as from_normals with an anchor
-            values = _cluster_step(x, log_w, v)
-            hit = v <= bound
-            np.maximum(sup, values, out=sup)
-            if len(v_trace) < v_trace_cap:
-                v_trace.append(v)
-            if hit:
-                break
+    rows = _rows(RandomStream(seed, replication), sampler, measure)
+    for merged, (u_v, x) in enumerate(rows, 1):
+        if merged > max_clusters:
+            raise ClusterLimitError(
+                f"no termination after {max_clusters} clusters "
+                f"(alpha={alpha}, n={sites.n}, last v="
+                f"{v_trace[-1] if v_trace else None}, "
+                f"bound={float((sup + log_w).min())}, "
+                f"{_worst_site(sites, sup, log_w)})"
+            )
+        gamma_sum, v = poisson_point(gamma_sum, u_v)
+        bound = (sup + log_w).min()
+        if math.isnan(bound):
+            raise ClusterLimitError(
+                f"dominance bound turned NaN before cluster {merged}: a merged "
+                f"cluster had a NaN value (alpha={alpha}, n={sites.n}, "
+                f"{_worst_site(sites, sup, log_w)}), "
+                f"so no Poisson point could ever stop the loop")
+        np.maximum(sup, _cluster_step(x, log_w, v), out=sup)
+        if len(v_trace) < v_trace_cap:
+            v_trace.append(v)
+        if v <= bound:
+            break
 
     return FieldSample(
         values=sup,
@@ -233,9 +233,8 @@ def simulate(
     cluster attached to that final point is still merged, so every consumed
     point contributes and ``num_clusters`` counts them all.
     """
-    sites, measure, sampler = _prepare(sites, model, measure, sampler)
-    return _simulate(sites, model, measure, sampler, mask64(seed), 0,
-                     max_clusters, v_trace_cap)
+    measure, sampler = _prepare(sites, model, measure, sampler)
+    return _simulate(measure, sampler, mask64(seed), 0, max_clusters, v_trace_cap)
 
 
 def simulate_naive(
@@ -245,7 +244,6 @@ def simulate_naive(
     truncation: int = 100,
     *,
     sampler: FactorizedGaussian | None = None,
-    v_trace_cap: int = DEFAULT_V_TRACE_CAP,
 ) -> FieldSample:
     """Truncated approximation sup_{i<=N} (V_i + W_i(t_j) - gamma(t_j)).
 
@@ -255,32 +253,26 @@ def simulate_naive(
 
     W_i is drawn pinned at the origin.  Point i takes row i of m + 1
     uniforms from the one stream (seed, 0): V_i, then W_i's m normals.  The
-    rows are drawn in full blocks of the sampler's block size whatever N,
-    so a point's draws, W_i's bits included, do not depend on N: a shorter
-    run consumes a prefix of the same draws, and for a fixed seed the
-    output is coordinatewise nondecreasing in N.
+    rows are drawn in full blocks whatever N, so a point's draws, W_i's bits
+    included, do not depend on N: a shorter run consumes a prefix of the
+    same draws, and for a fixed seed the output is coordinatewise
+    nondecreasing in N.
     """
     truncation = int(truncation)
     if truncation < 1:
         raise ValueError("truncation must be >= 1")
-    sites, _, sampler = _prepare(sites, model, None, sampler)
+    _, sampler = _prepare(sites, model, None, sampler)
     t0 = time.perf_counter()
     seed = mask64(seed)
-    g = np.atleast_1d(gamma(model, sites.points))
+    g = np.atleast_1d(gamma(model, sampler.sites.points))
 
-    stream = RandomStream(seed, 0)
-    shape = (_BLOCK, sampler.m + 1)
-    sup = np.full(sites.n, -np.inf)
+    sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
     gamma_sum = 0.0
-    for i in range(truncation):
-        k = i % _BLOCK
-        if k == 0:
-            block = stream.uniforms(shape)
-            w = sampler.from_normals(to_normals(block[:, 1:]).T)
-        gamma_sum, v = poisson_point(gamma_sum, block[k, 0])
-        np.maximum(sup, v + w[:, k] - g, out=sup)
-        if len(v_trace) < v_trace_cap:
+    for u_v, w in islice(_rows(RandomStream(seed, 0), sampler), truncation):
+        gamma_sum, v = poisson_point(gamma_sum, u_v)
+        np.maximum(sup, v + w - g, out=sup)
+        if len(v_trace) < DEFAULT_V_TRACE_CAP:
             v_trace.append(v)
 
     return FieldSample(
@@ -326,7 +318,7 @@ def replications(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    sites, measure, sampler = _prepare(sites, model, measure, sampler)
+    measure, sampler = _prepare(sites, model, measure, sampler)
     seed = mask64(seed)
     for r in range(int(reps)):
-        yield _simulate(sites, model, measure, sampler, seed, r)
+        yield _simulate(measure, sampler, seed, r)

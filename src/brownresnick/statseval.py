@@ -141,7 +141,7 @@ def _region_grid(model: VariogramModel, region, mesh: float) -> np.ndarray:
 
 
 def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
-                     *, max_grid: int = MAX_GRID, return_samples: bool = False):
+                     *, return_samples: bool = False):
     """Estimates of f over several grids from shared Z draws.
 
     Z is drawn once per replication on the union of the grids; each grid's
@@ -161,9 +161,9 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
     stacked = np.vstack(grids)
     union, inverse = np.unique(stacked, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
-    if union.shape[0] > max_grid:
+    if union.shape[0] > MAX_GRID:
         raise ResourceLimitError(
-            f"grid of {union.shape[0]} points exceeds the budget of {max_grid}")
+            f"grid of {union.shape[0]} points exceeds the budget of {MAX_GRID}")
     row_sets = []
     pos = 0
     for g in grids:
@@ -187,25 +187,24 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
 
 
 def pickands_estimate(model: VariogramModel, region, mesh: float, reps: int,
-                      seed: int, *, max_grid: int = MAX_GRID) -> EstimateWithError:
+                      seed: int) -> EstimateWithError:
     """f(region) = E exp(sup of Z over the meshed region), by Monte Carlo.
 
     The estimate is of the raw set function; dividing f([0, N]^d) by N^d
     gives the usual Pickands-constant approximant.
     """
     grid = _region_grid(model, region, mesh)
-    return pickands_coupled(model, [grid], reps, seed, max_grid=max_grid)[0]
+    return pickands_coupled(model, [grid], reps, seed)[0]
 
 
 def extremal_index_estimate(model: VariogramModel, n: int, reps: int,
-                            seed: int, *, max_grid: int = MAX_GRID
-                            ) -> EstimateWithError:
+                            seed: int) -> EstimateWithError:
     """theta(n) = n^{-1} E max_{i=1..n} e^{Z(i)} over integer sites."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > max_grid:
-        raise ResourceLimitError(f"n={n} exceeds the budget of {max_grid}")
+    if n > MAX_GRID:
+        raise ResourceLimitError(f"n={n} exceeds the budget of {MAX_GRID}")
     reps = int(reps)
     if reps < 1:
         raise ValueError("reps must be >= 1")

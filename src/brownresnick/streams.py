@@ -7,12 +7,11 @@ and on how many values have been drawn from it.  The simulator keys one
 stream per sample as ``(seed, replication)`` and draws everything for
 that sample from it as rows of uniforms: m + 2 per cluster (its Poisson
 point, its anchor, then m normals) and m + 1 per ``simulate_naive`` point
-(no anchor), m being the number of factorized sites.  The rows are drawn
-as row blocks of a fixed size private to the simulator, one ``uniforms``
-call per block; since a block of rows holds the same values as that many
-one-row calls, cluster k reads the same uniforms whatever the block size.
-The Monte Carlo
-oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and take normals
+(no anchor), m being the number of factorized sites.  One row reader,
+``simulator._rows``, reads them as row blocks of a fixed size private to
+the simulator, one ``uniforms`` call per block; since a block of rows holds
+the same values as that many one-row calls, cluster k reads the same
+uniforms whatever the block size.  The Monte Carlo oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and take normals
 from them in chunks of about 2 MiB, one (sites, columns) array per chunk
 filled row by row (see ``statseval.mc_mean``).  Every normal is
 ``to_normals`` of one uniform.

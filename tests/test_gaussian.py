@@ -143,6 +143,14 @@ def test_drifted_draw_subtracts_drift_exactly():
     plain = fg.from_normals(z)
     drifted = fg.from_normals(z, 1)
     np.testing.assert_array_equal(drifted, plain - fg.drift_table[:, 1])
+    # A block of draws, one anchor per column: per-column subtraction, bit
+    # for bit.
+    zs = RandomStream(77, 4).normals((fg.m, 3))
+    plain = fg.from_normals(zs)
+    drifted = fg.from_normals(zs, np.array([2, 0, 2]))
+    for k, anchor in enumerate([2, 0, 2]):
+        expected = plain[:, k] - fg.drift_table[:, anchor]
+        assert drifted[:, k].tobytes() == expected.tobytes()
 
 
 def test_drifted_mean_is_minus_gamma():
@@ -160,6 +168,10 @@ def test_anchor_index_validated():
         fg.from_normals(z, 2)
     with pytest.raises(IndexError):
         fg.from_normals(z, -1)
+    zs = RandomStream(1).normals((fg.m, 2))
+    for anchors in ([0, 2], [-1, 1]):
+        with pytest.raises(IndexError):
+            fg.from_normals(zs, np.array(anchors))
 
 
 def test_alpha2_requires_jitter_but_samples_correctly():

@@ -96,16 +96,13 @@ def test_measure_rejects_bad_weights():
 
 def test_single_site_anchor_is_always_first():
     m = SamplingMeasure.uniform(1)
-    for u in RandomStream(12).uniforms(100):
-        assert m.anchor(u) == 0
+    assert np.all(m.anchors(RandomStream(12).uniforms(100)) == 0)
 
 
 def test_uniform_anchor_frequencies():
     m = SamplingMeasure.uniform(4)
     n = 100_000
-    counts = np.zeros(4)
-    for u in RandomStream(13).uniforms(n):
-        counts[m.anchor(u)] += 1
+    counts = np.bincount(m.anchors(RandomStream(13).uniforms(n)), minlength=4)
     np.testing.assert_allclose(counts / n, 0.25, atol=0.01)
 
 
@@ -113,8 +110,17 @@ def test_weighted_anchor_frequencies():
     probs = np.array([0.5, 0.3, 0.2])
     m = SamplingMeasure(probs)
     n = 50_000
-    counts = np.zeros(3)
-    for u in RandomStream(14).uniforms(n):
-        counts[m.anchor(u)] += 1
+    counts = np.bincount(m.anchors(RandomStream(14).uniforms(n)), minlength=3)
     sigma = np.sqrt(probs * (1 - probs) / n)
     assert np.all(np.abs(counts / n - probs) <= 4.0 * sigma)
+
+
+def test_anchors_cut_at_cumulative_weights():
+    # A uniform equal to a cumulative weight goes to the next site, and the
+    # last cumulative weight, which rounds below 1 here, clamps onto the
+    # last site.
+    m = SamplingMeasure.uniform(10)
+    cum = np.cumsum(m.weights)
+    assert cum[-1] == 0.9999999999999999
+    u = [0.0, cum[3], np.nextafter(1.0, 0.0)]
+    np.testing.assert_array_equal(m.anchors(u), [0, 4, 9])

@@ -13,7 +13,6 @@ from brownresnick import (
     VariogramModel,
     box_grid,
     build_sampler,
-    cluster_values,
     covariance_matrix,
     gumbel_cdf,
     ks_critical,
@@ -25,6 +24,7 @@ from brownresnick import (
     transform_marginals,
 )
 from brownresnick import simulator
+from brownresnick.streams import to_normals
 from brownresnick.variogram import pairwise_gamma
 
 M1 = VariogramModel(alpha=1.0)
@@ -43,7 +43,9 @@ def single_site_values():
 
 def _cluster(fg, mu, v, stream):
     """A cluster from the stream's next m + 1 uniforms: anchor, then normals."""
-    return cluster_values(fg, mu, v, stream.uniforms(fg.m + 1))
+    u = stream.uniforms(fg.m + 1)
+    x = fg.from_normals(to_normals(u[1:]), mu.anchors(u[0]))
+    return simulator._cluster_step(x, mu.log_weights, v)
 
 
 def test_single_site_cluster_collapses_to_v_exactly():
@@ -224,6 +226,27 @@ def test_input_validation():
         list(replications([0.0], M1, reps=0))
     with pytest.raises(ValueError):
         simulate_naive([0.0], M1, truncation=0)
+
+
+def test_prebuilt_sampler_must_fit():
+    def runs(sites, model, sampler):
+        yield lambda: simulate(sites, model, sampler=sampler)
+        yield lambda: list(replications(sites, model, 2, sampler=sampler))
+        yield lambda: simulate_naive(sites, model, truncation=3, sampler=sampler)
+
+    two_sites = build_sampler([0.0, 1.0], M1)
+    cases = [([0.0, 1.0], M1, build_sampler([0.0, 5.0], M1), "different sites"),
+             ([0.0, 1.0], VariogramModel(alpha=0.5), two_sites, "alpha=1.0"),
+             ([0.0, 1.0, 2.0], M1, two_sites, "2 in dimension 1, against 3")]
+    for sites, model, sampler, message in cases:
+        for run in runs(sites, model, sampler):
+            with pytest.raises(ValueError, match=message):
+                run()
+    # The sampler's own SiteSet, or equal points, are accepted.
+    fg = build_sampler(SiteSet(FIVE_SITES), M1)
+    a = simulate(fg.sites, M1, seed=4, sampler=fg)
+    b = simulate(list(FIVE_SITES), M1, seed=4, sampler=fg)
+    np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_seed_wraps_to_64_bits():
