@@ -33,6 +33,7 @@ from .gaussian import FactorizationError, SiteSet, box_grid, build_sampler, load
 from .pointprocess import SamplingMeasure
 from .simulator import ClusterLimitError, replications, transform_marginals
 from .statseval import (
+    ResourceLimitError,
     cluster_count_stats,
     extremal_index_estimate,
     ks_critical,
@@ -227,23 +228,16 @@ def cmd_simulate(args, parser) -> int:
     measure = _load_measure(args, sites.n)
 
     t0 = time.perf_counter()
-    try:
-        sampler = build_sampler(sites, model)
-    except FactorizationError as exc:
-        raise SystemExit(str(exc))
+    sampler = build_sampler(sites, model)
     t1 = time.perf_counter()
     rows = np.empty((args.reps, sites.n))
     counts = []
     gaps = []
-    try:
-        for r, fs in enumerate(replications(sites, model, args.reps,
-                                            measure=measure, seed=args.seed,
-                                            sampler=sampler)):
-            rows[r] = transform_marginals(fs, args.marginals).values
-            counts.append(fs.num_clusters)
-            gaps.append(fs.bound_gap)
-    except ClusterLimitError as exc:
-        raise SystemExit(str(exc))
+    for r, fs in enumerate(replications(sites, model, args.reps, measure=measure,
+                                        seed=args.seed, sampler=sampler)):
+        rows[r] = transform_marginals(fs, args.marginals).values
+        counts.append(fs.num_clusters)
+        gaps.append(fs.bound_gap)
     t2 = time.perf_counter()
 
     _emit_csv(rows, args.out)
@@ -267,7 +261,10 @@ def cmd_oracle(args, parser) -> int:
     if args.reps < 1:
         parser.error("reps must be a positive integer")
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
-    y = [float(v) for v in args.y.split(",")]
+    try:
+        y = [float(v) for v in args.y.split(",")]
+    except ValueError:
+        parser.error(f"--y must be a comma list of numbers, got {args.y!r}")
     if len(y) == 1:
         y = y * sites.n
     if len(y) != sites.n:
@@ -525,7 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except (ValueError, FactorizationError, ResourceLimitError, ClusterLimitError) as exc:
+        # Input the library rejects ends in its one-line message, not a traceback.
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -92,9 +92,8 @@ def fdd_cdf_oracle(sites, model: VariogramModel, y, reps: int, seed: int,
 
     shifted = sites.shifted(-sites.points[anchor_index])
     fg = build_sampler(shifted, model)
-    mean_z = -np.atleast_1d(gamma(model, shifted.points))
     stream = RandomStream(mask64(seed), 0)
-    (m,), (se_m,) = mc_mean(fg, mean_z - y, stream, reps, _exp_rowmax)
+    (m,), (se_m,) = mc_mean(fg, -fg.gamma - y, stream, reps, _exp_rowmax)
     value = float(np.exp(-m))
     return EstimateWithError(value, value * float(se_m), reps)
 
@@ -124,17 +123,14 @@ def change_of_measure_check(model: VariogramModel, grid, t, reps: int,
         raise ValueError("reps must be >= 1")
     seed = mask64(seed)
 
-    g_sites = np.atleast_1d(gamma(model, grid.points))
     c_t = np.atleast_1d(cov_w(model, grid.points, np.broadcast_to(tpt, grid.points.shape)))
     fg_left = build_sampler(grid, model)
     (m_left,), (se_left,) = mc_mean(
-        fg_left, c_t - g_sites, RandomStream(seed, 0), reps, _peak_share)
+        fg_left, c_t - fg_left.gamma, RandomStream(seed, 0), reps, _peak_share)
 
-    shifted = grid.shifted(-tpt)
-    fg_right = build_sampler(shifted, model)
-    mean_z = -np.atleast_1d(gamma(model, shifted.points))
+    fg_right = build_sampler(grid.shifted(-tpt), model)
     (m_right,), (se_right,) = mc_mean(
-        fg_right, mean_z, RandomStream(seed, 1), reps, _peak_share)
+        fg_right, -fg_right.gamma, RandomStream(seed, 1), reps, _peak_share)
 
     denom = float(np.hypot(se_left, se_right))
     if denom == 0.0:

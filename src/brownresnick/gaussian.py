@@ -8,19 +8,24 @@ sites at the origin are pinned to zero rather than factorized, because
 ``Cov(W(0), W(t)) = 0`` makes their covariance row identically zero.  The
 m remaining distinct sites are factorized, and the stored factor has one
 row per raw site: the Cholesky row of its representative, or zeros at the
-origin.  The simulator's one row reader, ``simulator._rows``, makes one
-``from_normals`` call per block of clusters, which also subtracts each
-cluster's drift row ``gamma(. - t_anchor)``.
+origin.  A draw reads one row of m uniforms (``streams``) and maps it
+through ``to_normals`` and one product with the factor.  The simulator's
+one row reader, ``simulator._rows``, makes one ``from_normals`` call per
+block of clusters, which also applies each cluster's tilt by its anchor
+site T: the Cameron-Martin shift of the normals by row T of the factor.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
-from .streams import RandomStream
-from .variogram import VariogramModel, as_points, covariance_matrix, pairwise_gamma
+from .variogram import VariogramModel, as_points, covariance_matrix, gamma
+
+# Largest diagonal jitter tried, as a fraction of the mean covariance diagonal.
+_MAX_JITTER_FACTOR = 1e-6
 
 
 class FactorizationError(RuntimeError):
@@ -99,8 +104,10 @@ def box_grid(low, high, mesh) -> np.ndarray:
     if np.any(mesh <= 0.0):
         raise ValueError("mesh must be positive")
     axes = []
-    for lo, hi, m in zip(low, high, mesh):
+    for lo, hi, m in zip(low.tolist(), high.tolist(), mesh.tolist()):
         span = hi - lo
+        if not math.isfinite(span / m):  # a non-finite bound, or an overflow
+            raise ValueError(f"mesh {m} over the span [{lo}, {hi}] gives no finite grid")
         k = int(round(span / m))
         if abs(k * m - span) > 1e-9 * max(1.0, abs(span)):
             raise ValueError(f"mesh {m} does not divide the span [{lo}, {hi}]")
@@ -132,19 +139,19 @@ class FactorizedGaussian:
     the raw sites, m the number of distinct sites off the origin.  Row j is
     the lower-triangular Cholesky row of site j's representative, so
     duplicates share a row and sites at the origin get a zero row; with
-    duplicates F is larger than the m x m Cholesky factor.  ``drift_table``
-    holds ``gamma(t_j - t_k)`` over raw site pairs and is symmetric bit for
-    bit.  Immutable after construction and safe to share across threads;
-    every draw is one product of the factor with normals the caller draws.
+    duplicates F is larger than the m x m Cholesky factor.  ``gamma`` holds
+    ``gamma(t_j)`` at the raw sites.  Immutable after construction and safe
+    to share across threads; every draw is one product of the factor with
+    normals the caller draws.
     """
 
     def __init__(self, sites: SiteSet, model: VariogramModel, factor,
-                 jitter_used: float, drift_table):
+                 jitter_used: float, gamma):
         self.sites = sites
         self.model = model
         self.jitter_used = float(jitter_used)
-        self.factor = factor              # (n, m), one row per raw site
-        self.drift_table = drift_table    # (n, n) gamma(t_j - t_k), raw sites
+        self.factor = factor    # (n, m), one row per raw site
+        self.gamma = gamma      # (n,) gamma(t_j), raw sites
 
     @property
     def n(self) -> int:
@@ -155,29 +162,28 @@ class FactorizedGaussian:
         """Standard normals per draw: the distinct sites off the origin."""
         return self.factor.shape[1]
 
-    def correlated_normals(self, stream: RandomStream, size: int) -> np.ndarray:
-        """(n, size) zero-mean draws with the covariance of W at the raw sites.
-
-        Takes the stream's next ``m * size`` normals as one (m, size) array,
-        filled row by row, and returns ``factor @ normals``.
-        """
-        return self.from_normals(stream.normals((self.m, size)))
-
     def from_normals(self, z: np.ndarray, anchors=None) -> np.ndarray:
         """Draws of ``(W(t_1), ..., W(t_n))`` from standard normals ``z``, or
-        with anchor sites, of ``X_j = W(t_j) - gamma(t_j - t_anchor)``.
+        with anchor sites T, of W tilted by ``e^{W(T) - gamma(T)}``, less
+        ``gamma``.
 
         ``z`` holds m normals, or is an (m, k) array with one draw's normals
         per column, and the result is the (n,) or (n, k) array from one
         matrix product.  ``anchors`` is one site index, or k of them, one per
-        column; the simulator's row reader passes a whole block's."""
-        x = self.factor @ z
-        if anchors is not None:
-            anchors = np.asarray(anchors)
-            if anchors.min() < 0 or anchors.max() >= self.n:
-                raise IndexError(f"anchor index {anchors} out of range [0, {self.n})")
-            # Rows of the symmetric table are its columns, bit for bit.
-            x -= self.drift_table[anchors].T
+        column; the simulator's row reader passes a whole block's.  For a
+        Gaussian the tilt is the Cameron-Martin shift of the mean by
+        ``Cov(., T)``, here that of the jittered covariance the factor
+        draws, so the result is ``factor @ (z + factor[T]) - gamma``.  It
+        equals ``W - gamma(. - T)`` plus the constant ``gamma(T)`` plus
+        ``jitter_used`` at T's own sites.
+        """
+        if anchors is None:
+            return self.factor @ z
+        anchors = np.asarray(anchors)
+        if anchors.min() < 0 or anchors.max() >= self.n:
+            raise IndexError(f"anchor index {anchors} out of range [0, {self.n})")
+        x = self.factor @ (z + self.factor[anchors].T)
+        np.subtract(x.T, self.gamma, out=x.T)
         return x
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -185,16 +191,15 @@ class FactorizedGaussian:
                 f"jitter={self.jitter_used:g})")
 
 
-def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e-6
-                  ) -> FactorizedGaussian:
+def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
     """Assemble and factorize the covariance of W over ``sites``.
 
     Factorization starts jitter-free and escalates a diagonal jitter by
-    factors of 10 from ``1e-12 * mean_diag`` up to
-    ``min(max_jitter_factor, 1) * mean_diag``.  Jitter is needed whenever
-    the covariance is rank-deficient beyond the origin/duplicate structure,
-    e.g. for ``alpha == 2`` where the field is a rank-``dim`` paraboloid.
-    A covariance that overflows to inf or NaN raises at once.
+    factors of 10 from ``1e-12 * mean_diag`` up to ``1e-6 * mean_diag``.
+    Jitter is needed whenever the covariance is rank-deficient beyond the
+    origin/duplicate structure, e.g. for ``alpha == 2`` where the field is
+    a rank-``dim`` paraboloid.  A covariance that overflows to inf or NaN
+    raises at once.
     """
     sites = SiteSet.from_points(sites)
     as_points(model, sites.points)  # dimension check
@@ -207,8 +212,8 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
     raw_of_rep[sites.rep_index] = np.arange(sites.n)
     active = raw_of_rep[~is_origin]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        drift = pairwise_gamma(model, sites.points)
-        cov = covariance_matrix(model, sites.points[active], drift[np.ix_(active, active)])
+        g = np.atleast_1d(gamma(model, sites.points))
+        cov = covariance_matrix(model, sites.points[active])
 
     def failure(reason):
         diam = float(np.max(np.hypot.reduce(
@@ -217,9 +222,8 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
             f"{reason} for alpha={model.alpha}, scale={model.scale:g} "
             f"over sites of diameter {diam:.6g}")
 
-    # Each drift entry enters an entry of cov, or is gamma(t_j) at a site
-    # pair with the origin and so half of cov's diagonal entry at t_j: a
-    # finite cov means a finite drift table.
+    # gamma(t_j) is half of cov's diagonal entry at t_j off the origin and 0
+    # at it: a finite cov means a finite gamma.
     if not np.all(np.isfinite(cov)):
         raise failure("covariance overflowed to a non-finite value")
     sub_factor = np.zeros((1, 0))  # every site at the origin: rows of width 0
@@ -227,7 +231,7 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
     if len(active):
         mean_diag = float(np.mean(np.diag(cov)))
         jitters = [0.0] + [mean_diag * 10.0 ** k for k in range(-12, 1)
-                           if 10.0 ** k <= max_jitter_factor * (1 + 1e-9)]
+                           if 10.0 ** k <= _MAX_JITTER_FACTOR * (1 + 1e-9)]
         for j in jitters:
             try:
                 sub_factor = np.linalg.cholesky(
@@ -238,7 +242,7 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
                 continue
         else:  # no jitter level gave a factor
             raise failure(f"covariance factorization failed even with jitter "
-                          f"{max_jitter_factor:g} * mean_diag")
+                          f"{_MAX_JITTER_FACTOR:g} * mean_diag")
 
     # Raw site j takes the Cholesky row of its representative, and sites at
     # the origin a zeroed row, in one (n, m) allocation.
@@ -246,4 +250,4 @@ def build_sampler(sites, model: VariogramModel, *, max_jitter_factor: float = 1e
     factor = sub_factor[np.maximum(row, 0)]
     factor[is_origin[sites.rep_index]] = 0.0
 
-    return FactorizedGaussian(sites, model, factor, jitter_used, drift)
+    return FactorizedGaussian(sites, model, factor, jitter_used, g)

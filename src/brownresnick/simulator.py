@@ -14,10 +14,10 @@ sites): its Poisson point, its anchor, then its m normals.  One row reader,
 ``_rows``, reads every sample's stream, for the exact loop and for
 ``simulate_naive`` alike.  It draws the rows in blocks of a fixed private
 size B: one generator call, one anchor lookup, one inverse CDF and one
-product with the factor, drift included, per block; the uniforms past the
-stopping cluster's row go unused.  B changes which clusters share a product
-and so the output bytes only by the rounding of that product, never which
-uniforms a cluster reads.  Distinct keys give independent streams, so no
+product with the factor, anchor tilt included, per block; the uniforms past
+the stopping cluster's row go unused.  B changes which clusters share a
+product and so the output bytes only by the rounding of that product, never
+which uniforms a cluster reads.  Distinct keys give independent streams, so no
 two samples share a draw, and each replays bit for bit from its key.
 
 A deliberately naive truncated variant is included to demonstrate the bias
@@ -36,7 +36,6 @@ import numpy as np
 from .gaussian import FactorizedGaussian, SiteSet, build_sampler
 from .pointprocess import SamplingMeasure, poisson_point
 from .streams import RandomStream, mask64, to_normals
-from .variogram import gamma
 
 DEFAULT_MAX_CLUSTERS = 10_000_000
 DEFAULT_V_TRACE_CAP = 100_000
@@ -77,9 +76,11 @@ class FieldSample:
 
 
 def _cluster_step(x: np.ndarray, log_w: np.ndarray, v: float) -> np.ndarray:
-    """Turn the drifted draw ``x`` in place into the cluster
+    """Turn the tilted draw ``x`` in place into the cluster
 
-        C(t_j) = v + X_j - logsumexp_l(log w_l + X_l).
+        C(t_j) = v + X_j - logsumexp_l(log w_l + X_l),
+
+    which a constant added to every X_j leaves unchanged.
 
     Every coordinate obeys the dominance bound ``C(t_j) <= v - log w_j``
     exactly, because the log-sum-exp is computed max-shifted and therefore
@@ -124,11 +125,12 @@ def _rows(stream, sampler, measure=None):
 
     The one reader of a sample's stream.  A row is the Poisson point's
     uniform, then with a ``measure`` the anchor's, then m normals' uniforms;
-    the column is the row's draw of X = W - gamma(. - t_anchor) at the raw
-    sites, or of W without a measure.  Rows are drawn ``_BLOCK`` at a time:
-    one ``uniforms`` call, one ``anchors`` lookup, one inverse CDF and one
-    ``from_normals`` product per block.  The columns are views into the
-    block's draw, free for the caller to overwrite.
+    the column is the row's draw at the raw sites of W tilted by its anchor
+    T, less gamma (``from_normals(z, T)``), or of W without a measure.  Rows
+    are drawn ``_BLOCK`` at a time: one ``uniforms`` call, one ``anchors``
+    lookup, one inverse CDF and one ``from_normals`` product per block.  The
+    columns are views into the block's draw, free for the caller to
+    overwrite.
     """
     lead = 1 if measure is None else 2
     while True:
@@ -264,14 +266,12 @@ def simulate_naive(
     _, sampler = _prepare(sites, model, None, sampler)
     t0 = time.perf_counter()
     seed = mask64(seed)
-    g = np.atleast_1d(gamma(model, sampler.sites.points))
-
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
     gamma_sum = 0.0
     for u_v, w in islice(_rows(RandomStream(seed, 0), sampler), truncation):
         gamma_sum, v = poisson_point(gamma_sum, u_v)
-        np.maximum(sup, v + w - g, out=sup)
+        np.maximum(sup, v + w - sampler.gamma, out=sup)
         if len(v_trace) < DEFAULT_V_TRACE_CAP:
             v_trace.append(v)
 

@@ -4,9 +4,12 @@ Kolmogorov-Smirnov distances and Q-Q pairs check the simulated marginals;
 the Pickands set function f(A) = E exp(sup_{t in A} Z(t)) and the discrete
 extremal index theta(n) = n^{-1} E max_{i<=n} e^{Z(i)} reproduce the
 classical constants attached to the field Z.  Estimators are plain Monte
-Carlo means over a fixed grid; a coupled mode shares the Gaussian draws
-across several grids so that set inclusions become exact inequalities
-between the estimates rather than statistical ones.
+Carlo means over a fixed grid, taken by ``mc_mean``: each draw is one row
+of uniforms, ``to_normals`` and one product with the factor, the same
+contract as the simulator's, so draw i reads row i of its stream whatever
+the chunk size.  A coupled mode shares the Gaussian draws across several
+grids so that set inclusions become exact inequalities between the
+estimates rather than statistical ones.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import FactorizedGaussian, SiteSet, box_grid, build_sampler
-from .streams import RandomStream, mask64
-from .variogram import VariogramModel, as_points, gamma
+from .streams import RandomStream, mask64, to_normals
+from .variogram import VariogramModel, as_points
 
 # Monte Carlo chunks hold at most this many doubles (2 MiB) per (n, k) array,
 # so a chunk's arrays stay near cache size whatever the draw count.
@@ -90,13 +93,13 @@ def mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
     one (n, k) chunk at a time, through ``reduce_fn`` to a (g, k) array
     holding g statistics per draw.  Chunks are ``k = max(1,
     _CHUNK_DOUBLES // n)`` columns wide, the last one narrower, so each
-    chunk array holds about 2 MiB whatever n and ``reps``.  Draw order:
-    chunk after chunk, each takes the stream's next m * k normals as an
-    (m, k) array filled row by row, m the number of factorized sites, so
-    which normals a draw gets depends on k and hence on n.  Returns the g
-    means and their standard errors sqrt(s^2 / reps), with the unbiased
-    sample variance s^2 (0 when ``reps`` is 1).  The statistics are
-    written into ``samples`` of shape (g, reps) when it is given.
+    chunk array holds about 2 MiB whatever n and ``reps``.  Draw i reads
+    row i of the stream's uniforms, m wide (m the number of factorized
+    sites), whatever k is: a chunk takes the next k rows in one ``uniforms``
+    call.  Returns the g means and their standard errors sqrt(s^2 / reps),
+    with the unbiased sample variance s^2 (0 when ``reps`` is 1).  The
+    statistics are written into ``samples`` of shape (g, reps) when it is
+    given.
     """
     shift = np.asarray(shift, dtype=np.float64).reshape(-1, 1)
     chunk = max(1, _CHUNK_DOUBLES // fg.n)
@@ -105,7 +108,7 @@ def mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
     done = 0
     while done < reps:
         k = min(chunk, reps - done)
-        z = fg.correlated_normals(stream, k)
+        z = fg.from_normals(to_normals(stream.uniforms((k, fg.m))).T)
         z += shift
         s = reduce_fn(z)
         total = total + s.sum(axis=1)
@@ -171,14 +174,13 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
         pos += g.shape[0]
 
     fg = build_sampler(SiteSet(union), model)
-    mean_z = -np.atleast_1d(gamma(model, union))
     stream = RandomStream(mask64(seed), 0)
 
     def grid_maxima(z):
         return np.stack([np.exp(z[rows].max(axis=0)) for rows in row_sets])
 
     samples = np.empty((len(grids), reps)) if return_samples else None
-    means, ses = mc_mean(fg, mean_z, stream, reps, grid_maxima, samples)
+    means, ses = mc_mean(fg, -fg.gamma, stream, reps, grid_maxima, samples)
     estimates = [EstimateWithError(float(m), float(se), reps)
                  for m, se in zip(means, ses)]
     if return_samples:
@@ -211,9 +213,8 @@ def extremal_index_estimate(model: VariogramModel, n: int, reps: int,
     points = np.zeros((n, model.dim))
     points[:, 0] = np.arange(1, n + 1)
     fg = build_sampler(SiteSet(points), model)
-    mean_z = -np.atleast_1d(gamma(model, points))
     stream = RandomStream(mask64(seed), 0)
-    (mean,), (se,) = mc_mean(fg, mean_z, stream, reps,
+    (mean,), (se,) = mc_mean(fg, -fg.gamma, stream, reps,
                              lambda z: np.exp(z.max(axis=0, keepdims=True)) / n)
     return EstimateWithError(float(mean), float(se), reps)
 

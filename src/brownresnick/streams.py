@@ -3,18 +3,20 @@
 Every stream is keyed by a ``(seed, stream_id)`` pair and backed by the
 Philox counter-based generator, so streams with distinct keys are
 statistically independent and a stream's output depends only on its key
-and on how many values have been drawn from it.  The simulator keys one
-stream per sample as ``(seed, replication)`` and draws everything for
-that sample from it as rows of uniforms: m + 2 per cluster (its Poisson
+and on how many values have been drawn from it.  Every consumer reads its
+stream as rows of uniforms, one row per draw.  A Gaussian draw maps the
+row's last m uniforms through ``to_normals`` and one product with the
+factor (``gaussian.FactorizedGaussian.from_normals``), m being the number
+of factorized sites.  The simulator keys one stream per sample as
+``(seed, replication)``; a row is m + 2 uniforms per cluster (its Poisson
 point, its anchor, then m normals) and m + 1 per ``simulate_naive`` point
-(no anchor), m being the number of factorized sites.  One row reader,
-``simulator._rows``, reads them as row blocks of a fixed size private to
-the simulator, one ``uniforms`` call per block; since a block of rows holds
-the same values as that many one-row calls, cluster k reads the same
-uniforms whatever the block size.  The Monte Carlo oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and take normals
-from them in chunks of about 2 MiB, one (sites, columns) array per chunk
-filled row by row (see ``statseval.mc_mean``).  Every normal is
-``to_normals`` of one uniform.
+(no anchor).  The Monte Carlo oracles key theirs as ``(seed, 0)`` and
+``(seed, 1)``; a row is m normals' uniforms, with no leading columns.
+Rows are drawn as blocks, one ``uniforms`` call per block: of a fixed size
+private to the simulator in ``simulator._rows``, of a memory-bounded chunk
+in ``statseval.mc_mean``.  A block of rows holds the same values as that
+many one-row calls, so draw k reads the same uniforms whatever the block
+size.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ def to_normals(u: np.ndarray) -> np.ndarray:
 class RandomStream:
     """Independent uniform stream keyed by ``(seed, stream_id)``.
 
-    Normals are produced by inverse-CDF transform of the uniform output
-    rather than by rejection methods, so the uniform-to-normal mapping is
-    deterministic and platform independent at full double accuracy.
+    Its consumers turn uniforms into normals by ``to_normals``, the inverse
+    CDF, rather than by rejection methods, so the uniform-to-normal mapping
+    is deterministic and platform independent at full double accuracy.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")
@@ -57,10 +59,6 @@ class RandomStream:
     def uniforms(self, size=None):
         """Uniform draws on [0, 1)."""
         return self._gen.random(size)
-
-    def normals(self, size):
-        """An array of standard normal draws, by ``to_normals``."""
-        return to_normals(self._gen.random(size))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

@@ -105,14 +105,10 @@ def pairwise_gamma(model: VariogramModel, points) -> np.ndarray:
     return out
 
 
-def covariance_matrix(model: VariogramModel, points, pairs=None) -> np.ndarray:
-    """Assemble the (n, n) covariance matrix of W over ``points``.
-
-    ``pairs`` is ``pairwise_gamma(model, points)`` when the caller already
-    holds it; it is computed here otherwise.
-    """
+def covariance_matrix(model: VariogramModel, points) -> np.ndarray:
+    """Assemble the (n, n) covariance matrix of W over ``points``."""
     pts = as_points(model, points)
     g = _gamma_points(model, pts)
     cov = g[:, None] + g[None, :]
-    cov -= pairwise_gamma(model, pts) if pairs is None else pairs
+    cov -= pairwise_gamma(model, pts)
     return cov

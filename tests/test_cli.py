@@ -200,11 +200,33 @@ def test_oracle_matches_library_call(tmp_path):
     assert d["std_error"] == est.std_error
 
 
-def test_oracle_rejects_mismatched_thresholds():
+def test_oracle_rejects_mismatched_thresholds(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["oracle", "--grid", "0:1:0.5", "--alpha", "1.0",
               "--y", "1.0,2.0", "--reps", "10"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--grid", "0:1:0.5", "--alpha", "1.0", "--y", "abc"])
+    assert exc.value.code == 2
+    assert "--y must be a comma list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", "--grid", "0:1:0.5", "--alpha", "1", "--y", "nan"], "finite"),
+    (["pickands", "--alpha", "1", "--N", "1", "--mesh", "0.3"], "does not divide"),
+    (["pickands", "--alpha", "1", "--N", "1", "--mesh", "0.0001"], "budget of 4096"),
+    (["theta", "--alpha", "1", "--n", "5000"], "budget of 4096"),
+    (["oracle", "--grid", "0:1e200:1e200", "--alpha", "2", "--y", "1"], "overflowed"),
+    (["clusters", "--grid", "0:1e200:1e200", "--alphas", "2"], "overflowed"),
+    (["pickands", "--alpha", "2", "--N", "1e200", "--mesh", "1e200"], "overflowed"),
+    (["pickands", "--alpha", "1", "--N", "inf", "--mesh", "1"], "finite grid"),
+], ids=["oracle-nan", "pickands-mesh", "pickands-budget", "theta-budget",
+        "oracle-overflow", "clusters-overflow", "pickands-overflow", "pickands-inf"])
+def test_rejected_input_exits_with_one_line_message(argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert isinstance(exc.value.code, str)
+    assert message in exc.value.code and "\n" not in exc.value.code
 
 
 def test_oracle_replays_byte_identically(tmp_path):

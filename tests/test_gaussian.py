@@ -13,27 +13,29 @@ from brownresnick import (
     load_sites_csv,
     simulate,
 )
+from brownresnick import gaussian
+from brownresnick.streams import to_normals
 
 
-class _IdentityNormals:
-    """Stub stream whose normal draws form an identity matrix.
-
-    ``correlated_normals(_IdentityNormals(), n)`` then returns the factor
-    itself, mapped to the raw sites, so ``F @ F.T`` is the covariance the
-    sampler reproduces.
-    """
-
-    def normals(self, shape):
-        return np.eye(*shape)
+def _normals(stream, k, m):
+    """k draws' normals as an (m, k) array, one row of m uniforms per draw."""
+    return to_normals(stream.uniforms((k, m))).T
 
 
 def _w(fg, stream):
-    """One draw of W at the raw sites from the stream's next m normals."""
-    return fg.from_normals(stream.normals(fg.m))
+    """One draw of W at the raw sites from the stream's next row of m uniforms."""
+    return fg.from_normals(to_normals(stream.uniforms(fg.m)))
+
+
+def _draws(fg, stream, k):
+    """(n, k) draws of W, one row of m uniforms per draw."""
+    return fg.from_normals(_normals(stream, k, fg.m))
 
 
 def _sampled_covariance(fg):
-    f = fg.correlated_normals(_IdentityNormals(), fg.n)
+    # The identity's columns as normals give the factor itself, mapped to the
+    # raw sites, so F @ F.T is the covariance the sampler reproduces.
+    f = fg.from_normals(np.eye(fg.m))
     return f @ f.T
 
 
@@ -62,13 +64,9 @@ def test_factor_reproduces_covariance():
             resid = _sampled_covariance(fg) - cov
             tol = fg.jitter_used + 1e-8 * np.max(np.diag(cov))
             assert np.max(np.abs(resid)) <= tol
-            # Drift gamma(t_j - t_k) over raw sites: exactly 0 on the
-            # diagonal and between the duplicates.
-            diffs = (pts[:, None, :] - pts[None, :, :]).reshape(-1, dim)
-            np.testing.assert_allclose(
-                fg.drift_table, gamma(model, diffs).reshape(8, 8), rtol=1e-13, atol=0.0)
-            # The cluster loop reads drift rows where the law needs columns.
-            assert np.array_equal(fg.drift_table, fg.drift_table.T)
+            # gamma(t_j) at the raw sites, half the covariance diagonal.
+            np.testing.assert_array_equal(fg.gamma, gamma(model, pts))
+            np.testing.assert_array_equal(fg.gamma, np.diag(cov) / 2.0)
 
 
 def test_origin_site_is_pinned_to_zero():
@@ -83,8 +81,7 @@ def test_origin_site_is_pinned_to_zero():
     model = VariogramModel(alpha=1.3)
     fg = build_sampler([0.0, 0.0], model)
     assert fg.factor.shape == (2, 0)
-    np.testing.assert_array_equal(fg.correlated_normals(RandomStream(3), 4),
-                                  np.zeros((2, 4)))
+    np.testing.assert_array_equal(_draws(fg, RandomStream(3), 4), np.zeros((2, 4)))
     np.testing.assert_array_equal(_w(fg, RandomStream(3)), [0.0, 0.0])
     np.testing.assert_array_equal(fg.from_normals(np.zeros(0), 1), [0.0, 0.0])
     assert simulate([0.0, 0.0], model, seed=3).num_clusters >= 2
@@ -125,7 +122,7 @@ def test_identical_key_streams_replay_exactly():
 def test_sample_moments_match_kernel():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.5, 1.0], model)
-    w = fg.correlated_normals(RandomStream(2024), 100_000)
+    w = _draws(fg, RandomStream(2024), 100_000)
     # Target covariance [[0.5, 0.5], [0.5, 1.0]]; tolerances are ~4 standard
     # errors of the empirical moments at this sample size.
     assert np.mean(w[0]) == pytest.approx(0.0, abs=0.02)
@@ -135,40 +132,61 @@ def test_sample_moments_match_kernel():
         emp, [[0.5, 0.5], [0.5, 1.0]], atol=0.02)
 
 
-def test_drifted_draw_subtracts_drift_exactly():
+def test_anchor_tilt_is_the_mean_shift_of_the_drawn_gaussian():
+    # from_normals(z, T) - from_normals(z) is the Cameron-Martin shift
+    # Cov(., T) - gamma of the jittered covariance the factor draws:
+    # gamma(T) - gamma(. - T), plus jitter_used at T's own sites.
+    cases = [
+        (VariogramModel(alpha=1.4, scale=0.8), [0.0, 0.4, 1.1]),
+        (VariogramModel(alpha=2.0), [0.5, 0.0, 1.0, 0.5, -0.7, 1.3]),
+        (VariogramModel(alpha=0.6, dim=2), box_grid([-1, -1], [1, 1], 0.5)),
+    ]
+    jitters = []
+    for model, sites in cases:
+        fg = build_sampler(sites, model)
+        jitters.append(fg.jitter_used)
+        pts = fg.sites.points
+        z = _normals(RandomStream(77, 3), 1, fg.m)[:, 0]
+        plain = fg.from_normals(z)
+        for t in range(fg.n):
+            shift = gamma(model, pts[t]) - np.atleast_1d(gamma(model, pts - pts[t]))
+            same = fg.sites.rep_index == fg.sites.rep_index[t]
+            if np.any(pts[t] != 0.0):
+                shift[same] += fg.jitter_used
+            tol = 1e-12 * np.maximum(1.0, np.abs(shift))
+            assert np.all(np.abs(fg.from_normals(z, t) - plain - shift) <= tol)
+    # Both regimes: a jitter-free factor and a jittered one (alpha 2).
+    assert min(jitters) == 0.0 < max(jitters)
+
+
+def test_block_of_anchors_tilts_each_column():
     model = VariogramModel(alpha=1.4, scale=0.8)
     fg = build_sampler([0.0, 0.4, 1.1], model)
-    # The same normals, isolating the drift term.
-    z = RandomStream(77, 3).normals(fg.m)
-    plain = fg.from_normals(z)
-    drifted = fg.from_normals(z, 1)
-    np.testing.assert_array_equal(drifted, plain - fg.drift_table[:, 1])
-    # A block of draws, one anchor per column: per-column subtraction, bit
-    # for bit.
-    zs = RandomStream(77, 4).normals((fg.m, 3))
-    plain = fg.from_normals(zs)
-    drifted = fg.from_normals(zs, np.array([2, 0, 2]))
+    # A block of draws, one anchor per column, equals one draw per column
+    # up to the rounding of one product against three.
+    zs = _normals(RandomStream(77, 4), 3, fg.m)
+    tilted = fg.from_normals(zs, np.array([2, 0, 2]))
     for k, anchor in enumerate([2, 0, 2]):
-        expected = plain[:, k] - fg.drift_table[:, anchor]
-        assert drifted[:, k].tobytes() == expected.tobytes()
+        expected = fg.from_normals(zs[:, k].copy(), anchor)
+        np.testing.assert_allclose(tilted[:, k], expected, rtol=0.0, atol=1e-12)
 
 
 def test_drifted_mean_is_minus_gamma():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.0, 1.0], model)
-    x = fg.correlated_normals(RandomStream(31), 100_000)
-    x -= fg.drift_table[:, [0]]
+    k = 100_000
+    x = fg.from_normals(_normals(RandomStream(31), k, fg.m), np.zeros(k, dtype=int))
     assert np.mean(x[1]) == pytest.approx(-0.5, abs=0.02)
 
 
 def test_anchor_index_validated():
     fg = build_sampler([0.0, 1.0], VariogramModel(alpha=1.0))
-    z = RandomStream(1).normals(fg.m)
+    z = _normals(RandomStream(1), 1, fg.m)[:, 0]
     with pytest.raises(IndexError):
         fg.from_normals(z, 2)
     with pytest.raises(IndexError):
         fg.from_normals(z, -1)
-    zs = RandomStream(1).normals((fg.m, 2))
+    zs = _normals(RandomStream(1), 2, fg.m)
     for anchors in ([0, 2], [-1, 1]):
         with pytest.raises(IndexError):
             fg.from_normals(zs, np.array(anchors))
@@ -182,23 +200,31 @@ def test_alpha2_requires_jitter_but_samples_correctly():
     assert fg.jitter_used > 0.0
     cov = covariance_matrix(model, np.linspace(0.0, 1.0, 6))
     assert fg.jitter_used <= 1e-6 * np.max(np.diag(cov)) * (1 + 1e-9)
-    w = fg.correlated_normals(RandomStream(8), 20_000)
+    w = _draws(fg, RandomStream(8), 20_000)
     assert np.var(w[-1]) == pytest.approx(1.0, abs=0.05)
     # Rank-one structure: W(t) = t * W(1) up to jitter noise.
     corr = np.corrcoef(w[2], w[-1])[0, 1]
     assert corr > 0.999
 
 
-def test_factorization_error_names_model_and_diameter():
+def test_factorization_error_names_model_and_diameter(monkeypatch):
+    monkeypatch.setattr(gaussian, "_MAX_JITTER_FACTOR", 0.0)
     with pytest.raises(FactorizationError, match="alpha=2"):
-        build_sampler([1.0, 2.0, 3.0], VariogramModel(alpha=2.0),
-                      max_jitter_factor=0.0)
+        build_sampler([1.0, 2.0, 3.0], VariogramModel(alpha=2.0))
     # Finite input whose covariance overflows fails at once, not in the
     # jitter ladder.
     with pytest.raises(FactorizationError, match="overflowed.*alpha=2.*diameter 1e\\+200"):
         build_sampler([0.0, 1e200], VariogramModel(alpha=2.0))
     with pytest.raises(FactorizationError, match="overflowed.*scale=1e\\+308.*diameter 10"):
         build_sampler([0.0, 10.0], VariogramModel(alpha=1.0, scale=1e308))
+
+
+def test_sampler_keeps_the_factor_and_one_vector():
+    # The factor and gamma at the sites: no (n, n) table over raw site pairs.
+    fg = build_sampler(np.arange(1, 1025) / 64.0, VariogramModel(alpha=1.0))
+    kept = sum(v.nbytes for v in vars(fg).values() if isinstance(v, np.ndarray))
+    assert (fg.n, fg.m) == (1024, 1024)
+    assert kept < 8 * fg.n * (fg.m + 2)
 
 
 def test_site_set_dedup_and_coercion():
@@ -259,6 +285,10 @@ def test_box_grid_rejects_bad_input():
         box_grid(1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         box_grid((0.0, 0.0), (1.0,), 0.5)
+    for low, high, mesh in ((0.0, np.inf, 1.0), (0.0, np.nan, 1.0), (0.0, 1.0, np.nan),
+                            (-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300)):
+        with pytest.raises(ValueError, match="finite grid"):
+            box_grid(low, high, mesh)
 
 
 def test_load_sites_csv(tmp_path):

@@ -25,7 +25,7 @@ from brownresnick import (
 )
 from brownresnick import simulator
 from brownresnick.streams import to_normals
-from brownresnick.variogram import pairwise_gamma
+from brownresnick.variogram import gamma
 
 M1 = VariogramModel(alpha=1.0)
 FIVE_SITES = [0.0, 0.2, 0.45, 0.7, 1.0]
@@ -331,16 +331,20 @@ def test_bound_gap_is_the_final_slack():
 
 
 def _reference_sample(sites, model, measure, seed, r):
-    """The exact sampler written out plainly: a Cholesky factor over the
-    non-origin representatives, a zero-filled scatter/gather draw and an
+    """The exact sampler written out plainly: a Cholesky factor of the
+    jittered covariance over the non-origin representatives, a zero-filled
+    scatter/gather draw, the anchor tilt read from that covariance and an
     out-of-place log-sum-exp, all on stream (seed, r).  Per cluster: one
     exponential, one anchor uniform, then m normals."""
     s = SiteSet(sites)
     active = np.flatnonzero(np.any(s.rep_points != 0.0, axis=1))
-    cov = covariance_matrix(model, s.rep_points)[np.ix_(active, active)]
-    jitter = build_sampler(s, model).jitter_used
-    chol = np.linalg.cholesky(cov + jitter * np.eye(len(active)))
-    drift = pairwise_gamma(model, s.rep_points)[np.ix_(s.rep_index, s.rep_index)]
+    cov_j = covariance_matrix(model, s.rep_points)
+    cov_j[active, active] += build_sampler(s, model).jitter_used
+    chol = np.linalg.cholesky(cov_j[np.ix_(active, active)])
+    # Tilting by e^{W(T) - gamma(T)} shifts the drawn Gaussian's mean by its
+    # covariance column at T, here less gamma at the sites.
+    tilt = (cov_j[np.ix_(s.rep_index, s.rep_index)]
+            - np.atleast_1d(gamma(model, s.points))[:, None])
     log_w = np.log(measure.weights)
     tiny = np.finfo(np.float64).tiny
     stream = RandomStream(seed, r)
@@ -356,8 +360,8 @@ def _reference_sample(sites, model, measure, seed, r):
         anchor = min(int(np.searchsorted(np.cumsum(measure.weights), u, side="right")),
                      s.n - 1)
         w_rep = np.zeros((s.num_representatives, 1))
-        w_rep[active] = chol @ stream.normals((len(active), 1))
-        x = w_rep[s.rep_index][:, 0] - drift[:, anchor]
+        w_rep[active] = chol @ to_normals(stream.uniforms((len(active), 1)))
+        x = w_rep[s.rep_index][:, 0] + tilt[:, anchor]
         a = log_w + x
         lse = a.max() + np.log(np.exp(a - a.max()).sum())
         np.maximum(sup, v + (x - lse), out=sup)

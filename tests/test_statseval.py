@@ -20,6 +20,7 @@ from brownresnick import (
     pickands_estimate,
     qq_data,
 )
+from brownresnick import statseval
 from brownresnick.statseval import _CHUNK_DOUBLES
 
 M1 = VariogramModel(alpha=1.0)
@@ -167,6 +168,17 @@ def test_pickands_accumulator_across_chunk_boundary():
     np.testing.assert_allclose([e.std_error for e in estimates],
                                samples.std(axis=1, ddof=1) / np.sqrt(reps),
                                rtol=1e-12)
+
+
+def test_chunk_width_changes_only_rounding(monkeypatch):
+    # Draw i reads row i of the stream whatever the chunk width, so chunks of
+    # 7 draws give the default run's samples up to the rounding of the
+    # products.
+    grids = [box_grid(0.0, 1.0, 0.25), box_grid(0.0, 2.0, 0.25), np.array([[0.5]])]
+    _, base = pickands_coupled(M1, grids, reps=50, seed=8, return_samples=True)
+    monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", 7 * 9)  # 9-site union
+    _, narrow = pickands_coupled(M1, grids, reps=50, seed=8, return_samples=True)
+    assert np.all(np.abs(narrow - base) <= 1e-12 * np.maximum(1.0, np.abs(base)))
 
 
 @pytest.mark.parametrize("oracle", [
