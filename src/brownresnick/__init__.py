@@ -26,7 +26,7 @@ from .gaussian import (
     build_sampler,
     load_sites_csv,
 )
-from .pointprocess import SamplingMeasure, poisson_point
+from .pointprocess import SamplingMeasure, poisson_points
 from .simulator import (
     ClusterLimitError,
     FieldSample,
@@ -87,7 +87,7 @@ __all__ = [
     "mask64",
     "pickands_coupled",
     "pickands_estimate",
-    "poisson_point",
+    "poisson_points",
     "qq_data",
     "replications",
     "simulate",

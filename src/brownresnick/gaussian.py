@@ -94,6 +94,14 @@ def box_grid(low, high, mesh) -> np.ndarray:
     axis; a zero-length axis contributes the single coordinate ``low``.
     Points are returned in row-major order, first axis slowest.
     """
+    axes = [np.linspace(lo, hi, k + 1) for lo, hi, k in _grid_axes(low, high, mesh)]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _grid_axes(low, high, mesh) -> list:
+    """``(low, high, intervals)`` of each axis of ``box_grid``'s box, checked
+    as ``box_grid`` documents; the grid has ``prod(intervals + 1)`` points."""
     low = np.atleast_1d(np.asarray(low, dtype=np.float64))
     high = np.atleast_1d(np.asarray(high, dtype=np.float64))
     mesh = np.broadcast_to(np.asarray(mesh, dtype=np.float64), low.shape).copy()
@@ -111,9 +119,8 @@ def box_grid(low, high, mesh) -> np.ndarray:
         k = int(round(span / m))
         if abs(k * m - span) > 1e-9 * max(1.0, abs(span)):
             raise ValueError(f"mesh {m} does not divide the span [{lo}, {hi}]")
-        axes.append(np.linspace(lo, hi, k + 1))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
+        axes.append((lo, hi, k))
+    return axes
 
 
 def load_sites_csv(path, header: bool = False) -> SiteSet:

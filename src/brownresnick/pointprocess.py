@@ -7,9 +7,10 @@ standard exponentials (a unit-rate Poisson process on the positive axis).
 Anchor sites are drawn independently from a discrete probability measure
 on the evaluation sites.  Both take one uniform each, so a cluster's row of
 m + 2 uniforms starts with its Poisson point's and then its anchor's.  The
-simulator's one row reader, ``simulator._rows``, draws these rows in blocks,
-maps a block's anchor column through ``SamplingMeasure.anchors`` at once and
-hands each cluster its Poisson uniform for ``poisson_point``.
+simulator's one row reader, ``simulator._rows``, draws these rows in blocks
+and turns a block's two leading columns into its points and anchors at
+once: ``poisson_points`` carries the Gamma sum from one block to the next,
+and ``SamplingMeasure.anchors`` looks the anchors up.
 """
 
 from __future__ import annotations
@@ -19,16 +20,20 @@ import numpy as np
 from .streams import _TINY
 
 
-def poisson_point(gamma_sum: float, u: float) -> tuple[float, float]:
-    """Next ``(Gamma_k, V_k)`` from ``Gamma_{k-1}`` and one uniform ``u``.
+def poisson_points(gamma_sum: float, u) -> tuple[float, np.ndarray]:
+    """The next points ``V_k, V_{k+1}, ...`` from ``Gamma_{k-1}``, one uniform each.
 
-    The increment is the Exp(1) draw ``-log(1 - u)``, raised to the
-    smallest positive double when ``u == 0``, so the points are strictly
-    decreasing.
+    Returns the last Gamma sum, to carry into the next call, and the points.
+    Each increment is the Exp(1) draw ``-log(1 - u)``, raised to the smallest
+    positive double when ``u == 0``, so the points are strictly decreasing.
+    ``np.cumsum`` adds in sequence, so a block of uniforms gives the same
+    sums, and points, as one call per uniform.
     """
-    e = -np.log1p(-u)
-    gamma_sum += e if e > 0.0 else _TINY
-    return gamma_sum, -np.log(gamma_sum)
+    e = -np.log1p(-np.asarray(u, dtype=np.float64))
+    gamma = np.where(e > 0.0, e, _TINY)
+    gamma[0] += gamma_sum
+    np.cumsum(gamma, out=gamma)
+    return float(gamma[-1]), -np.log(gamma)
 
 
 class SamplingMeasure:

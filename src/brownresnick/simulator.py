@@ -5,7 +5,13 @@ gamma.  Clusters are generated one Poisson point at a time, anchored at a
 random site T ~ mu, and the per-site running suprema are updated until the
 dominance bound C(t_j) <= v - log w_j guarantees that no future cluster can
 change any coordinate.  The algorithm is exact: its output has the law of
-the field restricted to the sites, with no truncation error.
+the field restricted to the sites, with no truncation error.  The point that
+meets the bound is counted (``num_clusters``, ``v_trace``, ``bound_gap``)
+but its cluster is neither formed nor merged: the bound covers it too, since
+in exact arithmetic its coordinates are at most ``v - log w_j <= sup_j``, so
+merging it could change nothing.  In floating point the two sides are
+rounded, so the tests check at fixed seeds that the merge would change no
+byte of the output.
 
 Random streams: sample r of ``replications(seed=s)`` draws everything from
 the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Cluster k
@@ -13,12 +19,15 @@ reads row k of the stream's uniforms, m + 2 wide (m the number of factorized
 sites): its Poisson point, its anchor, then its m normals.  One row reader,
 ``_rows``, reads every sample's stream, for the exact loop and for
 ``simulate_naive`` alike.  It draws the rows in blocks of a fixed private
-size B: one generator call, one anchor lookup, one inverse CDF and one
-product with the factor, anchor tilt included, per block; the uniforms past
-the stopping cluster's row go unused.  B changes which clusters share a
-product and so the output bytes only by the rounding of that product, never
-which uniforms a cluster reads.  Distinct keys give independent streams, so no
-two samples share a draw, and each replays bit for bit from its key.
+size B: one generator call, one pass for the block's Poisson points, one
+anchor lookup, one inverse CDF and one product with the factor, anchor tilt
+included, per block; the uniforms past the stopping cluster's row go unused.
+The Poisson points come out of a running sum taken in sequence, so they do
+not depend on B.  B changes which clusters share a product and so the output
+bytes only by the rounding of that product, never which uniforms a cluster
+reads.  Distinct keys give independent streams, so no two samples share a
+draw, and each replays bit for bit from its key.  A run builds one generator
+and re-keys it for each sample.
 
 A deliberately naive truncated variant is included to demonstrate the bias
 that the exact algorithm removes.
@@ -34,8 +43,8 @@ from itertools import islice
 import numpy as np
 
 from .gaussian import FactorizedGaussian, SiteSet, build_sampler
-from .pointprocess import SamplingMeasure, poisson_point
-from .streams import RandomStream, mask64, to_normals
+from .pointprocess import SamplingMeasure, poisson_points
+from .streams import RandomStream, to_normals
 
 DEFAULT_MAX_CLUSTERS = 10_000_000
 DEFAULT_V_TRACE_CAP = 100_000
@@ -58,12 +67,12 @@ class FieldSample:
     """A single exact draw of (eta(t_1), ..., eta(t_n)).
 
     ``num_clusters`` counts the Poisson points consumed, including the final
-    one that triggered termination; ``v_trace`` records them in decreasing
-    order (truncated at the retention cap in pathological runs, in which
-    case ``len(v_trace) < num_clusters``).  ``elapsed`` is the wall time of
-    the draw, factorization excluded.  ``bound_gap`` is the stopping
-    bound's slack ``min_j (sup_j + log w_j) - v >= 0`` at the final point,
-    with sup taken before that point's cluster is merged; NaN for
+    one that triggered termination, whose cluster cannot raise any value and
+    is not merged; ``v_trace`` records them in decreasing order (truncated
+    at the retention cap in pathological runs, in which case
+    ``len(v_trace) < num_clusters``).  ``elapsed`` is the wall time of the
+    draw, factorization excluded.  ``bound_gap`` is the stopping bound's
+    slack ``min_j (sup_j + log w_j) - v >= 0`` at the final point; NaN for
     ``simulate_naive``, which has no stopping bound.
     """
 
@@ -86,11 +95,13 @@ def _cluster_step(x: np.ndarray, log_w: np.ndarray, v: float) -> np.ndarray:
     exactly, because the log-sum-exp is computed max-shifted and therefore
     never falls below the largest of its terms.
     """
+    # The ufunc reductions, not the ndarray methods, which add a Python-level
+    # wrapper call per reduction.
     a = log_w + x
-    m = a.max()
+    m = np.maximum.reduce(a)
     a -= m
     np.exp(a, out=a)
-    lse = m + np.log(a.sum())
+    lse = m + np.log(np.add.reduce(a))
     # v + (x - lse), not (v + x) - lse: with one site lse == x exactly and
     # the cluster collapses to v with no rounding.
     x -= lse
@@ -121,38 +132,38 @@ def _prepare(sites, model, measure, sampler):
 
 
 def _rows(stream, sampler, measure=None):
-    """Yield ``(Poisson uniform, column)`` for row after row of ``stream``.
+    """Yield ``(v, column)`` for row after row of ``stream``.
 
     The one reader of a sample's stream.  A row is the Poisson point's
     uniform, then with a ``measure`` the anchor's, then m normals' uniforms;
-    the column is the row's draw at the raw sites of W tilted by its anchor
-    T, less gamma (``from_normals(z, T)``), or of W without a measure.  Rows
-    are drawn ``_BLOCK`` at a time: one ``uniforms`` call, one ``anchors``
-    lookup, one inverse CDF and one ``from_normals`` product per block.  The
-    columns are views into the block's draw, free for the caller to
-    overwrite.
+    v is the row's Poisson point and the column is the row's draw at the raw
+    sites of W tilted by its anchor T, less gamma (``from_normals(z, T)``),
+    or of W without a measure.  Rows are drawn ``_BLOCK`` at a time: one
+    ``uniforms`` call, one ``poisson_points`` pass, one ``anchors`` lookup,
+    one inverse CDF and one ``from_normals`` product per block.  The columns
+    are views into the block's draw, free for the caller to overwrite.
     """
     lead = 1 if measure is None else 2
+    gamma_sum = 0.0
     while True:
         block = stream.uniforms((_BLOCK, sampler.m + lead))
+        gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
         anchors = None if measure is None else measure.anchors(block[:, 1])
         x = sampler.from_normals(to_normals(block[:, lead:]).T, anchors)
-        yield from zip(block[:, 0].tolist(), x.T)
+        yield from zip(v.tolist(), x.T)
 
 
-def _simulate(measure, sampler, seed, replication,
+def _simulate(measure, sampler, stream,
               max_clusters=DEFAULT_MAX_CLUSTERS,
               v_trace_cap=DEFAULT_V_TRACE_CAP) -> FieldSample:
-    """Sample ``replication`` of ``seed``, one row of uniforms per cluster."""
+    """The sample drawn from ``stream``, one row of uniforms per cluster."""
     t0 = time.perf_counter()
     sites, alpha = sampler.sites, sampler.model.alpha
     log_w = measure.log_weights
     sup = np.full(sites.n, -np.inf)
     v_trace: list = []
-    gamma_sum = 0.0
-    rows = _rows(RandomStream(seed, replication), sampler, measure)
-    for merged, (u_v, x) in enumerate(rows, 1):
-        if merged > max_clusters:
+    for k, (v, x) in enumerate(_rows(stream, sampler, measure), 1):
+        if k > max_clusters:
             raise ClusterLimitError(
                 f"no termination after {max_clusters} clusters "
                 f"(alpha={alpha}, n={sites.n}, last v="
@@ -160,25 +171,24 @@ def _simulate(measure, sampler, seed, replication,
                 f"bound={float((sup + log_w).min())}, "
                 f"{_worst_site(sites, sup, log_w)})"
             )
-        gamma_sum, v = poisson_point(gamma_sum, u_v)
-        bound = (sup + log_w).min()
+        bound = np.minimum.reduce(sup + log_w)
         if math.isnan(bound):
             raise ClusterLimitError(
-                f"dominance bound turned NaN before cluster {merged}: a merged "
+                f"dominance bound turned NaN before cluster {k}: a merged "
                 f"cluster had a NaN value (alpha={alpha}, n={sites.n}, "
                 f"{_worst_site(sites, sup, log_w)}), "
                 f"so no Poisson point could ever stop the loop")
-        np.maximum(sup, _cluster_step(x, log_w, v), out=sup)
         if len(v_trace) < v_trace_cap:
             v_trace.append(v)
         if v <= bound:
             break
+        np.maximum(sup, _cluster_step(x, log_w, v), out=sup)
 
     return FieldSample(
         values=sup,
-        num_clusters=merged,
+        num_clusters=k,
         v_trace=v_trace,
-        seed=seed,
+        seed=stream.seed,
         elapsed=time.perf_counter() - t0,
         bound_gap=float(bound - v),
     )
@@ -231,12 +241,14 @@ def simulate(
     Notes
     -----
     Termination: after merging cluster k, the loop stops as soon as the
-    *next* Poisson point v satisfies v <= min_j (sup_j + log w_j).  The
-    cluster attached to that final point is still merged, so every consumed
-    point contributes and ``num_clusters`` counts them all.
+    *next* Poisson point v satisfies v <= min_j (sup_j + log w_j).  That
+    final point is counted in ``num_clusters`` and ``v_trace``, but its
+    cluster is not merged: each of its coordinates is at most
+    v - log w_j <= sup_j, so it could raise none of them.
     """
     measure, sampler = _prepare(sites, model, measure, sampler)
-    return _simulate(measure, sampler, mask64(seed), 0, max_clusters, v_trace_cap)
+    return _simulate(measure, sampler, RandomStream(seed, 0), max_clusters,
+                     v_trace_cap)
 
 
 def simulate_naive(
@@ -265,12 +277,10 @@ def simulate_naive(
         raise ValueError("truncation must be >= 1")
     _, sampler = _prepare(sites, model, None, sampler)
     t0 = time.perf_counter()
-    seed = mask64(seed)
+    stream = RandomStream(seed, 0)
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
-    gamma_sum = 0.0
-    for u_v, w in islice(_rows(RandomStream(seed, 0), sampler), truncation):
-        gamma_sum, v = poisson_point(gamma_sum, u_v)
+    for v, w in islice(_rows(stream, sampler), truncation):
         np.maximum(sup, v + w - sampler.gamma, out=sup)
         if len(v_trace) < DEFAULT_V_TRACE_CAP:
             v_trace.append(v)
@@ -279,7 +289,7 @@ def simulate_naive(
         values=sup,
         num_clusters=truncation,
         v_trace=v_trace,
-        seed=seed,
+        seed=stream.seed,
         elapsed=time.perf_counter() - t0,
     )
 
@@ -313,12 +323,16 @@ def replications(
 
     Sample r draws everything from the one stream (seed, r), so item 0
     equals ``simulate(..., seed=seed)`` bit for bit and runs at different
-    seeds share no draw.  The covariance factorization is shared across
-    replications.  ``workers`` is ignored; samples are drawn one at a time.
+    seeds share no draw.  The covariance factorization and the generator
+    are shared across replications: the stream is re-keyed from (seed, r - 1)
+    to (seed, r) between samples.  ``workers`` is ignored; samples are drawn
+    one at a time.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     measure, sampler = _prepare(sites, model, measure, sampler)
-    seed = mask64(seed)
+    stream = RandomStream(seed, 0)
     for r in range(int(reps)):
-        yield _simulate(measure, sampler, seed, r)
+        if r:
+            stream.rekey(r)
+        yield _simulate(measure, sampler, stream)

@@ -14,11 +14,12 @@ estimates rather than statistical ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import FactorizedGaussian, SiteSet, box_grid, build_sampler
+from .gaussian import FactorizedGaussian, SiteSet, _grid_axes, box_grid, build_sampler
 from .streams import RandomStream, mask64, to_normals
 from .variogram import VariogramModel, as_points
 
@@ -140,6 +141,12 @@ def _region_grid(model: VariogramModel, region, mesh: float) -> np.ndarray:
         low, high = arr[0], arr[1]
     else:
         raise ValueError("region must be a (low, high) pair")
+    # Count the points before building any array: a fine mesh can ask for
+    # far more memory than the machine has.
+    size = math.prod(k + 1 for _, _, k in _grid_axes(low, high, mesh))
+    if size > MAX_GRID:
+        raise ResourceLimitError(
+            f"grid of {size} points exceeds the budget of {MAX_GRID}")
     return box_grid(low, high, mesh)
 
 

@@ -7,16 +7,18 @@ and on how many values have been drawn from it.  Every consumer reads its
 stream as rows of uniforms, one row per draw.  A Gaussian draw maps the
 row's last m uniforms through ``to_normals`` and one product with the
 factor (``gaussian.FactorizedGaussian.from_normals``), m being the number
-of factorized sites.  The simulator keys one stream per sample as
-``(seed, replication)``; a row is m + 2 uniforms per cluster (its Poisson
-point, its anchor, then m normals) and m + 1 per ``simulate_naive`` point
-(no anchor).  The Monte Carlo oracles key theirs as ``(seed, 0)`` and
-``(seed, 1)``; a row is m normals' uniforms, with no leading columns.
-Rows are drawn as blocks, one ``uniforms`` call per block: of a fixed size
-private to the simulator in ``simulator._rows``, of a memory-bounded chunk
-in ``statseval.mc_mean``.  A block of rows holds the same values as that
-many one-row calls, so draw k reads the same uniforms whatever the block
-size.
+of factorized sites.  The simulator reads one stream per sample, keyed
+``(seed, replication)``; a run builds one generator and re-keys it for each
+sample (``RandomStream.rekey``), which gives the same draws as a new stream
+without numpy seeding a fresh Philox from OS entropy first.  A row is m + 2
+uniforms per cluster (its Poisson point, its anchor, then m normals) and
+m + 1 per ``simulate_naive`` point (no anchor).  The Monte Carlo oracles key
+theirs as ``(seed, 0)`` and ``(seed, 1)``; a row is m normals' uniforms,
+with no leading columns.  Rows are drawn as blocks, one ``uniforms`` call
+per block: of a fixed size private to the simulator in ``simulator._rows``,
+of a memory-bounded chunk in ``statseval.mc_mean``.  A block of rows holds
+the same values as that many one-row calls, so draw k reads the same
+uniforms whatever the block size.
 """
 
 from __future__ import annotations
@@ -53,8 +55,25 @@ class RandomStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = mask64(seed)
         self.stream_id = mask64(stream_id)
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._gen = np.random.Generator(np.random.Philox(key=self._key()))
+
+    def _key(self) -> np.ndarray:
+        return np.array([self.seed, self.stream_id], dtype=np.uint64)
+
+    def rekey(self, stream_id: int) -> None:
+        """Restart as stream ``(seed, stream_id)``, whatever has been drawn.
+
+        The Philox state becomes that key with a zero counter and an empty
+        buffer, exactly the state of a new ``RandomStream(seed, stream_id)``,
+        so the draws that follow are the same bytes.
+        """
+        self.stream_id = mask64(stream_id)
+        zeros = np.zeros(4, dtype=np.uint64)
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zeros, "key": self._key()},
+            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
 
     def uniforms(self, size=None):
         """Uniform draws on [0, 1)."""

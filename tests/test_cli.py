@@ -215,13 +215,15 @@ def test_oracle_rejects_mismatched_thresholds(capsys):
     (["oracle", "--grid", "0:1:0.5", "--alpha", "1", "--y", "nan"], "finite"),
     (["pickands", "--alpha", "1", "--N", "1", "--mesh", "0.3"], "does not divide"),
     (["pickands", "--alpha", "1", "--N", "1", "--mesh", "0.0001"], "budget of 4096"),
+    (["pickands", "--alpha", "1", "--N", "1", "--mesh", "0.000001"], "budget of 4096"),
     (["theta", "--alpha", "1", "--n", "5000"], "budget of 4096"),
     (["oracle", "--grid", "0:1e200:1e200", "--alpha", "2", "--y", "1"], "overflowed"),
     (["clusters", "--grid", "0:1e200:1e200", "--alphas", "2"], "overflowed"),
     (["pickands", "--alpha", "2", "--N", "1e200", "--mesh", "1e200"], "overflowed"),
     (["pickands", "--alpha", "1", "--N", "inf", "--mesh", "1"], "finite grid"),
-], ids=["oracle-nan", "pickands-mesh", "pickands-budget", "theta-budget",
-        "oracle-overflow", "clusters-overflow", "pickands-overflow", "pickands-inf"])
+], ids=["oracle-nan", "pickands-mesh", "pickands-budget", "pickands-fine-mesh",
+        "theta-budget", "oracle-overflow", "clusters-overflow", "pickands-overflow",
+        "pickands-inf"])
 def test_rejected_input_exits_with_one_line_message(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -119,6 +119,20 @@ def test_identical_key_streams_replay_exactly():
     assert not np.array_equal(a, c)
 
 
+def test_rekeyed_stream_replays_a_new_stream():
+    # Re-keying mid-buffer (an odd number of uniforms drawn) must reset the
+    # counter and the buffer, not only the key.
+    for seed in (123, 2 ** 64 - 7):
+        for r in (1, 2 ** 63 + 5, 2 ** 64 - 1):
+            stream = RandomStream(seed, 0)
+            stream.uniforms(3)
+            stream.rekey(r)
+            fresh = RandomStream(seed, r)
+            assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
+            assert stream.uniforms(9).tobytes() == fresh.uniforms(9).tobytes()
+            assert stream.uniforms((4, 5)).tobytes() == fresh.uniforms((4, 5)).tobytes()
+
+
 def test_sample_moments_match_kernel():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.5, 1.0], model)

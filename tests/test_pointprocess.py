@@ -7,7 +7,7 @@ from brownresnick import (
     gumbel_cdf,
     ks_critical,
     ks_statistic,
-    poisson_point,
+    poisson_points,
 )
 
 N_STREAMS = 100_000
@@ -15,7 +15,7 @@ BASE_SEED = 60_000
 
 
 @pytest.fixture(scope="module")
-def poisson_points():
+def first_points():
     """First three points V_1 > V_2 > V_3 from independent streams.
 
     Also returns Gamma_3, the running exponential sum after three points,
@@ -24,44 +24,59 @@ def poisson_points():
     v1 = np.empty(N_STREAMS)
     g3 = np.empty(N_STREAMS)
     for r in range(N_STREAMS):
-        u = RandomStream(BASE_SEED + r).uniforms(3)
-        gamma_sum, v1[r] = poisson_point(0.0, u[0])
-        gamma_sum, _ = poisson_point(gamma_sum, u[1])
-        g3[r], _ = poisson_point(gamma_sum, u[2])
+        g3[r], v = poisson_points(0.0, RandomStream(BASE_SEED + r).uniforms(3))
+        v1[r] = v[0]
     return v1, g3
 
 
 def test_unit_exponentials_give_v1_zero():
     u = -np.expm1(-1.0)  # rounds so that -log(1 - u) is exactly 1.0
-    gamma_sum, v = poisson_point(0.0, u)
-    assert v == 0.0
-    gamma_sum, v = poisson_point(gamma_sum, u)
-    assert v == -np.log(2.0)
+    gamma_sum, v = poisson_points(0.0, [u, u])
+    assert v.tolist() == [0.0, -np.log(2.0)]
     assert gamma_sum == 2.0
     # u == 0 gives the smallest positive increment, never a zero one.
     tiny = np.finfo(np.float64).tiny
-    assert poisson_point(0.0, 0.0) == (tiny, -np.log(tiny))
+    gamma_sum, v = poisson_points(0.0, [0.0])
+    assert gamma_sum == tiny
+    assert v.tolist() == [-np.log(tiny)]
 
 
 def test_points_strictly_decreasing():
-    gamma_sum, prev = 0.0, np.inf
-    for u in RandomStream(4).uniforms(2000):
-        gamma_sum, v = poisson_point(gamma_sum, u)
-        assert v < prev
-        prev = v
+    _, v = poisson_points(0.0, RandomStream(4).uniforms(2000))
+    assert np.all(np.diff(v) < 0.0)
 
 
-def test_first_point_is_standard_gumbel(poisson_points):
-    v1, _ = poisson_points
+def test_blocks_match_the_running_sum():
+    # The plain loop, one point per uniform, is the reference: cutting the
+    # uniforms into blocks of any size must give the same bytes.
+    u = RandomStream(5).uniforms(300)
+    u[[0, 77]] = 0.0
+    tiny = np.finfo(np.float64).tiny
+    gamma_sum, ref = 0.0, []
+    for x in u.tolist():
+        e = -np.log1p(-x)
+        gamma_sum += e if e > 0.0 else tiny
+        ref.append(-np.log(gamma_sum))
+    for block in (1, 7, 64, 300):
+        carry, points = 0.0, []
+        for start in range(0, u.size, block):
+            carry, v = poisson_points(carry, u[start:start + block])
+            points.extend(v.tolist())
+        assert points == ref
+        assert carry == gamma_sum
+
+
+def test_first_point_is_standard_gumbel(first_points):
+    v1, _ = first_points
     d = ks_statistic(v1, gumbel_cdf)
     assert d <= 0.0165
 
 
-def test_gamma3_matches_integrated_density(poisson_points):
+def test_gamma3_matches_integrated_density(first_points):
     # Gamma_3 should follow the Gamma(3, 1) law.  The reference CDF is
     # obtained by numerically integrating the density x^2 e^{-x} / 2, not
     # from a closed form.
-    _, g3 = poisson_points
+    _, g3 = first_points
     grid = np.linspace(0.0, max(40.0, g3.max() + 1.0), 80_001)
     pdf = grid ** 2 * np.exp(-grid) / 2.0
     steps = np.diff(grid) * (pdf[1:] + pdf[:-1]) / 2.0

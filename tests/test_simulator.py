@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from brownresnick import (
     gumbel_cdf,
     ks_critical,
     ks_statistic,
-    poisson_point,
+    poisson_points,
     replications,
     simulate,
     simulate_naive,
@@ -153,7 +154,7 @@ def test_truncated_variant_monotone_in_truncation():
 def test_truncated_variant_first_point_at_origin():
     for seed in (0, 1, 2):
         s = simulate_naive([0.0], M1, seed=seed, truncation=1)
-        _, v1 = poisson_point(0.0, RandomStream(seed, 0).uniforms())
+        _, (v1,) = poisson_points(0.0, RandomStream(seed, 0).uniforms(1))
         assert s.values[0] == v1
 
 
@@ -293,6 +294,10 @@ def test_one_stream_per_sample(monkeypatch):
             super().__init__(seed, stream_id)
             keys.append((self.seed, self.stream_id))
 
+        def rekey(self, stream_id):
+            super().rekey(stream_id)
+            keys.append((self.seed, self.stream_id))
+
     monkeypatch.setattr(simulator, "RandomStream", Recording)
     samples = list(replications(FIVE_SITES, M1, 4, seed=8))
     assert keys == [(8, 0), (8, 1), (8, 2), (8, 3)]
@@ -300,6 +305,22 @@ def test_one_stream_per_sample(monkeypatch):
     keys.clear()
     simulate_naive(FIVE_SITES, M1, seed=8, truncation=7)
     assert keys == [(8, 0)]
+
+
+def test_replications_equal_fresh_stream_samples():
+    # replications re-keys one generator per sample; each item must be the
+    # sample a newly built stream (seed, r) gives, byte for byte.
+    mu = SamplingMeasure([0.5, 0.2, 0.1, 0.1, 0.1])
+    fg = build_sampler(FIVE_SITES, M1)
+    for seed in (8, 2 ** 63 + 3):
+        items = replications(FIVE_SITES, M1, 4, mu, seed=seed, sampler=fg)
+        for r, fs in enumerate(items):
+            ref = simulator._simulate(mu, fg, RandomStream(seed, r))
+            assert fs.values.tobytes() == ref.values.tobytes()
+            assert fs.num_clusters == ref.num_clusters
+            assert fs.v_trace == ref.v_trace
+            assert fs.bound_gap == ref.bound_gap
+            assert fs.seed == ref.seed
 
 
 def test_cluster_limit_names_worst_site(monkeypatch):
@@ -404,6 +425,22 @@ def test_matches_reference_loop_in_blocks_of_7(sites, dim, weights, alpha, monke
     # boundaries inside them.
     monkeypatch.setattr(simulator, "_BLOCK", 7)
     _check_reference(sites, dim, weights, alpha)
+
+
+@pytest.mark.parametrize("sites, dim, weights", REFERENCE_CASES)
+def test_final_cluster_changes_no_value(sites, dim, weights):
+    # The loop skips the cluster of the point that meets the bound.  Merging
+    # it must change no byte of the output.
+    for alpha in (0.5, 1.0, 2.0):
+        model = VariogramModel(alpha=alpha, dim=dim)
+        fg = build_sampler(sites, model)
+        mu = SamplingMeasure.uniform(fg.n) if weights is None else SamplingMeasure(weights)
+        for r, fs in enumerate(replications(sites, model, 100, mu, seed=41, sampler=fg)):
+            rows = simulator._rows(RandomStream(41, r), fg, mu)
+            v, x = next(islice(rows, fs.num_clusters - 1, None))
+            assert v == fs.v_trace[-1]
+            merged = np.maximum(fs.values, simulator._cluster_step(x, mu.log_weights, v))
+            assert merged.tobytes() == fs.values.tobytes()
 
 
 BLOCK_CASES = [

@@ -154,6 +154,19 @@ def test_pickands_grid_budget():
         pickands_estimate(M1, (0.0, 1.0), 0.5, reps=0, seed=0)
 
 
+def test_pickands_budget_checked_before_any_grid():
+    # 10^6 + 1 points: the check must come from span and mesh alone, before
+    # an 8 MB grid (or a far larger one at a finer mesh) is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="1000001 points"):
+            pickands_estimate(M1, (0.0, 1.0), 1e-6, reps=10, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_pickands_accumulator_across_chunk_boundary():
     # The 5-site union takes _CHUNK_DOUBLES // 5 draws per chunk, so 3 more
     # span two chunks of the shared accumulator; the estimates must equal
