@@ -153,11 +153,10 @@ def _rows(stream, sampler, measure=None):
         yield from zip(v.tolist(), x.T)
 
 
-def _simulate(measure, sampler, stream,
-              max_clusters=DEFAULT_MAX_CLUSTERS,
-              v_trace_cap=DEFAULT_V_TRACE_CAP) -> FieldSample:
+def _simulate(measure, sampler, stream) -> FieldSample:
     """The sample drawn from ``stream``, one row of uniforms per cluster."""
     t0 = time.perf_counter()
+    max_clusters, v_trace_cap = DEFAULT_MAX_CLUSTERS, DEFAULT_V_TRACE_CAP
     sites, alpha = sampler.sites, sampler.model.alpha
     log_w = measure.log_weights
     sup = np.full(sites.n, -np.inf)
@@ -207,8 +206,6 @@ def simulate(
     seed: int = 0,
     *,
     sampler: FactorizedGaussian | None = None,
-    max_clusters: int = DEFAULT_MAX_CLUSTERS,
-    v_trace_cap: int = DEFAULT_V_TRACE_CAP,
 ) -> FieldSample:
     """Draw one exact sample of the field at the given sites.
 
@@ -228,11 +225,6 @@ def simulate(
     sampler : FactorizedGaussian, optional
         Prefactorized covariance for these sites; built on the fly when
         omitted.  Pass one in when simulating many replications.
-    max_clusters : int
-        Safety cap; the run aborts with :class:`ClusterLimitError` instead
-        of looping forever if termination is not reached.
-    v_trace_cap : int
-        Retention cap on the recorded Poisson points.
 
     Returns
     -------
@@ -244,11 +236,12 @@ def simulate(
     *next* Poisson point v satisfies v <= min_j (sup_j + log w_j).  That
     final point is counted in ``num_clusters`` and ``v_trace``, but its
     cluster is not merged: each of its coordinates is at most
-    v - log w_j <= sup_j, so it could raise none of them.
+    v - log w_j <= sup_j, so it could raise none of them.  A run that passes
+    ``DEFAULT_MAX_CLUSTERS`` clusters without stopping aborts with
+    :class:`ClusterLimitError`; ``v_trace`` keeps at most
+    ``DEFAULT_V_TRACE_CAP`` points.
     """
-    measure, sampler = _prepare(sites, model, measure, sampler)
-    return _simulate(measure, sampler, RandomStream(seed, 0), max_clusters,
-                     v_trace_cap)
+    return next(replications(sites, model, 1, measure, seed, sampler=sampler))
 
 
 def simulate_naive(
@@ -328,8 +321,8 @@ def replications(
     to (seed, r) between samples.  ``workers`` is ignored; samples are drawn
     one at a time.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    if reps < 1 or reps != int(reps):
+        raise ValueError(f"reps must be a positive integer, got {reps}")
     measure, sampler = _prepare(sites, model, measure, sampler)
     stream = RandomStream(seed, 0)
     for r in range(int(reps)):

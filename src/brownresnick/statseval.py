@@ -3,13 +3,16 @@
 Kolmogorov-Smirnov distances and Q-Q pairs check the simulated marginals;
 the Pickands set function f(A) = E exp(sup_{t in A} Z(t)) and the discrete
 extremal index theta(n) = n^{-1} E max_{i<=n} e^{Z(i)} reproduce the
-classical constants attached to the field Z.  Estimators are plain Monte
-Carlo means over a fixed grid, taken by ``mc_mean``: each draw is one row
-of uniforms, ``to_normals`` and one product with the factor, the same
-contract as the simulator's, so draw i reads row i of its stream whatever
-the chunk size.  A coupled mode shares the Gaussian draws across several
-grids so that set inclusions become exact inequalities between the
-estimates rather than statistical ones.
+classical constants attached to the field Z.  Every Monte Carlo estimate,
+the oracles of ``distributions`` included, is a plain mean taken by
+``mc_mean``: it factorizes W at the given points, keys the stream
+``(seed, stream_id)`` and reads one row of uniforms per draw, mapped by
+``to_normals`` and one product with the factor, the same contract as the
+simulator's, so draw i reads row i of its stream whatever the chunk size.
+theta(n) is f({1, ..., n}) / n, the same mean over the same draws divided
+by n.  A coupled mode shares the Gaussian draws across several grids so
+that set inclusions become exact inequalities between the estimates rather
+than statistical ones.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import FactorizedGaussian, SiteSet, _grid_axes, box_grid, build_sampler
-from .streams import RandomStream, mask64, to_normals
+from .gaussian import _grid_axes, box_grid, build_sampler
+from .streams import RandomStream, to_normals
 from .variogram import VariogramModel, as_points
 
 # Monte Carlo chunks hold at most this many doubles (2 MiB) per (n, k) array,
@@ -86,26 +89,39 @@ def qq_data(samples, quantile_fn):
     return list(zip(t.tolist(), x.tolist()))
 
 
-def mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
-            reduce_fn, samples: np.ndarray | None = None):
+def _exp_max(z: np.ndarray) -> np.ndarray:
+    """exp of each draw's maximum over the sites, as a (1, k) row."""
+    return np.exp(z.max(axis=0, keepdims=True))
+
+
+def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
+            reduce_fn, *, stream_id: int = 0, return_samples: bool = False):
     """Monte Carlo means and standard errors of per-draw statistics.
 
-    Draws ``reps`` columns of W + ``shift`` from ``stream`` and maps them,
-    one (n, k) chunk at a time, through ``reduce_fn`` to a (g, k) array
-    holding g statistics per draw.  Chunks are ``k = max(1,
-    _CHUNK_DOUBLES // n)`` columns wide, the last one narrower, so each
-    chunk array holds about 2 MiB whatever n and ``reps``.  Draw i reads
-    row i of the stream's uniforms, m wide (m the number of factorized
-    sites), whatever k is: a chunk takes the next k rows in one ``uniforms``
-    call.  Returns the g means and their standard errors sqrt(s^2 / reps),
-    with the unbiased sample variance s^2 (0 when ``reps`` is 1).  The
-    statistics are written into ``samples`` of shape (g, reps) when it is
-    given.
+    The one Monte Carlo path of the oracles and estimators.  It factorizes
+    W at ``points`` (a :class:`SiteSet` or an (n, d) array), keys the stream
+    ``(seed, stream_id)`` and draws ``reps`` columns of Z + ``offset``, with
+    Z = W - gamma, mapping them one (n, k) chunk at a time through
+    ``reduce_fn`` to a (g, k) array holding g statistics per draw.  Chunks
+    are ``k = max(1, _CHUNK_DOUBLES // n)`` columns wide, the last one
+    narrower, so each chunk array holds about 2 MiB whatever n and ``reps``.
+    Draw i reads row i of the stream's uniforms, m wide (m the number of
+    factorized sites), whatever k is: a chunk takes the next k rows in one
+    ``uniforms`` call.  Returns one :class:`EstimateWithError` per
+    statistic: the mean and its standard error sqrt(s^2 / reps), with the
+    unbiased sample variance s^2 (0 when ``reps`` is 1).  With
+    ``return_samples`` it also returns the statistics as a (g, reps) array.
     """
-    shift = np.asarray(shift, dtype=np.float64).reshape(-1, 1)
+    if reps < 1 or reps != int(reps):
+        raise ValueError(f"reps must be a positive integer, got {reps}")
+    reps = int(reps)
+    fg = build_sampler(points, model)
+    stream = RandomStream(seed, stream_id)
+    shift = (np.asarray(offset, dtype=np.float64) - fg.gamma).reshape(-1, 1)
     chunk = max(1, _CHUNK_DOUBLES // fg.n)
     total = 0.0
     total_sq = 0.0
+    samples = None
     done = 0
     while done < reps:
         k = min(chunk, reps - done)
@@ -114,7 +130,9 @@ def mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
         s = reduce_fn(z)
         total = total + s.sum(axis=1)
         total_sq = total_sq + (s * s).sum(axis=1)
-        if samples is not None:
+        if return_samples:
+            if samples is None:
+                samples = np.empty((s.shape[0], reps))
             samples[:, done:done + k] = s
         done += k
     mean = total / reps
@@ -122,7 +140,9 @@ def mc_mean(fg: FactorizedGaussian, shift, stream: RandomStream, reps: int,
     if reps > 1:
         var = np.maximum(total_sq - reps * mean * mean, 0.0) / (reps - 1)
         se = np.sqrt(var / reps)
-    return mean, se
+    estimates = [EstimateWithError(float(m), float(e), reps)
+                 for m, e in zip(mean, se)]
+    return (estimates, samples) if return_samples else estimates
 
 
 def _region_grid(model: VariogramModel, region, mesh: float) -> np.ndarray:
@@ -165,34 +185,23 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
     grids = [as_points(model, g) for g in grids]
     if not grids:
         raise ValueError("need at least one grid")
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    for i, g in enumerate(grids):
+        if g.shape[0] == 0:
+            raise ValueError(f"grid {i} has no points")
     stacked = np.vstack(grids)
     union, inverse = np.unique(stacked, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)
     if union.shape[0] > MAX_GRID:
         raise ResourceLimitError(
             f"grid of {union.shape[0]} points exceeds the budget of {MAX_GRID}")
-    row_sets = []
-    pos = 0
-    for g in grids:
-        row_sets.append(np.unique(inverse[pos:pos + g.shape[0]]))
-        pos += g.shape[0]
-
-    fg = build_sampler(SiteSet(union), model)
-    stream = RandomStream(mask64(seed), 0)
+    ends = np.cumsum([g.shape[0] for g in grids])
+    row_sets = [np.unique(rows) for rows in np.split(inverse, ends[:-1])]
 
     def grid_maxima(z):
         return np.stack([np.exp(z[rows].max(axis=0)) for rows in row_sets])
 
-    samples = np.empty((len(grids), reps)) if return_samples else None
-    means, ses = mc_mean(fg, -fg.gamma, stream, reps, grid_maxima, samples)
-    estimates = [EstimateWithError(float(m), float(se), reps)
-                 for m, se in zip(means, ses)]
-    if return_samples:
-        return estimates, samples
-    return estimates
+    return mc_mean(model, union, 0.0, reps, seed, grid_maxima,
+                   return_samples=return_samples)
 
 
 def pickands_estimate(model: VariogramModel, region, mesh: float, reps: int,
@@ -208,22 +217,20 @@ def pickands_estimate(model: VariogramModel, region, mesh: float, reps: int,
 
 def extremal_index_estimate(model: VariogramModel, n: int, reps: int,
                             seed: int) -> EstimateWithError:
-    """theta(n) = n^{-1} E max_{i=1..n} e^{Z(i)} over integer sites."""
+    """theta(n) = n^{-1} E max_{i=1..n} e^{Z(i)} over integer sites.
+
+    That is f({1, ..., n}) / n: the same draws and the same mean as
+    ``pickands_coupled(model, [sites 1..n], reps, seed)``, divided by n.
+    """
+    if n < 1 or n != int(n):
+        raise ValueError(f"n must be a positive integer, got {n}")
     n = int(n)
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n > MAX_GRID:
         raise ResourceLimitError(f"n={n} exceeds the budget of {MAX_GRID}")
-    reps = int(reps)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     points = np.zeros((n, model.dim))
     points[:, 0] = np.arange(1, n + 1)
-    fg = build_sampler(SiteSet(points), model)
-    stream = RandomStream(mask64(seed), 0)
-    (mean,), (se,) = mc_mean(fg, -fg.gamma, stream, reps,
-                             lambda z: np.exp(z.max(axis=0, keepdims=True)) / n)
-    return EstimateWithError(float(mean), float(se), reps)
+    (est,) = mc_mean(model, points, 0.0, reps, seed, _exp_max)
+    return EstimateWithError(est.value / n, est.std_error / n, est.reps)
 
 
 def cluster_count_stats(counts) -> dict:

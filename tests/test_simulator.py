@@ -182,15 +182,17 @@ def test_termination_bound_recoverable_from_sample():
         assert all(a > b for a, b in zip(s.v_trace, s.v_trace[1:]))
 
 
-def test_v_trace_retention_cap():
-    s = simulate([0.3] * 64, M1, seed=1, v_trace_cap=5)
+def test_v_trace_retention_cap(monkeypatch):
+    monkeypatch.setattr(simulator, "DEFAULT_V_TRACE_CAP", 5)
+    s = simulate([0.3] * 64, M1, seed=1)
     assert len(s.v_trace) == 5
     assert s.num_clusters > 5
 
 
-def test_cluster_cap_aborts():
+def test_cluster_cap_aborts(monkeypatch):
+    monkeypatch.setattr(simulator, "DEFAULT_MAX_CLUSTERS", 1)
     with pytest.raises(ClusterLimitError, match="alpha"):
-        simulate([0.0, 1.0], M1, seed=0, max_clusters=1)
+        simulate([0.0, 1.0], M1, seed=0)
 
 
 def test_nan_bound_fails_fast(monkeypatch):
@@ -225,6 +227,8 @@ def test_input_validation():
         simulate([0.0, np.nan], M1)
     with pytest.raises(ValueError):
         list(replications([0.0], M1, reps=0))
+    with pytest.raises(ValueError, match="positive integer"):
+        list(replications([0.0], M1, reps=2.5))
     with pytest.raises(ValueError):
         simulate_naive([0.0], M1, truncation=0)
 
@@ -327,9 +331,11 @@ def test_cluster_limit_names_worst_site(monkeypatch):
     def fixed_step(x, log_w, v):
         return np.array([0.0, -3.0, 1.0])
 
-    monkeypatch.setattr(simulator, "_cluster_step", fixed_step)
-    with pytest.raises(ClusterLimitError, match=r"worst gap at site 1, t=\[0\.5\]"):
-        simulate([0.0, 0.5, 1.0], M1, seed=0, max_clusters=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "_cluster_step", fixed_step)
+        patch.setattr(simulator, "DEFAULT_MAX_CLUSTERS", 1)
+        with pytest.raises(ClusterLimitError, match=r"worst gap at site 1, t=\[0\.5\]"):
+            simulate([0.0, 0.5, 1.0], M1, seed=0)
 
     def nan_step(x, log_w, v):
         return np.array([0.0, 1.0, np.nan])

@@ -145,13 +145,24 @@ def test_pickands_region_forms():
         pickands_estimate(M1, np.zeros((3, 2)), 0.25, reps=100, seed=1)
 
 
-def test_pickands_grid_budget():
+def test_pickands_grid_budget(monkeypatch):
+    # Every rejection comes before the factorization and any draw.
+    def no_sampler(*args, **kwargs):
+        raise AssertionError("sampler built for rejected input")
+
+    monkeypatch.setattr(statseval, "build_sampler", no_sampler)
     with pytest.raises(ResourceLimitError):
         pickands_estimate(M1, (0.0, 1.0), 1.0 / 8192, reps=10, seed=0)
     with pytest.raises(ValueError):
         pickands_coupled(M1, [], reps=10, seed=0)
+    with pytest.raises(ValueError, match="grid 0 has no points"):
+        pickands_coupled(M1, [np.zeros((0, 1)), box_grid(0.0, 1.0, 0.5)],
+                         reps=10, seed=0)
     with pytest.raises(ValueError):
         pickands_estimate(M1, (0.0, 1.0), 0.5, reps=0, seed=0)
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        pickands_coupled(M1, [box_grid(0.0, 1.0, 0.5)], reps=-1, seed=0,
+                         return_samples=True)
 
 
 def test_pickands_budget_checked_before_any_grid():
@@ -241,6 +252,21 @@ def test_extremal_index_validation():
         extremal_index_estimate(M1, 4, reps=0, seed=0)
     with pytest.raises(ResourceLimitError):
         extremal_index_estimate(M1, 100_000, reps=10, seed=0)
+    with pytest.raises(ValueError, match="n must be a positive integer"):
+        extremal_index_estimate(M1, 2.7, reps=10, seed=0)
+    with pytest.raises(ValueError, match="reps must be a positive integer"):
+        extremal_index_estimate(M1, 4, reps=2.5, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 7, 65])
+def test_extremal_index_is_pickands_over_n(n):
+    # theta(n) = f({1..n}) / n on the same stream over the same sorted
+    # sites, so the two agree exactly, not just in law.
+    sites = np.arange(1.0, n + 1.0).reshape(-1, 1)
+    theta = extremal_index_estimate(M1, n, reps=3000, seed=41)
+    (f,) = pickands_coupled(M1, [sites], reps=3000, seed=41)
+    assert theta.value == f.value / n
+    assert theta.std_error == f.std_error / n
 
 
 def test_cluster_count_stats_constant_input():
