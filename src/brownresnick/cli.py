@@ -222,8 +222,6 @@ def emit_svg_qq(pairs, path: str) -> None:
 
 def cmd_simulate(args, parser) -> int:
     sites = _resolve_sites(args, parser)
-    if args.reps < 1:
-        parser.error("reps must be a positive integer")
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
     measure = _load_measure(args, sites.n)
 
@@ -258,8 +256,6 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_oracle(args, parser) -> int:
     sites = _resolve_sites(args, parser)
-    if args.reps < 1:
-        parser.error("reps must be a positive integer")
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
     try:
         y = [float(v) for v in args.y.split(",")]
@@ -277,8 +273,6 @@ def cmd_oracle(args, parser) -> int:
 
 
 def cmd_pickands(args, parser) -> int:
-    if args.reps < 1:
-        parser.error("reps must be a positive integer")
     if args.N <= 0:
         parser.error("N must be positive")
     model = _build_model(parser, args.alpha, args.scale, args.dim)
@@ -298,8 +292,6 @@ def cmd_pickands(args, parser) -> int:
 
 
 def cmd_theta(args, parser) -> int:
-    if args.reps < 1:
-        parser.error("reps must be a positive integer")
     if args.n < 1:
         parser.error("n must be >= 1")
     model = _build_model(parser, args.alpha, args.scale, args.dim)
@@ -312,8 +304,6 @@ def cmd_theta(args, parser) -> int:
 
 def cmd_clusters(args, parser) -> int:
     sites = _resolve_sites(args, parser)
-    if args.reps < 1:
-        parser.error("reps must be a positive integer")
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
     except ValueError:
@@ -349,8 +339,6 @@ def _two_sample_check(name, arm_a, arm_b, reps) -> dict:
 
 
 def cmd_validate(args, parser) -> int:
-    if args.reps < 1:
-        parser.error("reps must be a positive integer")
     for name in args.skip:
         if name not in VALIDATE_CHECKS:
             parser.error(f"unknown check {name!r}; choose from {VALIDATE_CHECKS}")
@@ -436,10 +424,20 @@ def _add_site_args(sp, grid_default: str | None = None):
                     help="expected site dimension (checked against the sites)")
 
 
+def _reps(text: str) -> int:
+    try:
+        reps = int(text)
+    except ValueError:
+        reps = 0
+    if reps < 1:
+        raise argparse.ArgumentTypeError("reps must be a positive integer")
+    return reps
+
+
 def _add_common(sp, default_seed, reps_default):
     sp.add_argument("--scale", type=float, default=1.0,
                     help="variogram scale (default 1)")
-    sp.add_argument("--reps", type=int, default=reps_default,
+    sp.add_argument("--reps", type=_reps, default=reps_default,
                     help=f"replications (default {reps_default})")
     sp.add_argument("--seed", type=int, default=default_seed,
                     help="base seed (default from BROWNRESNICK_SEED or 1)")

@@ -11,9 +11,10 @@ change-of-measure identity E e^{W(t)-gamma(t)} F(W - gamma) = E F(Z(. - t))
 for translation-invariant F.  The oracles share no code path with the
 simulator, so agreement is evidence, not tautology.  Both are means taken
 by ``statseval.mc_mean``, which factorizes W at their sites, draws from the
-stream ``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``) and
-holds about 2 MiB per chunk array, so their memory does not grow with the
-draw count.
+stream ``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``) in
+chunks of at most 2^16 doubles per array, so their memory does not grow
+with the draw count, and spreads the chunks over up to 4 threads, as the
+process's CPU affinity allows, with the same bytes for any thread count.
 """
 
 from __future__ import annotations

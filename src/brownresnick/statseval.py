@@ -8,7 +8,9 @@ the oracles of ``distributions`` included, is a plain mean taken by
 ``mc_mean``: it factorizes W at the given points, keys the stream
 ``(seed, stream_id)`` and reads one row of uniforms per draw, mapped by
 ``to_normals`` and one product with the factor, the same contract as the
-simulator's, so draw i reads row i of its stream whatever the chunk size.
+simulator's, so draw i reads row i of its stream whatever the chunk size,
+and the chunks, of at most 2^16 doubles per array, run on up to 4 threads
+chosen from the CPU affinity with the same bytes for any thread count.
 theta(n) is f({1, ..., n}) / n, the same mean over the same draws divided
 by n.  A coupled mode shares the Gaussian draws across several grids so
 that set inclusions become exact inequalities between the estimates rather
@@ -18,6 +20,9 @@ than statistical ones.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +31,15 @@ from .gaussian import _grid_axes, box_grid, build_sampler
 from .streams import RandomStream, to_normals
 from .variogram import VariogramModel, as_points
 
-# Monte Carlo chunks hold at most this many doubles (2 MiB) per (n, k) array,
-# so a chunk's arrays stay near cache size whatever the draw count.
-_CHUNK_DOUBLES = 1 << 18
+# Monte Carlo chunks hold at most this many doubles (512 KiB) per (n, k)
+# array, so each thread's chunk arrays stay near cache size whatever the draw
+# count.
+_CHUNK_DOUBLES = 1 << 16
+# Threads per Monte Carlo call, the caller's included, when that many CPUs
+# are free to the process; beyond this the gain is not measured.
+_MAX_WORKERS = 4
+_pool = None
+_pool_lock = threading.Lock()
 MAX_GRID = 4096
 
 
@@ -94,6 +105,38 @@ def _exp_max(z: np.ndarray) -> np.ndarray:
     return np.exp(z.max(axis=0, keepdims=True))
 
 
+def _worker_count() -> int:
+    """Threads for one Monte Carlo call: the CPUs this process may run on,
+    at most ``_MAX_WORKERS``."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process's pool of helper threads, built on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_MAX_WORKERS - 1,
+                                       thread_name_prefix="mc_mean")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads, so it builds its own
+    # pool, and a fresh lock, on first use.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
             reduce_fn, *, stream_id: int = 0, return_samples: bool = False):
     """Monte Carlo means and standard errors of per-draw statistics.
@@ -104,37 +147,54 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     Z = W - gamma, mapping them one (n, k) chunk at a time through
     ``reduce_fn`` to a (g, k) array holding g statistics per draw.  Chunks
     are ``k = max(1, _CHUNK_DOUBLES // n)`` columns wide, the last one
-    narrower, so each chunk array holds about 2 MiB whatever n and ``reps``.
-    Draw i reads row i of the stream's uniforms, m wide (m the number of
-    factorized sites), whatever k is: a chunk takes the next k rows in one
-    ``uniforms`` call.  Returns one :class:`EstimateWithError` per
-    statistic: the mean and its standard error sqrt(s^2 / reps), with the
-    unbiased sample variance s^2 (0 when ``reps`` is 1).  With
+    narrower, so each chunk array holds at most 512 KiB whatever n and
+    ``reps``.  Draw i reads row i of the stream's uniforms, m wide (m the
+    number of factorized sites), whatever k is: chunk c takes rows
+    [c k, c k + k) in one ``uniforms`` call from a stream sought to uniform
+    c k m, so its statistics depend on nothing else.  The chunks are dealt
+    round-robin to up to ``_MAX_WORKERS`` threads, as many as the CPUs
+    this process may run on allow, the calling thread among them;
+    ``reduce_fn`` must therefore be a pure function of its chunk.  The
+    per-chunk sums are added in chunk order, so the result has the same
+    bytes for any number of threads.  Returns one :class:`EstimateWithError`
+    per statistic: the mean and its standard error sqrt(s^2 / reps), with
+    the unbiased sample variance s^2 (0 when ``reps`` is 1).  With
     ``return_samples`` it also returns the statistics as a (g, reps) array.
     """
     if reps < 1 or reps != int(reps):
         raise ValueError(f"reps must be a positive integer, got {reps}")
     reps = int(reps)
     fg = build_sampler(points, model)
-    stream = RandomStream(seed, stream_id)
     shift = (np.asarray(offset, dtype=np.float64) - fg.gamma).reshape(-1, 1)
     chunk = max(1, _CHUNK_DOUBLES // fg.n)
+    starts = range(0, reps, chunk)
+    workers = min(_worker_count(), len(starts))
+    chunks = [None] * len(starts)
+
+    def run(first: int) -> None:
+        stream = RandomStream(seed, stream_id)
+        for c in range(first, len(starts), workers):
+            stream.seek(starts[c] * fg.m)
+            z = fg.from_normals(to_normals(stream.uniforms(
+                (min(chunk, reps - starts[c]), fg.m))).T)
+            z += shift
+            s = reduce_fn(z)
+            chunks[c] = (s.sum(axis=1), (s * s).sum(axis=1),
+                         s if return_samples else None)
+
+    helpers = [_executor().submit(run, w) for w in range(1, workers)]
+    try:
+        run(0)
+    finally:
+        wait(helpers)
+    for f in helpers:
+        f.result()
     total = 0.0
     total_sq = 0.0
-    samples = None
-    done = 0
-    while done < reps:
-        k = min(chunk, reps - done)
-        z = fg.from_normals(to_normals(stream.uniforms((k, fg.m))).T)
-        z += shift
-        s = reduce_fn(z)
-        total = total + s.sum(axis=1)
-        total_sq = total_sq + (s * s).sum(axis=1)
-        if return_samples:
-            if samples is None:
-                samples = np.empty((s.shape[0], reps))
-            samples[:, done:done + k] = s
-        done += k
+    for s_sum, sq_sum, _ in chunks:
+        total = total + s_sum
+        total_sq = total_sq + sq_sum
+    samples = np.hstack([c[2] for c in chunks]) if return_samples else None
     mean = total / reps
     se = np.zeros_like(mean)
     if reps > 1:

@@ -18,7 +18,10 @@ with no leading columns.  Rows are drawn as blocks, one ``uniforms`` call
 per block: of a fixed size private to the simulator in ``simulator._rows``,
 of a memory-bounded chunk in ``statseval.mc_mean``.  A block of rows holds
 the same values as that many one-row calls, so draw k reads the same
-uniforms whatever the block size.
+uniforms whatever the block size.  ``RandomStream.seek`` restarts a stream
+at any uniform, with the same draws from there on as a stream read up to
+it; ``mc_mean`` seeks one stream per thread to each chunk it computes, so
+its bytes do not depend on the number of threads.
 """
 
 from __future__ import annotations
@@ -63,17 +66,32 @@ class RandomStream:
     def rekey(self, stream_id: int) -> None:
         """Restart as stream ``(seed, stream_id)``, whatever has been drawn.
 
-        The Philox state becomes that key with a zero counter and an empty
-        buffer, exactly the state of a new ``RandomStream(seed, stream_id)``,
-        so the draws that follow are the same bytes.
+        The draws that follow are the same bytes as those of a new
+        ``RandomStream(seed, stream_id)``.
         """
         self.stream_id = mask64(stream_id)
-        zeros = np.zeros(4, dtype=np.uint64)
+        self.seek(0)
+
+    def seek(self, draws: int) -> None:
+        """Restart the same key at uniform number ``draws``, whatever has been drawn.
+
+        Philox makes its uniforms four per counter step, so the state
+        becomes the key with the counter at ``draws // 4`` and an empty
+        buffer, and ``draws % 4`` uniforms are then discarded: the draws that
+        follow are those of a new stream from uniform ``draws`` on.
+        """
+        if draws < 0:
+            raise ValueError(f"draws must be non-negative, got {draws}")
+        steps, skip = divmod(int(draws), 4)
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": zeros, "key": self._key()},
-            "buffer": zeros, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            "state": {"counter": np.array([steps, 0, 0, 0], dtype=np.uint64),
+                      "key": self._key()},
+            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0,
         }
+        if skip:
+            self._gen.random(skip)
 
     def uniforms(self, size=None):
         """Uniform draws on [0, 1)."""

@@ -154,6 +154,22 @@ def test_simulate_measure_weights(tmp_path):
         assert str(bad) in str(exc.value.code)
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--alpha", "1.0", "--grid", "0:1:0.5"],
+    ["oracle", "--alpha", "1.0", "--grid", "0:1:0.5", "--y", "1.0"],
+    ["validate"],
+    ["pickands", "--alpha", "1.0", "--N", "1", "--mesh", "0.5"],
+    ["theta", "--alpha", "1.0", "--n", "4"],
+    ["clusters", "--alphas", "1.0", "--grid", "0:1:0.5"],
+], ids=lambda command: command[0])
+def test_every_command_rejects_nonpositive_reps(capsys, command):
+    for reps in ("0", "-3", "2.5"):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--reps", reps])
+        assert exc.value.code == 2
+        assert "reps must be a positive integer" in capsys.readouterr().err
+
+
 def test_simulate_rejects_bad_arguments(tmp_path):
     base = ["simulate", "--alpha", "1.0"]
     with pytest.raises(SystemExit) as exc:

@@ -133,6 +133,23 @@ def test_rekeyed_stream_replays_a_new_stream():
             assert stream.uniforms((4, 5)).tobytes() == fresh.uniforms((4, 5)).tobytes()
 
 
+@pytest.mark.parametrize("m", [5, 7, 64])
+def test_sought_stream_replays_the_tail(m):
+    # seek(draws) must continue the stream at uniform number draws, whether
+    # the stream is new or has a part-used buffer, and read on in rows of m.
+    seed, sid, rows = 2 ** 64 - 3, 11, 6
+    for draws in (0, 1, 3, 4, 5, 1008 * 65):
+        tail = RandomStream(seed, sid).uniforms(draws + rows * m)[draws:]
+        for used in (0, m + 2):
+            stream = RandomStream(seed, sid)
+            stream.uniforms(used)
+            stream.seek(draws)
+            assert (stream.seed, stream.stream_id) == (seed, sid)
+            assert stream.uniforms((rows, m)).tobytes() == tail.tobytes()
+    with pytest.raises(ValueError):
+        RandomStream(seed, sid).seek(-1)
+
+
 def test_sample_moments_match_kernel():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.5, 1.0], model)

@@ -1,3 +1,5 @@
+import multiprocessing
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from brownresnick import (
     ResourceLimitError,
     VariogramModel,
     box_grid,
+    change_of_measure_check,
     cluster_count_stats,
     extremal_index_estimate,
     fdd_cdf_oracle,
@@ -203,6 +206,70 @@ def test_chunk_width_changes_only_rounding(monkeypatch):
     monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", 7 * 9)  # 9-site union
     _, narrow = pickands_coupled(M1, grids, reps=50, seed=8, return_samples=True)
     assert np.all(np.abs(narrow - base) <= 1e-12 * np.maximum(1.0, np.abs(base)))
+
+
+def _oracle_bytes(reps: int) -> bytes:
+    """Every output of the four Monte Carlo oracles, as one byte string.
+
+    The 7-site grids factorize to an odd m, and reps leaves a short last
+    chunk at any chunk width that does not divide it.
+    """
+    grid = box_grid(0.0, 1.5, 0.25)
+    out = [fdd_cdf_oracle(grid, M1, np.linspace(0.5, 2.0, 7), reps, seed=61)]
+    ests, samples = pickands_coupled(M1, [grid[:3], grid], reps, seed=62,
+                                     return_samples=True)
+    out += ests
+    out.append(extremal_index_estimate(M1, 7, reps, seed=63))
+    values = [v for e in out for v in (e.value, e.std_error)]
+    values.append(change_of_measure_check(M1, grid, [0.5], reps, seed=64))
+    return np.array(values).tobytes() + samples.tobytes()
+
+
+def _oracle_bytes_to(conn, reps):
+    conn.send(_oracle_bytes(reps))
+    conn.close()
+
+
+@pytest.mark.parametrize("chunk_doubles", [_CHUNK_DOUBLES, 7 * 13])
+def test_worker_count_never_changes_a_byte(monkeypatch, chunk_doubles):
+    # Chunk c reads the rows [c k, c k + k) of its stream whoever computes
+    # it, and the chunk sums are added in chunk order, so 1, 2 or 3 threads
+    # (3 being more than some machines have cores) give the same bytes.
+    monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", chunk_doubles)
+    reps = 3 * (chunk_doubles // 7) + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(statseval, "_worker_count", lambda: workers)
+            outputs.append(_oracle_bytes(reps))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[1] == outputs[0]
+    assert outputs[2] == outputs[0]
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    # A child forked after the parent's pool has run has none of its
+    # threads; it must build a pool of its own rather than wait on them.
+    monkeypatch.setattr(statseval, "_worker_count", lambda: 2)
+    reps = 2 * (_CHUNK_DOUBLES // 7) + 5
+    expected = _oracle_bytes(reps)
+    parent_end, child_end = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=_oracle_bytes_to, args=(child_end, reps))
+    child.start()
+    child_end.close()
+    try:
+        assert parent_end.poll(60), "forked child did not answer in 60 s"
+        got = parent_end.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive()
+    assert got == expected
 
 
 @pytest.mark.parametrize("oracle", [
