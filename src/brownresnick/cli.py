@@ -31,7 +31,7 @@ from . import __version__
 from .distributions import fdd_cdf_oracle, gumbel_cdf, gumbel_quantile, std_normal_cdf
 from .gaussian import FactorizationError, SiteSet, box_grid, build_sampler, load_sites_csv
 from .pointprocess import SamplingMeasure
-from .simulator import ClusterLimitError, replications, transform_marginals
+from .simulator import MARGINALS, ClusterLimitError, replications, transform_marginals
 from .statseval import (
     ResourceLimitError,
     cluster_count_stats,
@@ -332,10 +332,9 @@ def cmd_clusters(args, parser) -> int:
     return 0
 
 
-def _two_sample_check(name, arm_a, arm_b, reps) -> dict:
-    d = ks_two_sample(arm_a, arm_b)
-    thr = ks_critical(reps, m=reps)
-    return {"name": name, "pass": bool(d <= thr), "statistic": d, "threshold": thr}
+def _ks_check(name, statistic, threshold, **extra) -> dict:
+    return {"name": name, "pass": bool(statistic <= threshold),
+            "statistic": statistic, "threshold": threshold, **extra}
 
 
 def cmd_validate(args, parser) -> int:
@@ -350,7 +349,6 @@ def cmd_validate(args, parser) -> int:
     model = _build_model(parser, args.alpha, args.scale, 1)
     sites5 = SiteSet(np.asarray(FIVE_SITES))
     checks = []
-    ks_thr = 1.63 / np.sqrt(reps)
 
     def active(name):
         return name not in args.skip
@@ -358,19 +356,17 @@ def cmd_validate(args, parser) -> int:
     if active("marginal"):
         samples = [fs.values[0]
                    for fs in replications([0.7], model, reps, seed=arm[0])]
-        d = ks_statistic(samples, gumbel_cdf)
-        checks.append({"name": "marginal", "pass": bool(d <= ks_thr),
-                       "statistic": d, "threshold": ks_thr})
+        checks.append(_ks_check("marginal", ks_statistic(samples, gumbel_cdf),
+                                ks_critical(reps)))
 
     if active("bivariate"):
         pair = np.array([0.0, args.s])
         loc = float(np.log(2.0 * std_normal_cdf(np.sqrt(gamma(model, args.s) / 2.0))))
         samples = [fs.values.max() - loc
                    for fs in replications(pair, model, reps, seed=arm[1])]
-        d = ks_statistic(samples, gumbel_cdf)
         emit_svg_qq(qq_data(samples, gumbel_quantile), args.qq)
-        checks.append({"name": "bivariate", "pass": bool(d <= ks_thr),
-                       "statistic": d, "threshold": ks_thr, "qq_svg": args.qq})
+        checks.append(_ks_check("bivariate", ks_statistic(samples, gumbel_cdf),
+                                ks_critical(reps), qq_svg=args.qq))
 
     if active("mu_invariance"):
         skewed = SamplingMeasure([0.6, 0.1, 0.1, 0.1, 0.1])
@@ -379,10 +375,11 @@ def cmd_validate(args, parser) -> int:
         arm_b = [fs.values.max()
                  for fs in replications(sites5, model, reps, measure=skewed,
                                         seed=arm[3])]
-        checks.append(_two_sample_check("mu_invariance", arm_a, arm_b, reps))
+        checks.append(_ks_check("mu_invariance", ks_two_sample(arm_a, arm_b),
+                                ks_critical(reps, m=reps)))
 
     if active("stationarity"):
-        worst = None
+        worst = 0.0
         for k, alpha in enumerate((1.0, 2.0)):
             m = VariogramModel(alpha=alpha, scale=args.scale)
             runs_a = [fs.values
@@ -394,12 +391,8 @@ def cmd_validate(args, parser) -> int:
             b = np.asarray(runs_b)
             for stat_a, stat_b in ((a.max(axis=1), b.max(axis=1)),
                                    (a[:, 0], b[:, 0])):
-                d = ks_two_sample(stat_a, stat_b)
-                if worst is None or d > worst:
-                    worst = d
-        thr = ks_critical(reps, m=reps)
-        checks.append({"name": "stationarity", "pass": bool(worst <= thr),
-                       "statistic": float(worst), "threshold": thr})
+                worst = max(worst, ks_two_sample(stat_a, stat_b))
+        checks.append(_ks_check("stationarity", worst, ks_critical(reps, m=reps)))
 
     all_pass = all(c["pass"] for c in checks)
     report = _echo(seed, args.alpha, sites5.n, reps)
@@ -456,8 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_site_args(sp)
     sp.add_argument("--alpha", type=float, required=True)
     _add_common(sp, default_seed, reps_default=1)
-    sp.add_argument("--marginals", choices=("gumbel", "frechet", "weibull"),
-                    default="gumbel")
+    sp.add_argument("--marginals", choices=MARGINALS, default="gumbel")
     sp.add_argument("--measure-weights",
                     help="CSV of one positive weight per site (default uniform)")
     sp.add_argument("--out", help="output CSV path (default stdout)")

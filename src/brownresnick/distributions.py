@@ -8,8 +8,13 @@ Closed forms: the Gumbel marginal and the two-site formula
 with lam = sqrt(gamma(s)/2).  Monte Carlo: the finite-dimensional CDF
 identity P(eta <= y) = exp(-E exp(max_j (Z(t_j - t*) - y_j))) and the
 change-of-measure identity E e^{W(t)-gamma(t)} F(W - gamma) = E F(Z(. - t))
-for translation-invariant F.  The oracles share no code path with the
-simulator, so agreement is evidence, not tautology.  Both are means taken
+for translation-invariant F.  The oracles draw W as the simulator does,
+through ``build_sampler``, ``to_normals`` and ``from_normals``, so their
+agreement with it checks what the exact sampler adds: the Poisson points,
+the anchor tilt, the cluster normalization and the stopping rule.  The
+shared draw path is checked by references outside it: the closed forms here
+(acceptance criteria 1-2) and the ``math.erf`` laws of ``bench/checks.py``.
+Both oracles are means taken
 by ``statseval.mc_mean``, which factorizes W at their sites, draws from the
 stream ``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``) in
 chunks of at most 2^16 doubles per array, so their memory does not grow

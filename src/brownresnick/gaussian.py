@@ -211,16 +211,12 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
     sites = SiteSet.from_points(sites)
     as_points(model, sites.points)  # dimension check
 
-    # The factorized sites: one raw site per representative off the origin
-    # (coinciding raw sites are equal bit for bit, so any one will do), in
+    # The factorized sites: the representatives off the origin, in
     # representative order.
     is_origin = np.all(sites.rep_points == 0.0, axis=1)
-    raw_of_rep = np.empty(sites.num_representatives, dtype=np.intp)
-    raw_of_rep[sites.rep_index] = np.arange(sites.n)
-    active = raw_of_rep[~is_origin]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         g = np.atleast_1d(gamma(model, sites.points))
-        cov = covariance_matrix(model, sites.points[active])
+        cov = covariance_matrix(model, sites.rep_points[~is_origin])
 
     def failure(reason):
         diam = float(np.max(np.hypot.reduce(
@@ -235,14 +231,14 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
         raise failure("covariance overflowed to a non-finite value")
     sub_factor = np.zeros((1, 0))  # every site at the origin: rows of width 0
     jitter_used = 0.0
-    if len(active):
+    if len(cov):
         mean_diag = float(np.mean(np.diag(cov)))
         jitters = [0.0] + [mean_diag * 10.0 ** k for k in range(-12, 1)
                            if 10.0 ** k <= _MAX_JITTER_FACTOR * (1 + 1e-9)]
         for j in jitters:
             try:
                 sub_factor = np.linalg.cholesky(
-                    cov + j * np.eye(len(active)) if j else cov)
+                    cov + j * np.eye(len(cov)) if j else cov)
                 jitter_used = j
                 break
             except np.linalg.LinAlgError:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .gaussian import FactorizedGaussian, SiteSet, build_sampler
 from .pointprocess import SamplingMeasure, poisson_points
-from .streams import RandomStream, to_normals
+from .streams import RandomStream, positive_int, to_normals
 
 DEFAULT_MAX_CLUSTERS = 10_000_000
 DEFAULT_V_TRACE_CAP = 100_000
@@ -265,9 +265,7 @@ def simulate_naive(
     same draws, and for a fixed seed the output is coordinatewise
     nondecreasing in N.
     """
-    truncation = int(truncation)
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
+    truncation = positive_int("truncation", truncation)
     _, sampler = _prepare(sites, model, None, sampler)
     t0 = time.perf_counter()
     stream = RandomStream(seed, 0)
@@ -321,11 +319,10 @@ def replications(
     to (seed, r) between samples.  ``workers`` is ignored; samples are drawn
     one at a time.
     """
-    if reps < 1 or reps != int(reps):
-        raise ValueError(f"reps must be a positive integer, got {reps}")
+    reps = positive_int("reps", reps)
     measure, sampler = _prepare(sites, model, measure, sampler)
     stream = RandomStream(seed, 0)
-    for r in range(int(reps)):
+    for r in range(reps):
         if r:
             stream.rekey(r)
         yield _simulate(measure, sampler, stream)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import _grid_axes, box_grid, build_sampler
-from .streams import RandomStream, to_normals
+from .gaussian import SiteSet, _grid_axes, box_grid, build_sampler
+from .streams import RandomStream, positive_int, to_normals
 from .variogram import VariogramModel, as_points
 
 # Monte Carlo chunks hold at most this many doubles (512 KiB) per (n, k)
@@ -161,9 +161,7 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     the unbiased sample variance s^2 (0 when ``reps`` is 1).  With
     ``return_samples`` it also returns the statistics as a (g, reps) array.
     """
-    if reps < 1 or reps != int(reps):
-        raise ValueError(f"reps must be a positive integer, got {reps}")
-    reps = int(reps)
+    reps = positive_int("reps", reps)
     fg = build_sampler(points, model)
     shift = (np.asarray(offset, dtype=np.float64) - fg.gamma).reshape(-1, 1)
     chunk = max(1, _CHUNK_DOUBLES // fg.n)
@@ -248,19 +246,17 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
     for i, g in enumerate(grids):
         if g.shape[0] == 0:
             raise ValueError(f"grid {i} has no points")
-    stacked = np.vstack(grids)
-    union, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    if union.shape[0] > MAX_GRID:
-        raise ResourceLimitError(
-            f"grid of {union.shape[0]} points exceeds the budget of {MAX_GRID}")
+    union = SiteSet(np.vstack(grids))
+    if union.num_representatives > MAX_GRID:
+        raise ResourceLimitError(f"grid of {union.num_representatives} points "
+                                 f"exceeds the budget of {MAX_GRID}")
     ends = np.cumsum([g.shape[0] for g in grids])
-    row_sets = [np.unique(rows) for rows in np.split(inverse, ends[:-1])]
+    row_sets = [np.unique(rows) for rows in np.split(union.rep_index, ends[:-1])]
 
     def grid_maxima(z):
         return np.stack([np.exp(z[rows].max(axis=0)) for rows in row_sets])
 
-    return mc_mean(model, union, 0.0, reps, seed, grid_maxima,
+    return mc_mean(model, union.rep_points, 0.0, reps, seed, grid_maxima,
                    return_samples=return_samples)
 
 
@@ -282,9 +278,7 @@ def extremal_index_estimate(model: VariogramModel, n: int, reps: int,
     That is f({1, ..., n}) / n: the same draws and the same mean as
     ``pickands_coupled(model, [sites 1..n], reps, seed)``, divided by n.
     """
-    if n < 1 or n != int(n):
-        raise ValueError(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = positive_int("n", n)
     if n > MAX_GRID:
         raise ResourceLimitError(f"n={n} exceeds the budget of {MAX_GRID}")
     points = np.zeros((n, model.dim))

@@ -26,6 +26,8 @@ its bytes do not depend on the number of threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -36,6 +38,13 @@ _TINY = np.finfo(np.float64).tiny
 def mask64(value: int) -> int:
     """Reduce an integer to its low 64 bits (Python ints may be signed/huge)."""
     return int(value) & _MASK64
+
+
+def positive_int(name: str, value) -> int:
+    """``int(value)`` for a count: a finite whole number of at least 1."""
+    if not (math.isfinite(value) and value >= 1 and value == int(value)):
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return int(value)
 
 
 def to_normals(u: np.ndarray) -> np.ndarray:

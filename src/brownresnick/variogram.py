@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .streams import positive_int
+
 
 @dataclass(frozen=True)
 class VariogramModel:
@@ -44,8 +46,7 @@ class VariogramModel:
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
         if not 0.0 < self.scale < np.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if int(self.dim) < 1 or self.dim != int(self.dim):
-            raise ValueError(f"dim must be a positive integer, got {self.dim}")
+        object.__setattr__(self, "dim", positive_int("dim", self.dim))
 
 
 def as_points(model: VariogramModel, t) -> np.ndarray:

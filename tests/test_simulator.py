@@ -231,6 +231,13 @@ def test_input_validation():
         list(replications([0.0], M1, reps=2.5))
     with pytest.raises(ValueError):
         simulate_naive([0.0], M1, truncation=0)
+    # A count that is not a finite whole number of at least 1 is rejected by
+    # name: no OverflowError from int(inf), no truncation of 2.7 to 2 points.
+    for bad in (np.inf, -np.inf, np.nan, 0, -1, 2.7):
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            list(replications([0.0], M1, reps=bad))
+        with pytest.raises(ValueError, match="truncation must be a positive integer"):
+            simulate_naive([0.0], M1, truncation=bad)
 
 
 def test_prebuilt_sampler_must_fit():

@@ -166,6 +166,12 @@ def test_pickands_grid_budget(monkeypatch):
     with pytest.raises(ValueError, match="reps must be a positive integer"):
         pickands_coupled(M1, [box_grid(0.0, 1.0, 0.5)], reps=-1, seed=0,
                          return_samples=True)
+    # mc_mean's one count check, reached through two of its callers.
+    for bad in (np.inf, -np.inf, np.nan, 0, -1, 2.7):
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            pickands_coupled(M1, [box_grid(0.0, 1.0, 0.5)], reps=bad, seed=0)
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            fdd_cdf_oracle([0.0, 1.0], M1, [1.0, 1.0], reps=bad, seed=0)
 
 
 def test_pickands_budget_checked_before_any_grid():
@@ -179,6 +185,20 @@ def test_pickands_budget_checked_before_any_grid():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_pickands_repeated_points_share_draws():
+    # A point listed twice within a grid, and a grid holding the same points
+    # in another order, factorize the same distinct sites: the samples are
+    # those of the de-duplicated grids, byte for byte.
+    grid = box_grid(0.0, 1.0, 0.25)
+    repeated = np.vstack([grid, grid[[2]]])
+    shuffled = grid[::-1]
+    _, samples = pickands_coupled(M1, [repeated, shuffled], reps=3000, seed=8,
+                                  return_samples=True)
+    _, expected = pickands_coupled(M1, [grid, grid], reps=3000, seed=8,
+                                   return_samples=True)
+    assert samples.tobytes() == expected.tobytes()
 
 
 def test_pickands_accumulator_across_chunk_boundary():
@@ -323,6 +343,9 @@ def test_extremal_index_validation():
         extremal_index_estimate(M1, 2.7, reps=10, seed=0)
     with pytest.raises(ValueError, match="reps must be a positive integer"):
         extremal_index_estimate(M1, 4, reps=2.5, seed=0)
+    for bad in (np.inf, -np.inf, np.nan, 0, -1, 2.7):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            extremal_index_estimate(M1, bad, reps=10, seed=0)
 
 
 @pytest.mark.parametrize("n", [2, 7, 65])

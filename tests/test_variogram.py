@@ -137,6 +137,11 @@ def test_model_validation():
     with pytest.raises(ValueError):
         VariogramModel(alpha=1.0, dim=0)
     VariogramModel(alpha=2.0)  # the boundary itself is allowed
+    for bad in (np.inf, -np.inf, np.nan, -1, 2.7):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            VariogramModel(alpha=1.0, dim=bad)
+    # dim sizes arrays (extremal_index_estimate's sites), so 2.0 becomes 2.
+    assert type(VariogramModel(alpha=1.0, dim=2.0).dim) is int
 
 
 def test_dimension_mismatch_rejected():
