@@ -29,7 +29,8 @@ import numpy as np
 
 from . import __version__
 from .distributions import fdd_cdf_oracle, gumbel_cdf, gumbel_quantile, std_normal_cdf
-from .gaussian import FactorizationError, SiteSet, box_grid, build_sampler, load_sites_csv
+from .gaussian import (FactorizationError, SiteSet, box_grid, build_sampler,
+                       load_sites_csv, read_csv)
 from .pointprocess import SamplingMeasure
 from .simulator import MARGINALS, ClusterLimitError, replications, transform_marginals
 from .statseval import (
@@ -42,7 +43,7 @@ from .statseval import (
     pickands_estimate,
     qq_data,
 )
-from .streams import mask64
+from .streams import positive_int, seed_int
 from .variogram import VariogramModel, gamma
 
 SVG_SIZE = 480
@@ -55,23 +56,13 @@ VALIDATE_CHECKS = ("marginal", "bivariate", "mu_invariance", "stationarity")
 FIVE_SITES = (0.0, 0.2, 0.45, 0.7, 1.0)
 
 
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"environment variable {name} must be an integer, got {raw!r}")
-
-
 def _arm_seeds(seed: int, count: int) -> list[int]:
     """Library seeds for ``count`` arms: 64-bit SeedSequence hashes of (seed, k).
 
     Two arms, of one run or of runs at different seeds, collide with
     probability about 2^-64.
     """
-    children = np.random.SeedSequence(mask64(seed)).spawn(count)
+    children = np.random.SeedSequence(seed_int(seed)).spawn(count)
     return [int(c.generate_state(1, np.uint64)[0]) for c in children]
 
 
@@ -92,28 +83,25 @@ def parse_grid(expr: str) -> np.ndarray:
     return box_grid(lows, highs, meshes)
 
 
-def _load_measure(args, n: int) -> SamplingMeasure | None:
-    path = getattr(args, "measure_weights", None)
-    if path:
-        try:
-            measure = SamplingMeasure(np.loadtxt(path, delimiter=",").reshape(-1))
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{path}: {exc}")
-        if measure.n != n:
-            raise SystemExit(f"{path}: {measure.n} weights for {n} sites")
-        return measure
-    return None
+def _from_file(path, load):
+    try:
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"{path}: {exc}")
+
+
+def _weights_csv(path) -> SamplingMeasure:
+    rows = read_csv(path)
+    if min(rows.shape) > 1:
+        raise ValueError(f"{len(rows)} rows of {rows.shape[1]} weights, not one row or column")
+    return SamplingMeasure(rows.reshape(-1))
 
 
 def _resolve_sites(args, parser) -> SiteSet:
     if getattr(args, "sites", None) and getattr(args, "grid", None):
         parser.error("give either --sites or --grid, not both")
-    sites = None
     if getattr(args, "sites", None):
-        try:
-            sites = load_sites_csv(args.sites, header=args.sites_header)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"{args.sites}: {exc}")
+        sites = _from_file(args.sites, lambda p: load_sites_csv(p, args.sites_header))
     elif getattr(args, "grid", None):
         try:
             sites = SiteSet(parse_grid(args.grid))
@@ -223,7 +211,7 @@ def emit_svg_qq(pairs, path: str) -> None:
 def cmd_simulate(args, parser) -> int:
     sites = _resolve_sites(args, parser)
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
-    measure = _load_measure(args, sites.n)
+    measure = _from_file(args.measure_weights, _weights_csv) if args.measure_weights else None
 
     t0 = time.perf_counter()
     sampler = build_sampler(sites, model)
@@ -292,8 +280,6 @@ def cmd_pickands(args, parser) -> int:
 
 
 def cmd_theta(args, parser) -> int:
-    if args.n < 1:
-        parser.error("n must be >= 1")
     model = _build_model(parser, args.alpha, args.scale, args.dim)
     est = extremal_index_estimate(model, args.n, args.reps, args.seed)
     out = _echo(args.seed, args.alpha, args.n, args.reps)
@@ -419,12 +405,9 @@ def _add_site_args(sp, grid_default: str | None = None):
 
 def _reps(text: str) -> int:
     try:
-        reps = int(text)
+        return positive_int("reps", int(text))
     except ValueError:
-        reps = 0
-    if reps < 1:
-        raise argparse.ArgumentTypeError("reps must be a positive integer")
-    return reps
+        raise argparse.ArgumentTypeError(f"reps must be a positive integer, got {text!r}")
 
 
 def _add_common(sp, default_seed, reps_default):
@@ -437,7 +420,8 @@ def _add_common(sp, default_seed, reps_default):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_seed = _env_int("BROWNRESNICK_SEED", 1)
+    # argparse reads a string default through type=int, as it reads --seed.
+    default_seed = os.environ.get("BROWNRESNICK_SEED", "1")
 
     parser = argparse.ArgumentParser(
         prog="brownresnick",
@@ -451,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, default_seed, reps_default=1)
     sp.add_argument("--marginals", choices=MARGINALS, default="gumbel")
     sp.add_argument("--measure-weights",
-                    help="CSV of one positive weight per site (default uniform)")
+                    help="CSV of one positive weight per site, in one row or one "
+                         "column, read as --sites is (default uniform)")
     sp.add_argument("--out", help="output CSV path (default stdout)")
     sp.add_argument("--diag", help="diagnostics JSON path")
     sp.add_argument("--no-timing", action="store_true",

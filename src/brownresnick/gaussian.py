@@ -17,7 +17,6 @@ site T: the Cameron-Martin shift of the normals by row T of the factor.
 
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
@@ -123,20 +122,31 @@ def _grid_axes(low, high, mesh) -> list:
     return axes
 
 
-def load_sites_csv(path, header: bool = False) -> SiteSet:
-    """Read sites from a CSV file with d numeric columns, one site per row."""
+def read_csv(path, header: bool = False) -> np.ndarray:
+    """The numbers of a comma-separated file, one array row per line: the one
+    reader of site and weight files.  ``#`` starts a comment; blank lines, and
+    line 1 with ``header``, are skipped.  Errors name the first bad line."""
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if i == 0 and header:
+    with open(path) as fh:
+        for number, line in enumerate(fh, 1):
+            text = line.split("#", 1)[0]
+            if (header and number == 1) or not text.strip():
                 continue
-            if not row:
-                continue
-            rows.append([float(x) for x in row])
-    if not rows:
-        raise ValueError(f"no sites found in {path}")
-    return SiteSet(np.asarray(rows, dtype=np.float64))
+            try:
+                row = [float(x) for x in text.split(",")]
+            except ValueError:
+                raise ValueError(f"line {number}: {line.strip()!r} is not a "
+                                 "comma-separated row of numbers") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(f"line {number} has {len(row)} values where "
+                                 f"the first row has {len(rows[0])}")
+            rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
+def load_sites_csv(path, header: bool = False) -> SiteSet:
+    """Sites from a CSV file (``read_csv``), one site of d values per row."""
+    return SiteSet(read_csv(path, header))
 
 
 class FactorizedGaussian:

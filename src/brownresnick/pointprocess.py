@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .streams import _TINY
+from .streams import _TINY, positive_int
 
 
 def poisson_points(gamma_sum: float, u) -> tuple[float, np.ndarray]:
@@ -58,8 +58,8 @@ class SamplingMeasure:
 
     @classmethod
     def uniform(cls, n: int) -> "SamplingMeasure":
-        n = int(n)
-        return cls(np.full(n, 1.0 / max(n, 1)))
+        n = positive_int("n", n)
+        return cls(np.full(n, 1.0 / n))
 
     @property
     def n(self) -> int:

@@ -266,9 +266,9 @@ def simulate_naive(
     nondecreasing in N.
     """
     truncation = positive_int("truncation", truncation)
+    stream = RandomStream(seed, 0)
     _, sampler = _prepare(sites, model, None, sampler)
     t0 = time.perf_counter()
-    stream = RandomStream(seed, 0)
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
     for v, w in islice(_rows(stream, sampler), truncation):
@@ -310,19 +310,23 @@ def replications(
     *,
     sampler: FactorizedGaussian | None = None,
 ):
-    """Yield ``reps`` independent FieldSamples of one run at ``seed``.
+    """A generator of ``reps`` independent FieldSamples of one run at ``seed``.
 
-    Sample r draws everything from the one stream (seed, r), so item 0
-    equals ``simulate(..., seed=seed)`` bit for bit and runs at different
-    seeds share no draw.  The covariance factorization and the generator
-    are shared across replications: the stream is re-keyed from (seed, r - 1)
-    to (seed, r) between samples.  ``workers`` is ignored; samples are drawn
-    one at a time.
+    The inputs are checked and the covariance factorized at the call, before
+    the generator is returned, not at the first ``next()``.  Sample r draws
+    everything from the one stream (seed, r), so item 0 equals
+    ``simulate(..., seed=seed)`` bit for bit and runs at different seeds
+    share no draw.  The factorization and the generator are shared: the
+    stream is re-keyed from (seed, r - 1) to (seed, r) between samples.
+    ``workers`` is ignored; samples are drawn one at a time.
     """
     reps = positive_int("reps", reps)
-    measure, sampler = _prepare(sites, model, measure, sampler)
     stream = RandomStream(seed, 0)
-    for r in range(reps):
-        if r:
-            stream.rekey(r)
-        yield _simulate(measure, sampler, stream)
+    measure, sampler = _prepare(sites, model, measure, sampler)
+
+    def samples():
+        for r in range(reps):
+            if r:
+                stream.rekey(r)
+            yield _simulate(measure, sampler, stream)
+    return samples()

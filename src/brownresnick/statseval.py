@@ -169,8 +169,7 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     workers = min(_worker_count(), len(starts))
     chunks = [None] * len(starts)
 
-    def run(first: int) -> None:
-        stream = RandomStream(seed, stream_id)
+    def run(first: int, stream: RandomStream) -> None:
         for c in range(first, len(starts), workers):
             stream.seek(starts[c] * fg.m)
             z = fg.from_normals(to_normals(stream.uniforms(
@@ -180,9 +179,10 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
             chunks[c] = (s.sum(axis=1), (s * s).sum(axis=1),
                          s if return_samples else None)
 
-    helpers = [_executor().submit(run, w) for w in range(1, workers)]
+    helpers = [_executor().submit(run, w, RandomStream(seed, stream_id))
+               for w in range(1, workers)]
     try:
-        run(0)
+        run(0, RandomStream(seed, stream_id))
     finally:
         wait(helpers)
     for f in helpers:

@@ -3,7 +3,9 @@
 Every stream is keyed by a ``(seed, stream_id)`` pair and backed by the
 Philox counter-based generator, so streams with distinct keys are
 statistically independent and a stream's output depends only on its key
-and on how many values have been drawn from it.  Every consumer reads its
+and on how many values have been drawn from it.  A stream checks its seed
+by the one seed rule, ``seed_int``, when it is built; ``rekey`` checks
+nothing, so the per-sample path does no check.  Every consumer reads its
 stream as rows of uniforms, one row per draw.  A Gaussian draw maps the
 row's last m uniforms through ``to_normals`` and one product with the
 factor (``gaussian.FactorizedGaussian.from_normals``), m being the number
@@ -27,6 +29,7 @@ its bytes do not depend on the number of threads.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 from scipy.special import ndtri
@@ -40,11 +43,28 @@ def mask64(value: int) -> int:
     return int(value) & _MASK64
 
 
+def _whole(value) -> bool:
+    """An integer, or a finite number with no fractional part."""
+    try:
+        return isinstance(value, numbers.Integral) or (
+            math.isfinite(value) and value == int(value))
+    except TypeError:
+        return False
+
+
 def positive_int(name: str, value) -> int:
     """``int(value)`` for a count: a finite whole number of at least 1."""
-    if not (math.isfinite(value) and value >= 1 and value == int(value)):
-        raise ValueError(f"{name} must be a positive integer, got {value}")
+    if not (_whole(value) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
+
+
+def seed_int(seed) -> int:
+    """The key word of a seed: a Python or numpy integer, or a finite float
+    with no fractional part (7.0 is seed 7), reduced by ``mask64``."""
+    if not _whole(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    return mask64(seed)
 
 
 def to_normals(u: np.ndarray) -> np.ndarray:
@@ -65,7 +85,7 @@ class RandomStream:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = mask64(seed)
+        self.seed = seed_int(seed)
         self.stream_id = mask64(stream_id)
         self._gen = np.random.Generator(np.random.Philox(key=self._key()))
 

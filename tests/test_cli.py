@@ -154,6 +154,34 @@ def test_simulate_measure_weights(tmp_path):
         assert str(bad) in str(exc.value.code)
 
 
+def test_ragged_csv_files_name_the_line(tmp_path):
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0,1\n2\n")
+    for flags in (["--sites", str(ragged)],
+                  ["--grid", "0:1:1", "--measure-weights", str(ragged)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--alpha", "1.0", "--out", str(tmp_path / "v.csv"),
+                  *flags])
+        assert exc.value.code == f"{ragged}: line 2 has 1 values where the first row has 2"
+
+
+def test_weights_file_is_one_row_or_one_column(tmp_path):
+    column = tmp_path / "column.csv"
+    column.write_text("# anchor weights\n5\n1\n  \n1\n1\n1  # last\n")
+    row = tmp_path / "row.csv"
+    row.write_text("5,1,1,1,1\n")
+    out_column, _ = _run_simulate(tmp_path, "column", ("--measure-weights", str(column)))
+    out_row, _ = _run_simulate(tmp_path, "row", ("--measure-weights", str(row)))
+    assert out_column.read_bytes() == out_row.read_bytes()
+
+    matrix = tmp_path / "matrix.csv"
+    matrix.write_text("5,1\n1,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--alpha", "1.0", "--grid", "0:3:1",
+              "--measure-weights", str(matrix)])
+    assert exc.value.code == f"{matrix}: 2 rows of 2 weights, not one row or column"
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--alpha", "1.0", "--grid", "0:1:0.5"],
     ["oracle", "--alpha", "1.0", "--grid", "0:1:0.5", "--y", "1.0"],

@@ -192,3 +192,11 @@ def test_change_of_measure_input_validation():
 def test_gamma_reexport_consistency():
     # The closed form and the oracle share the variogram, not each other.
     assert gamma(M1, 1.0) == 0.5
+
+
+def test_oracle_seed_rule_at_the_call():
+    for bad in (2.7, np.inf, np.nan, "3"):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {bad!r}"):
+            fdd_cdf_oracle([0.0, 1.0], M1, [1.0, 1.0], 100, bad)
+    a = fdd_cdf_oracle([0.0, 1.0], M1, [1.0, 1.0], 100, 7)
+    assert fdd_cdf_oracle([0.0, 1.0], M1, [1.0, 1.0], 100, 7.0) == a

@@ -14,6 +14,7 @@ from brownresnick import (
     simulate,
 )
 from brownresnick import gaussian
+from brownresnick.gaussian import read_csv
 from brownresnick.streams import to_normals
 
 
@@ -337,3 +338,25 @@ def test_load_sites_csv(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError):
         load_sites_csv(empty)
+
+
+def test_read_csv_format(tmp_path):
+    path = tmp_path / "f.csv"
+    # Comments run from # to the end of the line; lines blank once the
+    # comment is cut are skipped, whitespace-only lines included.
+    path.write_text("# x, y\n0.0, 1.0\n\n   \n0.5,2.0  # second\r\n")
+    np.testing.assert_array_equal(read_csv(path), [[0.0, 1.0], [0.5, 2.0]])
+    # The header is the first line, whatever it holds.
+    path.write_text("x,y\n0.0,1.0\n")
+    np.testing.assert_array_equal(read_csv(path, header=True), [[0.0, 1.0]])
+    for text, message in (("0,1\n# c\n2\n", "line 3 has 1 values where the first row"),
+                          ("x,y\n0,1\n", "line 1: 'x,y' is not"),
+                          ("0,1,\n", "line 1: '0,1,' is not"),
+                          ('"0","1"\n', "line 1")):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_csv(path)
+    # A file with no rows is left to the site set or measure to reject.
+    path.write_text("# only a comment\n\n")
+    with pytest.raises(ValueError, match="nonempty"):
+        load_sites_csv(path)

@@ -96,9 +96,9 @@ def test_measure_normalizes_and_caches_logs():
 
 
 def test_measure_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        SamplingMeasure([])
     with pytest.raises(ValueError, match="at least one weight"):
+        SamplingMeasure([])
+    with pytest.raises(ValueError, match="n must be a positive integer, got 0"):
         SamplingMeasure.uniform(0)
     with pytest.raises(ValueError):
         SamplingMeasure([0.5, 0.0, 0.5])
@@ -107,6 +107,14 @@ def test_measure_rejects_bad_weights():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             SamplingMeasure([1.0, bad])
+
+
+def test_uniform_measure_takes_a_count():
+    # No truncation of 2.7 to 2 sites, no OverflowError from int(inf).
+    for bad in (2.7, np.inf, np.nan, -1, "3"):
+        with pytest.raises(ValueError, match=f"n must be a positive integer, got {bad!r}"):
+            SamplingMeasure.uniform(bad)
+    assert SamplingMeasure.uniform(3.0).n == 3
 
 
 def test_single_site_anchor_is_always_first():

@@ -240,6 +240,39 @@ def test_input_validation():
             simulate_naive([0.0], M1, truncation=bad)
 
 
+def test_replications_checks_at_the_call():
+    # No item is drawn: replications checks its input and factorizes before
+    # it returns the generator, so each error comes from the call itself.
+    cases = [
+        (dict(sites=[0.0], reps=-1), "reps must be a positive integer, got -1"),
+        (dict(sites=[[0.0, 0.0], [1.0, 1.0]], reps=2), "dimension 2, model has dim 1"),
+        (dict(sites=[0.0, 1.0], reps=2, measure=SamplingMeasure.uniform(3)),
+         "3 weights but there are 2 sites"),
+        (dict(sites=[0.0, 1.0], reps=2, sampler=build_sampler([0.0, 5.0], M1)),
+         "different sites"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            replications(model=M1, **kwargs)
+
+
+def test_seed_rule_at_the_call():
+    for bad in (2.7, np.inf, np.nan, "3"):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {bad!r}"):
+            simulate([0.0, 1.0], M1, seed=bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            replications([0.0, 1.0], M1, 2, seed=bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_naive([0.0, 1.0], M1, seed=bad)
+    # An integral float or a numpy integer is the same seed as the int.
+    ref = simulate(FIVE_SITES, M1, seed=7)
+    for same in (7.0, np.float64(7.0), np.int64(7), np.uint64(7)):
+        fs = simulate(FIVE_SITES, M1, seed=same)
+        assert fs.seed == 7
+        np.testing.assert_array_equal(fs.values, ref.values)
+    assert simulate(FIVE_SITES, M1, seed=-1.0).seed == 2 ** 64 - 1
+
+
 def test_prebuilt_sampler_must_fit():
     def runs(sites, model, sampler):
         yield lambda: simulate(sites, model, sampler=sampler)
