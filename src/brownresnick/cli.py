@@ -140,16 +140,6 @@ def _emit_json(obj: dict, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_csv(rows, path: str | None) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def emit_svg_qq(pairs, path: str) -> None:
     """Write a standalone Q-Q scatter with a diagonal reference line.
 
@@ -216,17 +206,22 @@ def cmd_simulate(args, parser) -> int:
     t0 = time.perf_counter()
     sampler = build_sampler(sites, model)
     t1 = time.perf_counter()
-    rows = np.empty((args.reps, sites.n))
     counts = []
     gaps = []
-    for r, fs in enumerate(replications(sites, model, args.reps, measure=measure,
-                                        seed=args.seed, sampler=sampler)):
-        rows[r] = transform_marginals(fs, args.marginals).values
-        counts.append(fs.num_clusters)
-        gaps.append(fs.bound_gap)
+    # Each replication's row is written as it is drawn: no (reps, n) array.
+    fh = open(args.out, "w") if args.out else sys.stdout
+    try:
+        for fs in replications(sites, model, args.reps, measure=measure,
+                               seed=args.seed, sampler=sampler):
+            values = transform_marginals(fs, args.marginals).values
+            fh.write(",".join(map(repr, values.tolist())) + "\n")
+            counts.append(fs.num_clusters)
+            gaps.append(fs.bound_gap)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
     t2 = time.perf_counter()
 
-    _emit_csv(rows, args.out)
     if args.diag:
         diag = _echo(args.seed, args.alpha, sites.n, args.reps)
         diag.update({

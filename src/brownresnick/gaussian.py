@@ -13,6 +13,14 @@ through ``to_normals`` and one product with the factor.  The simulator's
 one row reader, ``simulator._rows``, makes one ``from_normals`` call per
 block of clusters, which also applies each cluster's tilt by its anchor
 site T: the Cameron-Martin shift of the normals by row T of the factor.
+
+Row j of the factor is zero past column ``rep(j)``, its representative's
+rank, so the product need not read the rest.  The sampler records, per
+block of ``_ROWS`` raw rows, the width of the block's nonzero column
+prefix.  When some block is narrower than m by at least ``_ROWS`` columns,
+as on ``box_grid`` sets of a few hundred sites or more, where raw order is
+representative order and the factor is lower-triangular, each block is
+multiplied by its prefix alone; otherwise the draw is one dense product.
 """
 
 from __future__ import annotations
@@ -25,6 +33,9 @@ from .variogram import VariogramModel, as_points, covariance_matrix, gamma
 
 # Largest diagonal jitter tried, as a fraction of the mean covariance diagonal.
 _MAX_JITTER_FACTOR = 1e-6
+
+# Raw rows of the factor per block of the prefix product.
+_ROWS = 128
 
 
 class FactorizationError(RuntimeError):
@@ -157,18 +168,21 @@ class FactorizedGaussian:
     the lower-triangular Cholesky row of site j's representative, so
     duplicates share a row and sites at the origin get a zero row; with
     duplicates F is larger than the m x m Cholesky factor.  ``gamma`` holds
-    ``gamma(t_j)`` at the raw sites.  Immutable after construction and safe
+    ``gamma(t_j)`` at the raw sites.  ``widths`` lists, per block of
+    ``_ROWS`` raw rows, the width of the block's nonzero column prefix, or
+    is None for one dense product.  Immutable after construction and safe
     to share across threads; every draw is one product of the factor with
     normals the caller draws.
     """
 
     def __init__(self, sites: SiteSet, model: VariogramModel, factor,
-                 jitter_used: float, gamma):
+                 jitter_used: float, gamma, widths=None):
         self.sites = sites
         self.model = model
         self.jitter_used = float(jitter_used)
         self.factor = factor    # (n, m), one row per raw site
         self.gamma = gamma      # (n,) gamma(t_j), raw sites
+        self._widths = widths   # prefix width per _ROWS raw rows, or None
 
     @property
     def n(self) -> int:
@@ -185,23 +199,38 @@ class FactorizedGaussian:
         ``gamma``.
 
         ``z`` holds m normals, or is an (m, k) array with one draw's normals
-        per column, and the result is the (n,) or (n, k) array from one
-        matrix product.  ``anchors`` is one site index, or k of them, one per
-        column; the simulator's row reader passes a whole block's.  For a
-        Gaussian the tilt is the Cameron-Martin shift of the mean by
-        ``Cov(., T)``, here that of the jittered covariance the factor
-        draws, so the result is ``factor @ (z + factor[T]) - gamma``.  It
-        equals ``W - gamma(. - T)`` plus the constant ``gamma(T)`` plus
-        ``jitter_used`` at T's own sites.
+        per column, and the result is the (n,) or (n, k) array
+        ``factor @ z``: one dense product, or with ``widths`` one product
+        per block of ``_ROWS`` rows over the block's nonzero column prefix,
+        which differs from the dense one only by rounding.  ``anchors`` is
+        one site index, or k of them, one per column; the simulator's row
+        reader passes a whole block's.  For a Gaussian the tilt is the
+        Cameron-Martin shift of the mean by ``Cov(., T)``, here that of the
+        jittered covariance the factor draws, so the result is
+        ``factor @ (z + factor[T]) - gamma``.  It equals ``W - gamma(. - T)``
+        plus the constant ``gamma(T)`` plus ``jitter_used`` at T's own
+        sites.  The tilted result is the transpose of a C-ordered (k, n)
+        array, so each draw's values lie in one contiguous row of ``x.T``;
+        the untilted one is C-ordered (n, k), one draw per column.
         """
         if anchors is None:
-            return self.factor @ z
+            return self._product(z, np.empty((self.n,) + z.shape[1:]))
         anchors = np.asarray(anchors)
         if anchors.min() < 0 or anchors.max() >= self.n:
             raise IndexError(f"anchor index {anchors} out of range [0, {self.n})")
-        x = self.factor @ (z + self.factor[anchors].T)
+        z = z + self.factor[anchors].T
+        x = self._product(z, np.empty(z.shape[1:] + (self.n,)).T)
         np.subtract(x.T, self.gamma, out=x.T)
         return x
+
+    def _product(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``factor @ z`` written into ``out``, by prefix blocks with widths."""
+        if self._widths is None:
+            return np.matmul(self.factor, z, out=out)
+        for b, width in enumerate(self._widths):
+            rows = slice(b * _ROWS, (b + 1) * _ROWS)
+            np.matmul(self.factor[rows, :width], z[:width], out=out[rows])
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"FactorizedGaussian(n={self.n}, alpha={self.model.alpha}, "
@@ -260,7 +289,15 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
     # Raw site j takes the Cholesky row of its representative, and sites at
     # the origin a zeroed row, in one (n, m) allocation.
     row = np.cumsum(~is_origin)[sites.rep_index] - 1
+    at_origin = is_origin[sites.rep_index]
     factor = sub_factor[np.maximum(row, 0)]
-    factor[is_origin[sites.rep_index]] = 0.0
+    factor[at_origin] = 0.0
 
-    return FactorizedGaussian(sites, model, factor, jitter_used, g)
+    # Cholesky row i is zero past column i, so raw row j's nonzero prefix is
+    # row[j] + 1 wide, and 0 at the origin.
+    widths = np.maximum.reduceat(np.where(at_origin, 0, row + 1),
+                                 np.arange(0, sites.n, _ROWS))
+    # Blocks pay only when one of them skips a whole _ROWS-wide tile.
+    widths = widths.tolist() if widths.min() <= factor.shape[1] - _ROWS else None
+
+    return FactorizedGaussian(sites, model, factor, jitter_used, g, widths)

@@ -22,6 +22,9 @@ sites): its Poisson point, its anchor, then its m normals.  One row reader,
 size B: one generator call, one pass for the block's Poisson points, one
 anchor lookup, one inverse CDF and one product with the factor, anchor tilt
 included, per block; the uniforms past the stopping cluster's row go unused.
+On large grids the product reads only each row block's nonzero prefix of
+the factor (``gaussian.FactorizedGaussian.from_normals``), and each
+cluster's draw comes out as one contiguous row of n values.
 The Poisson points come out of a running sum taken in sequence, so they do
 not depend on B.  B changes which clusters share a product and so the output
 bytes only by the rounding of that product, never which uniforms a cluster
@@ -141,7 +144,8 @@ def _rows(stream, sampler, measure=None):
     or of W without a measure.  Rows are drawn ``_BLOCK`` at a time: one
     ``uniforms`` call, one ``poisson_points`` pass, one ``anchors`` lookup,
     one inverse CDF and one ``from_normals`` product per block.  The columns
-    are views into the block's draw, free for the caller to overwrite.
+    are views into the block's draw, free for the caller to overwrite; with
+    a measure each one is contiguous, a row of the draw's transpose.
     """
     lead = 1 if measure is None else 2
     gamma_sum = 0.0

@@ -9,7 +9,9 @@ nothing, so the per-sample path does no check.  Every consumer reads its
 stream as rows of uniforms, one row per draw.  A Gaussian draw maps the
 row's last m uniforms through ``to_normals`` and one product with the
 factor (``gaussian.FactorizedGaussian.from_normals``), m being the number
-of factorized sites.  The simulator reads one stream per sample, keyed
+of factorized sites; on large grids the product reads only the factor's
+nonzero prefix in each block of rows, which changes its rounding, never
+the uniforms a draw reads.  The simulator reads one stream per sample, keyed
 ``(seed, replication)``; a run builds one generator and re-keys it for each
 sample (``RandomStream.rekey``), which gives the same draws as a new stream
 without numpy seeding a fresh Philox from OS entropy first.  A row is m + 2

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from brownresnick import (
+    FieldSample,
     VariogramModel,
     extremal_index_estimate,
     fdd_cdf_oracle,
@@ -57,6 +59,30 @@ def test_simulate_csv_round_trips(tmp_path):
     # second pass through the formatter is a fixed point.
     lines = [",".join(repr(float(v)) for v in row) for row in values]
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_simulate_writes_each_row_as_it_is_drawn(tmp_path, monkeypatch):
+    # The cluster loop is not at issue here: each replication's draw is
+    # cut to n uniforms of its stream, a fresh array per row.
+    def draw(measure, sampler, stream):
+        return FieldSample(values=stream.uniforms(sampler.n), num_clusters=1,
+                           v_trace=[0.0], seed=stream.seed, elapsed=0.0)
+
+    monkeypatch.setattr(simulator, "_simulate", draw)
+    reps, n = 4000, 65
+    out = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--grid", "0:4:0.0625", "--alpha", "1.0",
+                     "--reps", str(reps), "--seed", "4", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Below the (reps, n) array the rows were once gathered in.
+    assert peak < 8 * reps * n
+    values = np.loadtxt(out, delimiter=",")
+    assert values.shape == (reps, n)
+    assert np.all((values > 0.0) & (values < 1.0))
 
 
 def test_simulate_diag_fields(tmp_path):

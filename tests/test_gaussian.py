@@ -203,6 +203,38 @@ def test_block_of_anchors_tilts_each_column():
         np.testing.assert_allclose(tilted[:, k], expected, rtol=0.0, atol=1e-12)
 
 
+_CENTRED = box_grid([-10, -10], [10, 10], 1.0)  # the origin is row 220
+PREFIX_CASES = [
+    pytest.param(box_grid([0, 0], [32, 32], 1.0), 9, id="plane33"),
+    pytest.param(box_grid([0, 0], [16, 16], 1.0)[np.random.default_rng(5).permutation(289)],
+                 None, id="shuffled17"),
+    pytest.param(np.concatenate([_CENTRED[:300], _CENTRED[:40], _CENTRED[300:]]), 4,
+                 id="duplicates-origin"),
+    pytest.param(np.zeros((300, 2)), None, id="all-origin"),
+]
+
+
+@pytest.mark.parametrize("sites, blocks", PREFIX_CASES)
+def test_prefix_product_equals_the_dense_product(sites, blocks):
+    fg = build_sampler(sites, VariogramModel(alpha=1.0, dim=2))
+    # Prefix blocks only where one skips a whole tile; else one product.
+    assert (None if fg._widths is None else len(fg._widths)) == blocks
+    zs = _normals(RandomStream(9, 1), 5, fg.m)
+    anchors = np.array([0, fg.n - 1, fg.n // 2, 7, fg.n // 2])
+    dense = fg.factor @ zs
+    dense_tilted = fg.factor @ (zs + fg.factor[anchors].T) - fg.gamma[:, None]
+    for x, ref in [(fg.from_normals(zs), dense),
+                   (fg.from_normals(zs[:, 2].copy()), dense[:, 2]),
+                   (fg.from_normals(zs, anchors), dense_tilted),
+                   (fg.from_normals(zs[:, 1].copy(), anchors[1]), dense_tilted[:, 1])]:
+        assert x.shape == ref.shape
+        assert np.all(np.abs(x - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    if blocks is None:
+        assert fg.from_normals(zs).tobytes() == dense.tobytes()
+    # Each tilted draw is one contiguous row of the result's transpose.
+    assert fg.from_normals(zs, anchors).T.flags.c_contiguous
+
+
 def test_drifted_mean_is_minus_gamma():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.0, 1.0], model)

@@ -518,6 +518,21 @@ def test_block_size_changes_only_rounding(sites, dim, weights, monkeypatch):
             assert fs.values.tobytes() == fs2.values.tobytes()
 
 
+def test_prefix_product_changes_only_rounding():
+    # 257 sites, the origin first: three row blocks against m = 256.
+    sites = box_grid(0.0, 32.0, 0.125)
+    fg = build_sampler(sites, M1)
+    assert fg._widths == [127, 255, 256]
+    dense = build_sampler(sites, M1)
+    dense._widths = None
+    runs = [list(replications(sites, M1, 3, seed=23, sampler=f)) for f in (fg, dense)]
+    for fs, ref in zip(*runs):
+        assert fs.num_clusters == ref.num_clusters
+        assert fs.v_trace == ref.v_trace
+        assert np.all(np.abs(fs.values - ref.values)
+                      <= 1e-12 * np.maximum(1.0, np.abs(ref.values)))
+
+
 def test_sample_values_own_their_memory():
     # A view into a block would keep the whole block alive with the sample.
     fg = build_sampler(FIVE_SITES, M1)
