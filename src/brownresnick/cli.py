@@ -208,11 +208,14 @@ def cmd_simulate(args, parser) -> int:
     t1 = time.perf_counter()
     counts = []
     gaps = []
-    # Each replication's row is written as it is drawn: no (reps, n) array.
+    # The inputs are checked before --out is opened, so a rejected run
+    # leaves an existing file as it was; then each replication's row is
+    # written as it is drawn: no (reps, n) array.
+    draws = replications(sites, model, args.reps, measure=measure,
+                         seed=args.seed, sampler=sampler)
     fh = open(args.out, "w") if args.out else sys.stdout
     try:
-        for fs in replications(sites, model, args.reps, measure=measure,
-                               seed=args.seed, sampler=sampler):
+        for fs in draws:
             values = transform_marginals(fs, args.marginals).values
             fh.write(",".join(map(repr, values.tolist())) + "\n")
             counts.append(fs.num_clusters)

@@ -17,10 +17,11 @@ site T: the Cameron-Martin shift of the normals by row T of the factor.
 Row j of the factor is zero past column ``rep(j)``, its representative's
 rank, so the product need not read the rest.  The sampler records, per
 block of ``_ROWS`` raw rows, the width of the block's nonzero column
-prefix.  When some block is narrower than m by at least ``_ROWS`` columns,
-as on ``box_grid`` sets of a few hundred sites or more, where raw order is
-representative order and the factor is lower-triangular, each block is
-multiplied by its prefix alone; otherwise the draw is one dense product.
+prefix, and the product multiplies each block by its prefix alone.  On
+``box_grid`` sets of a few hundred sites or more, where raw order is
+representative order and the factor is lower-triangular, the early blocks
+skip most columns; a set of at most ``_ROWS`` sites is one block, one
+product with the whole factor.
 """
 
 from __future__ import annotations
@@ -169,20 +170,19 @@ class FactorizedGaussian:
     duplicates share a row and sites at the origin get a zero row; with
     duplicates F is larger than the m x m Cholesky factor.  ``gamma`` holds
     ``gamma(t_j)`` at the raw sites.  ``widths`` lists, per block of
-    ``_ROWS`` raw rows, the width of the block's nonzero column prefix, or
-    is None for one dense product.  Immutable after construction and safe
-    to share across threads; every draw is one product of the factor with
-    normals the caller draws.
+    ``_ROWS`` raw rows, the width of the block's nonzero column prefix.
+    Immutable after construction and safe to share across threads; every
+    draw is one product of the factor with normals the caller draws.
     """
 
     def __init__(self, sites: SiteSet, model: VariogramModel, factor,
-                 jitter_used: float, gamma, widths=None):
+                 jitter_used: float, gamma, widths):
         self.sites = sites
         self.model = model
         self.jitter_used = float(jitter_used)
         self.factor = factor    # (n, m), one row per raw site
         self.gamma = gamma      # (n,) gamma(t_j), raw sites
-        self._widths = widths   # prefix width per _ROWS raw rows, or None
+        self._widths = widths   # nonzero prefix width per _ROWS raw rows
 
     @property
     def n(self) -> int:
@@ -200,13 +200,13 @@ class FactorizedGaussian:
 
         ``z`` holds m normals, or is an (m, k) array with one draw's normals
         per column, and the result is the (n,) or (n, k) array
-        ``factor @ z``: one dense product, or with ``widths`` one product
-        per block of ``_ROWS`` rows over the block's nonzero column prefix,
-        which differs from the dense one only by rounding.  ``anchors`` is
-        one site index, or k of them, one per column; the simulator's row
-        reader passes a whole block's.  For a Gaussian the tilt is the
-        Cameron-Martin shift of the mean by ``Cov(., T)``, here that of the
-        jittered covariance the factor draws, so the result is
+        ``factor @ z``, one product per block of ``_ROWS`` rows over the
+        block's nonzero column prefix.  With one block that is the dense
+        product; with more it differs from it only by rounding.
+        ``anchors`` is one site index, or k of them, one per column; the
+        simulator's row reader passes a whole block's.  For a Gaussian the
+        tilt is the Cameron-Martin shift of the mean by ``Cov(., T)``, here
+        that of the jittered covariance the factor draws, so the result is
         ``factor @ (z + factor[T]) - gamma``.  It equals ``W - gamma(. - T)``
         plus the constant ``gamma(T)`` plus ``jitter_used`` at T's own
         sites.  The tilted result is the transpose of a C-ordered (k, n)
@@ -224,9 +224,7 @@ class FactorizedGaussian:
         return x
 
     def _product(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``factor @ z`` written into ``out``, by prefix blocks with widths."""
-        if self._widths is None:
-            return np.matmul(self.factor, z, out=out)
+        """``factor @ z`` written into ``out``, one prefix block at a time."""
         for b, width in enumerate(self._widths):
             rows = slice(b * _ROWS, (b + 1) * _ROWS)
             np.matmul(self.factor[rows, :width], z[:width], out=out[rows])
@@ -296,8 +294,6 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
     # Cholesky row i is zero past column i, so raw row j's nonzero prefix is
     # row[j] + 1 wide, and 0 at the origin.
     widths = np.maximum.reduceat(np.where(at_origin, 0, row + 1),
-                                 np.arange(0, sites.n, _ROWS))
-    # Blocks pay only when one of them skips a whole _ROWS-wide tile.
-    widths = widths.tolist() if widths.min() <= factor.shape[1] - _ROWS else None
+                                 np.arange(0, sites.n, _ROWS)).tolist()
 
     return FactorizedGaussian(sites, model, factor, jitter_used, g, widths)

@@ -180,6 +180,18 @@ def test_simulate_measure_weights(tmp_path):
         assert str(bad) in str(exc.value.code)
 
 
+def test_rejected_weights_leave_out_file_as_it_was(tmp_path):
+    out = tmp_path / "results.csv"
+    out.write_text("kept\n")
+    short = tmp_path / "short.csv"
+    short.write_text("1\n1\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--grid", "0:1:0.25", "--alpha", "1.0", "--reps", "3",
+              "--measure-weights", str(short), "--out", str(out)])
+    assert "2 weights but there are 5 sites" in str(exc.value.code)
+    assert out.read_text() == "kept\n"
+
+
 def test_ragged_csv_files_name_the_line(tmp_path):
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("0,1\n2\n")

@@ -204,21 +204,26 @@ def test_block_of_anchors_tilts_each_column():
 
 
 _CENTRED = box_grid([-10, -10], [10, 10], 1.0)  # the origin is row 220
+_PLANE17 = box_grid([0, 0], [16, 16], 1.0)
 PREFIX_CASES = [
-    pytest.param(box_grid([0, 0], [32, 32], 1.0), 9, id="plane33"),
-    pytest.param(box_grid([0, 0], [16, 16], 1.0)[np.random.default_rng(5).permutation(289)],
-                 None, id="shuffled17"),
-    pytest.param(np.concatenate([_CENTRED[:300], _CENTRED[:40], _CENTRED[300:]]), 4,
-                 id="duplicates-origin"),
-    pytest.param(np.zeros((300, 2)), None, id="all-origin"),
+    pytest.param(box_grid([0, 0], [8, 8], 1.0), [80], id="plane9"),
+    pytest.param(box_grid([0, 0], [32, 32], 1.0), [128 * b - 1 for b in range(1, 9)] + [1088],
+                 id="plane33"),
+    pytest.param(_PLANE17[np.random.default_rng(5).permutation(289)], [287, 285, 288],
+                 id="shuffled17"),
+    pytest.param(np.concatenate([_CENTRED[:300], _CENTRED[:40], _CENTRED[300:]]),
+                 [128, 255, 343, 440], id="duplicates-origin"),
+    pytest.param(np.zeros((300, 2)), [0, 0, 0], id="all-origin"),
+    # Block 0 is 128 rows at the origin: a product over no columns.
+    pytest.param(np.concatenate([np.zeros((128, 2)), _PLANE17]), [0, 127, 255, 288],
+                 id="origin-block"),
 ]
 
 
-@pytest.mark.parametrize("sites, blocks", PREFIX_CASES)
-def test_prefix_product_equals_the_dense_product(sites, blocks):
+@pytest.mark.parametrize("sites, widths", PREFIX_CASES)
+def test_prefix_product_equals_the_dense_product(sites, widths):
     fg = build_sampler(sites, VariogramModel(alpha=1.0, dim=2))
-    # Prefix blocks only where one skips a whole tile; else one product.
-    assert (None if fg._widths is None else len(fg._widths)) == blocks
+    assert fg._widths == widths
     zs = _normals(RandomStream(9, 1), 5, fg.m)
     anchors = np.array([0, fg.n - 1, fg.n // 2, 7, fg.n // 2])
     dense = fg.factor @ zs
@@ -229,8 +234,11 @@ def test_prefix_product_equals_the_dense_product(sites, blocks):
                    (fg.from_normals(zs[:, 1].copy(), anchors[1]), dense_tilted[:, 1])]:
         assert x.shape == ref.shape
         assert np.all(np.abs(x - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
-    if blocks is None:
+    if len(widths) == 1:  # one block: the dense product itself
         assert fg.from_normals(zs).tobytes() == dense.tobytes()
+    # A block with no nonzero column draws exact zeros.
+    for b, width in enumerate(widths):
+        assert width or not np.any(fg.from_normals(zs)[128 * b:128 * (b + 1)])
     # Each tilted draw is one contiguous row of the result's transpose.
     assert fg.from_normals(zs, anchors).T.flags.c_contiguous
 

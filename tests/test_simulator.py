@@ -524,7 +524,7 @@ def test_prefix_product_changes_only_rounding():
     fg = build_sampler(sites, M1)
     assert fg._widths == [127, 255, 256]
     dense = build_sampler(sites, M1)
-    dense._widths = None
+    dense._widths = [dense.m] * 3  # every block over all m columns
     runs = [list(replications(sites, M1, 3, seed=23, sampler=f)) for f in (fg, dense)]
     for fs, ref in zip(*runs):
         assert fs.num_clusters == ref.num_clusters
