@@ -15,6 +15,9 @@ bytes; pass --no-timing to strip the wall-clock fields from simulate
 diagnostics when byte-stable files are required.  simulate, oracle,
 pickands and theta equal the library call at --seed; the arms of clusters
 and validate draw at seeds hashed from (--seed, arm), so none share a stream.
+Arguments argparse rejects (grid and comma-list syntax, --skip, --dim, model
+parameters) exit with status 2 and the usage; input the library rejects, and
+files that cannot be read or written, with status 1 and one line.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .distributions import fdd_cdf_oracle, gumbel_cdf, gumbel_quantile, std_normal_cdf
+from .distributions import bivariate_neglog, fdd_cdf_oracle, gumbel_cdf, gumbel_quantile
 from .gaussian import (FactorizationError, SiteSet, box_grid, build_sampler,
                        load_sites_csv, read_csv)
 from .pointprocess import SamplingMeasure
@@ -44,7 +47,7 @@ from .statseval import (
     qq_data,
 )
 from .streams import positive_int, seed_int
-from .variogram import VariogramModel, gamma
+from .variogram import VariogramModel
 
 SVG_SIZE = 480
 SVG_MARGIN = 48
@@ -68,26 +71,23 @@ def _arm_seeds(seed: int, count: int) -> list[int]:
 
 def parse_grid(expr: str) -> np.ndarray:
     """Points of a grid expression ``a:b:mesh[,a:b:mesh]``, one term per axis."""
-    lows, highs, meshes = [], [], []
+    axes = []
     for term in expr.split(","):
         parts = term.split(":")
         if len(parts) != 3:
             raise ValueError(f"grid term {term!r} is not of the form a:b:mesh")
         try:
-            a, b, m = (float(p) for p in parts)
+            axes.append([float(p) for p in parts])
         except ValueError:
-            raise ValueError(f"grid term {term!r} has a non-numeric part")
-        lows.append(a)
-        highs.append(b)
-        meshes.append(m)
-    return box_grid(lows, highs, meshes)
+            raise ValueError(f"grid term {term!r} has a non-numeric part") from None
+    return box_grid(*zip(*axes))  # the lows, highs and meshes
 
 
 def _from_file(path, load):
     try:
         return load(path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"{path}: {exc}")
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _weights_csv(path) -> SamplingMeasure:
@@ -98,20 +98,20 @@ def _weights_csv(path) -> SamplingMeasure:
 
 
 def _resolve_sites(args, parser) -> SiteSet:
-    if getattr(args, "sites", None) and getattr(args, "grid", None):
-        parser.error("give either --sites or --grid, not both")
-    if getattr(args, "sites", None):
+    sites = args.grid  # argparse requires exactly one of --grid and --sites
+    if args.sites is not None:
         sites = _from_file(args.sites, lambda p: load_sites_csv(p, args.sites_header))
-    elif getattr(args, "grid", None):
-        try:
-            sites = SiteSet(parse_grid(args.grid))
-        except ValueError as exc:
-            parser.error(str(exc))
-    else:
-        parser.error("one of --sites or --grid is required")
-    if getattr(args, "dim", None) and args.dim != sites.dim:
+    if args.dim is not None and args.dim != sites.dim:
         parser.error(f"--dim {args.dim} does not match the {sites.dim}-dimensional sites")
     return sites
+
+
+def _numbers(parser, flag: str, text: str) -> list[float]:
+    """The one comma-list reader: every entry must be a number."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        parser.error(f"{flag} must be a comma list of numbers, got {text!r}")
 
 
 def _build_model(parser, alpha, scale, dim) -> VariogramModel:
@@ -133,7 +133,7 @@ def _echo(seed, alpha, n, reps) -> dict:
 
 def _emit_json(obj: dict, path: str | None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
+    if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     else:
@@ -201,7 +201,8 @@ def emit_svg_qq(pairs, path: str) -> None:
 def cmd_simulate(args, parser) -> int:
     sites = _resolve_sites(args, parser)
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
-    measure = _from_file(args.measure_weights, _weights_csv) if args.measure_weights else None
+    measure = (None if args.measure_weights is None
+               else _from_file(args.measure_weights, _weights_csv))
 
     t0 = time.perf_counter()
     sampler = build_sampler(sites, model)
@@ -213,7 +214,7 @@ def cmd_simulate(args, parser) -> int:
     # written as it is drawn: no (reps, n) array.
     draws = replications(sites, model, args.reps, measure=measure,
                          seed=args.seed, sampler=sampler)
-    fh = open(args.out, "w") if args.out else sys.stdout
+    fh = sys.stdout if args.out is None else open(args.out, "w")
     try:
         for fs in draws:
             values = transform_marginals(fs, args.marginals).values
@@ -225,7 +226,7 @@ def cmd_simulate(args, parser) -> int:
             fh.close()
     t2 = time.perf_counter()
 
-    if args.diag:
+    if args.diag is not None:
         diag = _echo(args.seed, args.alpha, sites.n, args.reps)
         diag.update({
             "jitter_used": sampler.jitter_used,
@@ -243,10 +244,7 @@ def cmd_simulate(args, parser) -> int:
 def cmd_oracle(args, parser) -> int:
     sites = _resolve_sites(args, parser)
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
-    try:
-        y = [float(v) for v in args.y.split(",")]
-    except ValueError:
-        parser.error(f"--y must be a comma list of numbers, got {args.y!r}")
+    y = _numbers(parser, "--y", args.y)
     if len(y) == 1:
         y = y * sites.n
     if len(y) != sites.n:
@@ -288,17 +286,12 @@ def cmd_theta(args, parser) -> int:
 
 def cmd_clusters(args, parser) -> int:
     sites = _resolve_sites(args, parser)
-    try:
-        alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
-    except ValueError:
-        parser.error(f"--alphas must be a comma list of numbers, got {args.alphas!r}")
-    if not alphas:
-        parser.error("--alphas list is empty")
+    alphas = _numbers(parser, "--alphas", args.alphas)
+    models = [_build_model(parser, alpha, args.scale, sites.dim) for alpha in alphas]
 
     rows = []
     summaries = []
-    for alpha, arm_seed in zip(alphas, _arm_seeds(args.seed, len(alphas))):
-        model = _build_model(parser, alpha, args.scale, sites.dim)
+    for alpha, model, arm_seed in zip(alphas, models, _arm_seeds(args.seed, len(alphas))):
         counts = [fs.num_clusters
                   for fs in replications(sites, model, args.reps, seed=arm_seed)]
         rows.extend((alpha, c) for c in counts)
@@ -306,7 +299,7 @@ def cmd_clusters(args, parser) -> int:
         summary.update(cluster_count_stats(counts))
         summaries.append(summary)
 
-    if args.out:
+    if args.out is not None:
         lines = [f"{alpha!r},{count}" for alpha, count in rows]
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -322,9 +315,6 @@ def _ks_check(name, statistic, threshold, **extra) -> dict:
 
 
 def cmd_validate(args, parser) -> int:
-    for name in args.skip:
-        if name not in VALIDATE_CHECKS:
-            parser.error(f"unknown check {name!r}; choose from {VALIDATE_CHECKS}")
     reps = args.reps
     seed = args.seed
     # Arms 0-7: marginal, bivariate, the two mu_invariance arms, then the
@@ -334,25 +324,22 @@ def cmd_validate(args, parser) -> int:
     sites5 = SiteSet(np.asarray(FIVE_SITES))
     checks = []
 
-    def active(name):
-        return name not in args.skip
-
-    if active("marginal"):
+    if "marginal" not in args.skip:
         samples = [fs.values[0]
                    for fs in replications([0.7], model, reps, seed=arm[0])]
         checks.append(_ks_check("marginal", ks_statistic(samples, gumbel_cdf),
                                 ks_critical(reps)))
 
-    if active("bivariate"):
+    if "bivariate" not in args.skip:
         pair = np.array([0.0, args.s])
-        loc = float(np.log(2.0 * std_normal_cdf(np.sqrt(gamma(model, args.s) / 2.0))))
+        loc = float(np.log(bivariate_neglog(model, args.s, 0.0, 0.0)))
         samples = [fs.values.max() - loc
                    for fs in replications(pair, model, reps, seed=arm[1])]
         emit_svg_qq(qq_data(samples, gumbel_quantile), args.qq)
         checks.append(_ks_check("bivariate", ks_statistic(samples, gumbel_cdf),
                                 ks_critical(reps), qq_svg=args.qq))
 
-    if active("mu_invariance"):
+    if "mu_invariance" not in args.skip:
         skewed = SamplingMeasure([0.6, 0.1, 0.1, 0.1, 0.1])
         arm_a = [fs.values.max()
                  for fs in replications(sites5, model, reps, seed=arm[2])]
@@ -362,7 +349,7 @@ def cmd_validate(args, parser) -> int:
         checks.append(_ks_check("mu_invariance", ks_two_sample(arm_a, arm_b),
                                 ks_critical(reps, m=reps)))
 
-    if active("stationarity"):
+    if "stationarity" not in args.skip:
         worst = 0.0
         for k, alpha in enumerate((1.0, 2.0)):
             m = VariogramModel(alpha=alpha, scale=args.scale)
@@ -391,12 +378,20 @@ def cmd_validate(args, parser) -> int:
     return 0 if all_pass else 1
 
 
-def _add_site_args(sp, grid_default: str | None = None):
-    sp.add_argument("--sites", help="CSV of sites, one point per row")
+def _grid(text: str) -> SiteSet:
+    try:
+        return SiteSet(parse_grid(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _add_site_args(sp):
+    where = sp.add_mutually_exclusive_group(required=True)
+    where.add_argument("--sites", help="CSV of sites, one point per row")
+    where.add_argument("--grid", type=_grid,
+                       help="grid expression a:b:mesh[,a:b:mesh], endpoints included")
     sp.add_argument("--sites-header", action="store_true",
                     help="skip the first row of --sites")
-    sp.add_argument("--grid", default=grid_default,
-                    help="grid expression a:b:mesh[,a:b:mesh], endpoints included")
     sp.add_argument("--dim", type=int, default=None,
                     help="expected site dimension (checked against the sites)")
 
@@ -457,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="site separation for the bivariate check")
     _add_common(sp, default_seed, reps_default=10_000)
     sp.add_argument("--skip", action="append", default=[], metavar="CHECK",
+                    choices=VALIDATE_CHECKS,
                     help=f"skip a named check; one of {', '.join(VALIDATE_CHECKS)}")
     sp.add_argument("--report", default="validate_report.json")
     sp.add_argument("--qq", default="qq_dependence.svg",
@@ -497,8 +493,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ValueError, FactorizationError, ResourceLimitError, ClusterLimitError) as exc:
-        # Input the library rejects ends in its one-line message, not a traceback.
+    except (OSError, ValueError, FactorizationError, ResourceLimitError,
+            ClusterLimitError) as exc:
+        # Input the library rejects, and a file that cannot be read or
+        # written, end in one line, not a traceback.
         raise SystemExit(str(exc))
 
 

@@ -14,12 +14,9 @@ agreement with it checks what the exact sampler adds: the Poisson points,
 the anchor tilt, the cluster normalization and the stopping rule.  The
 shared draw path is checked by references outside it: the closed forms here
 (acceptance criteria 1-2) and the ``math.erf`` laws of ``bench/checks.py``.
-Both oracles are means taken
-by ``statseval.mc_mean``, which factorizes W at their sites, draws from the
-stream ``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``) in
-chunks of at most 2^16 doubles per array, so their memory does not grow
-with the draw count, and spreads the chunks over up to 4 threads, as the
-process's CPU affinity allows, with the same bytes for any thread count.
+Both oracles are means taken by ``statseval.mc_mean`` from the stream
+``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``); its
+docstring tells how it bounds memory and spreads the work over threads.
 """
 
 from __future__ import annotations

@@ -9,10 +9,10 @@ sites at the origin are pinned to zero rather than factorized, because
 m remaining distinct sites are factorized, and the stored factor has one
 row per raw site: the Cholesky row of its representative, or zeros at the
 origin.  A draw reads one row of m uniforms (``streams``) and maps it
-through ``to_normals`` and one product with the factor.  The simulator's
-one row reader, ``simulator._rows``, makes one ``from_normals`` call per
-block of clusters, which also applies each cluster's tilt by its anchor
-site T: the Cameron-Martin shift of the normals by row T of the factor.
+through ``to_normals`` and one product with the factor; ``from_normals``
+also applies a cluster's tilt by its anchor site T, the Cameron-Martin
+shift of the normals by row T of the factor.  How the simulator groups its
+draws into blocks is told in ``simulator``.
 
 Row j of the factor is zero past column ``rep(j)``, its representative's
 rank, so the product need not read the rest.  The sampler records, per
@@ -203,15 +203,15 @@ class FactorizedGaussian:
         ``factor @ z``, one product per block of ``_ROWS`` rows over the
         block's nonzero column prefix.  With one block that is the dense
         product; with more it differs from it only by rounding.
-        ``anchors`` is one site index, or k of them, one per column; the
-        simulator's row reader passes a whole block's.  For a Gaussian the
-        tilt is the Cameron-Martin shift of the mean by ``Cov(., T)``, here
-        that of the jittered covariance the factor draws, so the result is
-        ``factor @ (z + factor[T]) - gamma``.  It equals ``W - gamma(. - T)``
-        plus the constant ``gamma(T)`` plus ``jitter_used`` at T's own
-        sites.  The tilted result is the transpose of a C-ordered (k, n)
-        array, so each draw's values lie in one contiguous row of ``x.T``;
-        the untilted one is C-ordered (n, k), one draw per column.
+        ``anchors`` is one site index, or k of them, one per column.  For a
+        Gaussian the tilt is the Cameron-Martin shift of the mean by
+        ``Cov(., T)``, here that of the jittered covariance the factor draws,
+        so the result is ``factor @ (z + factor[T]) - gamma``.  It equals
+        ``W - gamma(. - T)`` plus the constant ``gamma(T)`` plus
+        ``jitter_used`` at T's own sites.  The tilted result is the
+        transpose of a C-ordered (k, n) array, so each draw's values lie in
+        one contiguous row of ``x.T``; the untilted one is C-ordered (n, k),
+        one draw per column.
         """
         if anchors is None:
             return self._product(z, np.empty((self.n,) + z.shape[1:]))
@@ -256,8 +256,9 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
         cov = covariance_matrix(model, sites.rep_points[~is_origin])
 
     def failure(reason):
-        diam = float(np.max(np.hypot.reduce(
-            sites.rep_points[:, None, :] - sites.rep_points[None, :, :], axis=-1)))
+        # The largest distance one row at a time: no (m, m, d) difference array.
+        pts = sites.rep_points
+        diam = float(max(np.hypot.reduce(pts - p, axis=-1).max() for p in pts))
         return FactorizationError(
             f"{reason} for alpha={model.alpha}, scale={model.scale:g} "
             f"over sites of diameter {diam:.6g}")

@@ -6,11 +6,10 @@ The points ``V_1 > V_2 > ...`` of a Poisson process with intensity
 standard exponentials (a unit-rate Poisson process on the positive axis).
 Anchor sites are drawn independently from a discrete probability measure
 on the evaluation sites.  Both take one uniform each, so a cluster's row of
-m + 2 uniforms starts with its Poisson point's and then its anchor's.  The
-simulator's one row reader, ``simulator._rows``, draws these rows in blocks
-and turns a block's two leading columns into its points and anchors at
-once: ``poisson_points`` carries the Gamma sum from one block to the next,
-and ``SamplingMeasure.anchors`` looks the anchors up.
+m + 2 uniforms starts with its Poisson point's and then its anchor's.
+``poisson_points`` carries the Gamma sum from one block of rows to the
+next, and ``SamplingMeasure.anchors`` looks up a block's anchors at once;
+how the rows are read is told in ``simulator``.
 """
 
 from __future__ import annotations

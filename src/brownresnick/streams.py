@@ -18,14 +18,12 @@ without numpy seeding a fresh Philox from OS entropy first.  A row is m + 2
 uniforms per cluster (its Poisson point, its anchor, then m normals) and
 m + 1 per ``simulate_naive`` point (no anchor).  The Monte Carlo oracles key
 theirs as ``(seed, 0)`` and ``(seed, 1)``; a row is m normals' uniforms,
-with no leading columns.  Rows are drawn as blocks, one ``uniforms`` call
-per block: of a fixed size private to the simulator in ``simulator._rows``,
-of a memory-bounded chunk in ``statseval.mc_mean``.  A block of rows holds
-the same values as that many one-row calls, so draw k reads the same
-uniforms whatever the block size.  ``RandomStream.seek`` restarts a stream
-at any uniform, with the same draws from there on as a stream read up to
-it; ``mc_mean`` seeks one stream per thread to each chunk it computes, so
-its bytes do not depend on the number of threads.
+with no leading columns.  Consumers draw rows in blocks of their own
+choosing (``simulator``, ``statseval.mc_mean``), one ``uniforms`` call per
+block.  A block of rows holds the same values as that many one-row calls,
+so draw k reads the same uniforms whatever the block size.
+``RandomStream.seek`` restarts a stream at any uniform, with the same draws
+from there on as a stream read up to it.
 """
 
 from __future__ import annotations

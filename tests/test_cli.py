@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -259,9 +260,10 @@ def test_simulate_rejects_bad_arguments(tmp_path):
 
 
 def test_dim_flag_cross_checks_sites():
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--grid", "0:1:0.5", "--dim", "2", "--alpha", "1.0"])
-    assert exc.value.code == 2
+    for dim in ("2", "0"):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--grid", "0:1:0.5", "--dim", dim, "--alpha", "1.0"])
+        assert exc.value.code == 2
     rc = main(["simulate", "--grid", "0.5:0.5:1", "--dim", "1",
                "--alpha", "1.0", "--seed", "1", "--out", "/dev/null"])
     assert rc == 0
@@ -311,6 +313,22 @@ def test_rejected_input_exits_with_one_line_message(argv, message):
         main(argv)
     assert isinstance(exc.value.code, str)
     assert message in exc.value.code and "\n" not in exc.value.code
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--grid", "0:1:0.5", "--alpha", "1"], "--out"),
+    (["simulate", "--grid", "0:1:0.5", "--alpha", "1", "--out", os.devnull], "--diag"),
+    (["theta", "--alpha", "1", "--n", "2", "--reps", "10"], "--out"),
+    (["validate", "--reps", "20", "--skip", "bivariate", "--skip", "mu_invariance",
+      "--skip", "stationarity"], "--report"),
+    (["simulate", "--alpha", "1", "--out", os.devnull], "--sites"),
+], ids=["simulate-out", "simulate-diag", "theta-out", "validate-report", "simulate-sites"])
+def test_unopenable_file_exits_with_one_line_naming_it(tmp_path, argv, flag):
+    missing = str(tmp_path / "no_such_dir" / "file")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, missing])
+    assert isinstance(exc.value.code, str)
+    assert missing in exc.value.code and "\n" not in exc.value.code
 
 
 def test_oracle_replays_byte_identically(tmp_path):
@@ -374,6 +392,10 @@ def test_clusters_requires_alpha_list(tmp_path):
     with pytest.raises(SystemExit):
         main(["clusters", "--grid", "0:1:0.5", "--alphas", ",",
               "--reps", "5"])
+    with pytest.raises(SystemExit) as exc:
+        main(["clusters", "--grid", "0:1:0.5", "--alphas", "1.0,2.0,",
+              "--reps", "5"])
+    assert exc.value.code == 2
 
 
 def test_validate_default_checks(tmp_path, capsys):

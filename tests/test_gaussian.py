@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,28 @@ def test_factorization_error_names_model_and_diameter(monkeypatch):
         build_sampler([0.0, 1e200], VariogramModel(alpha=2.0))
     with pytest.raises(FactorizationError, match="overflowed.*scale=1e\\+308.*diameter 10"):
         build_sampler([0.0, 10.0], VariogramModel(alpha=1.0, scale=1e308))
+
+
+def test_overflow_message_needs_no_pairwise_difference_array():
+    # Naming the diameter takes the distances one row at a time, so the
+    # failing build needs at most covariance_matrix's own work space plus
+    # one (m, m) array, not an (m, m, d) array of coordinate differences
+    # (in 4-d that array alone is four (m, m) arrays).
+    points = box_grid([1.0] * 4, [5.0] * 4, 1.0)
+    model = VariogramModel(alpha=1.0, scale=1e308, dim=4)
+    m = len(points)
+    tracemalloc.start()
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            covariance_matrix(model, points)
+        _, cov_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(FactorizationError, match="overflowed.*diameter 8$"):
+            build_sampler(points, model)
+        _, build_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert build_peak <= cov_peak + 8 * m * m
 
 
 def test_sampler_keeps_the_factor_and_one_vector():
