@@ -15,9 +15,11 @@ bytes; pass --no-timing to strip the wall-clock fields from simulate
 diagnostics when byte-stable files are required.  simulate, oracle,
 pickands and theta equal the library call at --seed; the arms of clusters
 and validate draw at seeds hashed from (--seed, arm), so none share a stream.
-Arguments argparse rejects (grid and comma-list syntax, --skip, --dim, model
-parameters) exit with status 2 and the usage; input the library rejects, and
-files that cannot be read or written, with status 1 and one line.
+Arguments argparse rejects (grid and comma-list syntax, a grid over the
+budget, --skip, --dim, model parameters) exit with status 2 and the
+subcommand's usage; input the library rejects, and files that cannot be read
+or written, with status 1 and one line.  Output paths are checked before the
+first draw.
 """
 
 from __future__ import annotations
@@ -32,12 +34,13 @@ import numpy as np
 
 from . import __version__
 from .distributions import bivariate_neglog, fdd_cdf_oracle, gumbel_cdf, gumbel_quantile
-from .gaussian import (FactorizationError, SiteSet, box_grid, build_sampler,
-                       load_sites_csv, read_csv)
+from .gaussian import (FactorizationError, SiteSet, build_sampler, load_sites_csv,
+                       read_csv)
 from .pointprocess import SamplingMeasure
 from .simulator import MARGINALS, ClusterLimitError, replications, transform_marginals
 from .statseval import (
     ResourceLimitError,
+    _bounded_grid,
     cluster_count_stats,
     extremal_index_estimate,
     ks_critical,
@@ -70,7 +73,8 @@ def _arm_seeds(seed: int, count: int) -> list[int]:
 
 
 def parse_grid(expr: str) -> np.ndarray:
-    """Points of a grid expression ``a:b:mesh[,a:b:mesh]``, one term per axis."""
+    """Points of a grid expression ``a:b:mesh[,a:b:mesh]``, one term per axis,
+    counted before they are built and held to ``statseval.MAX_GRID``."""
     axes = []
     for term in expr.split(","):
         parts = term.split(":")
@@ -80,7 +84,26 @@ def parse_grid(expr: str) -> np.ndarray:
             axes.append([float(p) for p in parts])
         except ValueError:
             raise ValueError(f"grid term {term!r} has a non-numeric part") from None
-    return box_grid(*zip(*axes))  # the lows, highs and meshes
+    return _bounded_grid(*zip(*axes))  # the lows, highs and meshes
+
+
+def _check_outputs(**paths) -> None:
+    """Fail before the first draw if an output file cannot be written: each
+    path's directory must exist and be writable, and an existing file must
+    be writable.  Nothing is opened, so no file is truncated."""
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            problem = "is a directory"
+        elif not os.path.isdir(folder):
+            problem = f"no directory {folder}"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            problem = "cannot be written"
+        else:
+            continue
+        raise OSError(f"--{flag} {path}: {problem}")
 
 
 def _from_file(path, load):
@@ -199,6 +222,7 @@ def emit_svg_qq(pairs, path: str) -> None:
 
 
 def cmd_simulate(args, parser) -> int:
+    _check_outputs(out=args.out, diag=args.diag)
     sites = _resolve_sites(args, parser)
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
     measure = (None if args.measure_weights is None
@@ -242,6 +266,7 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
+    _check_outputs(out=args.out)
     sites = _resolve_sites(args, parser)
     model = _build_model(parser, args.alpha, args.scale, sites.dim)
     y = _numbers(parser, "--y", args.y)
@@ -257,6 +282,7 @@ def cmd_oracle(args, parser) -> int:
 
 
 def cmd_pickands(args, parser) -> int:
+    _check_outputs(out=args.out)
     if args.N <= 0:
         parser.error("N must be positive")
     model = _build_model(parser, args.alpha, args.scale, args.dim)
@@ -276,6 +302,7 @@ def cmd_pickands(args, parser) -> int:
 
 
 def cmd_theta(args, parser) -> int:
+    _check_outputs(out=args.out)
     model = _build_model(parser, args.alpha, args.scale, args.dim)
     est = extremal_index_estimate(model, args.n, args.reps, args.seed)
     out = _echo(args.seed, args.alpha, args.n, args.reps)
@@ -285,6 +312,7 @@ def cmd_theta(args, parser) -> int:
 
 
 def cmd_clusters(args, parser) -> int:
+    _check_outputs(out=args.out, summary=args.summary)
     sites = _resolve_sites(args, parser)
     alphas = _numbers(parser, "--alphas", args.alphas)
     models = [_build_model(parser, alpha, args.scale, sites.dim) for alpha in alphas]
@@ -315,6 +343,8 @@ def _ks_check(name, statistic, threshold, **extra) -> dict:
 
 
 def cmd_validate(args, parser) -> int:
+    _check_outputs(report=args.report,
+                   qq=None if "bivariate" in args.skip else args.qq)
     reps = args.reps
     seed = args.seed
     # Arms 0-7: marginal, bivariate, the two mu_invariance arms, then the
@@ -381,7 +411,7 @@ def cmd_validate(args, parser) -> int:
 def _grid(text: str) -> SiteSet:
     try:
         return SiteSet(parse_grid(text))
-    except ValueError as exc:
+    except (ValueError, ResourceLimitError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -435,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-timing", action="store_true",
                     help="omit wall_time_s, factorization_s and loop_s from "
                          "diagnostics for byte-stable replays")
-    sp.set_defaults(func=cmd_simulate)
+    sp.set_defaults(func=cmd_simulate, parser=sp)
 
     sp = sub.add_parser("oracle", help="finite-dimensional CDF oracle")
     _add_site_args(sp)
@@ -444,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of thresholds (one value broadcasts)")
     _add_common(sp, default_seed, reps_default=1_000_000)
     sp.add_argument("--out", help="output JSON path (default stdout)")
-    sp.set_defaults(func=cmd_oracle)
+    sp.set_defaults(func=cmd_oracle, parser=sp)
 
     sp = sub.add_parser("validate", help="run the validation experiments")
     sp.add_argument("--alpha", type=float, default=1.0)
@@ -457,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default="validate_report.json")
     sp.add_argument("--qq", default="qq_dependence.svg",
                     help="Q-Q SVG path for the bivariate check")
-    sp.set_defaults(func=cmd_validate)
+    sp.set_defaults(func=cmd_validate, parser=sp)
 
     sp = sub.add_parser("pickands", help="Pickands set-function estimate")
     sp.add_argument("--alpha", type=float, required=True)
@@ -466,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=1)
     _add_common(sp, default_seed, reps_default=100_000)
     sp.add_argument("--out", help="output JSON path (default stdout)")
-    sp.set_defaults(func=cmd_pickands)
+    sp.set_defaults(func=cmd_pickands, parser=sp)
 
     sp = sub.add_parser("theta", help="discrete extremal index estimate")
     sp.add_argument("--alpha", type=float, required=True)
@@ -474,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, default=1)
     _add_common(sp, default_seed, reps_default=100_000)
     sp.add_argument("--out", help="output JSON path (default stdout)")
-    sp.set_defaults(func=cmd_theta)
+    sp.set_defaults(func=cmd_theta, parser=sp)
 
     sp = sub.add_parser("clusters", help="cluster counts across alpha values")
     _add_site_args(sp)
@@ -483,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, default_seed, reps_default=200)
     sp.add_argument("--out", help="per-run counts CSV (rows alpha,count)")
     sp.add_argument("--summary", help="summary JSON path (default stdout)")
-    sp.set_defaults(func=cmd_clusters)
+    sp.set_defaults(func=cmd_clusters, parser=sp)
 
     return parser
 
@@ -492,7 +522,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        # Each command reports argument errors through its own subparser,
+        # with its usage and its prog.
+        return args.func(args, args.parser)
     except (OSError, ValueError, FactorizationError, ResourceLimitError,
             ClusterLimitError) as exc:
         # Input the library rejects, and a file that cannot be read or

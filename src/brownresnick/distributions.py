@@ -9,11 +9,12 @@ with lam = sqrt(gamma(s)/2).  Monte Carlo: the finite-dimensional CDF
 identity P(eta <= y) = exp(-E exp(max_j (Z(t_j - t*) - y_j))) and the
 change-of-measure identity E e^{W(t)-gamma(t)} F(W - gamma) = E F(Z(. - t))
 for translation-invariant F.  The oracles draw W as the simulator does,
-through ``build_sampler``, ``to_normals`` and ``from_normals``, so their
-agreement with it checks what the exact sampler adds: the Poisson points,
-the anchor tilt, the cluster normalization and the stopping rule.  The
-shared draw path is checked by references outside it: the closed forms here
-(acceptance criteria 1-2) and the ``math.erf`` laws of ``bench/checks.py``.
+through ``build_sampler``, ``RandomStream.normals`` and ``from_normals``,
+so their agreement with it checks what the exact sampler adds: the Poisson
+points, the anchor tilt, the cluster normalization and the stopping rule.
+The shared draw path is checked by references outside it: the closed forms
+here (acceptance criteria 1-2) and the ``math.erf`` laws of
+``bench/checks.py``.
 Both oracles are means taken by ``statseval.mc_mean`` from the stream
 ``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``); its
 docstring tells how it bounds memory and spreads the work over threads.
@@ -21,8 +22,9 @@ docstring tells how it bounds memory and spreads the work over threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import ndtr
 
 from .gaussian import SiteSet
 from .statseval import EstimateWithError, _exp_max, mc_mean
@@ -41,9 +43,14 @@ def gumbel_quantile(p, loc: float = 0.0):
     return float(out) if out.ndim == 0 else out
 
 
+_erfc = np.vectorize(math.erfc, otypes=[np.float64])
+
+
 def std_normal_cdf(x):
-    """Standard normal CDF Phi."""
-    return ndtr(x)
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, of a number or
+    elementwise of an array."""
+    out = 0.5 * _erfc(-np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def bivariate_neglog(model: VariogramModel, s, y1: float, y2: float) -> float:
@@ -59,7 +66,8 @@ def bivariate_neglog(model: VariogramModel, s, y1: float, y2: float) -> float:
         return float(np.exp(-min(y1, y2)))
     lam = np.sqrt(g / 2.0)
     d = (y2 - y1) / (2.0 * lam)
-    return float(np.exp(-y1) * ndtr(lam + d) + np.exp(-y2) * ndtr(lam - d))
+    return float(np.exp(-y1) * std_normal_cdf(lam + d)
+                 + np.exp(-y2) * std_normal_cdf(lam - d))
 
 
 def _peak_share(x: np.ndarray) -> np.ndarray:

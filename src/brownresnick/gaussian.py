@@ -8,9 +8,9 @@ sites at the origin are pinned to zero rather than factorized, because
 ``Cov(W(0), W(t)) = 0`` makes their covariance row identically zero.  The
 m remaining distinct sites are factorized, and the stored factor has one
 row per raw site: the Cholesky row of its representative, or zeros at the
-origin.  A draw reads one row of m uniforms (``streams``) and maps it
-through ``to_normals`` and one product with the factor; ``from_normals``
-also applies a cluster's tilt by its anchor site T, the Cameron-Martin
+origin.  A draw reads m standard normals from its stream (``streams``)
+and maps them through one product with the factor; ``from_normals`` also
+applies a cluster's tilt by its anchor site T, the Cameron-Martin
 shift of the normals by row T of the factor.  How the simulator groups its
 draws into blocks is told in ``simulator``.
 

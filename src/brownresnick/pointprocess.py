@@ -6,7 +6,7 @@ The points ``V_1 > V_2 > ...`` of a Poisson process with intensity
 standard exponentials (a unit-rate Poisson process on the positive axis).
 Anchor sites are drawn independently from a discrete probability measure
 on the evaluation sites.  Both take one uniform each, so a cluster's row of
-m + 2 uniforms starts with its Poisson point's and then its anchor's.
+uniforms is its Poisson point's and then its anchor's.
 ``poisson_points`` carries the Gamma sum from one block of rows to the
 next, and ``SamplingMeasure.anchors`` looks up a block's anchors at once;
 how the rows are read is told in ``simulator``.
@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .streams import _TINY, positive_int
+from .streams import positive_int
+
+_TINY = np.finfo(np.float64).tiny
 
 
 def poisson_points(gamma_sum: float, u) -> tuple[float, np.ndarray]:

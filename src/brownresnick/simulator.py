@@ -15,21 +15,22 @@ byte of the output.
 
 Random streams: sample r of ``replications(seed=s)`` draws everything from
 the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Cluster k
-reads row k of the stream's uniforms, m + 2 wide (m the number of factorized
-sites): its Poisson point, its anchor, then its m normals.  One row reader,
-``_rows``, reads every sample's stream, for the exact loop and for
-``simulate_naive`` alike.  It draws the rows in blocks of a fixed private
-size B: one generator call, one pass for the block's Poisson points, one
-anchor lookup, one inverse CDF and one product with the factor, anchor tilt
-included, per block; the uniforms past the stopping cluster's row go unused.
+reads row k of the stream's uniforms, its Poisson point and then its anchor,
+and normals [k m, (k + 1) m) of the stream's normals (m the number of
+factorized sites; ``streams`` keeps the two in separate counter spaces).
+One row reader, ``_rows``, reads every sample's stream, for the exact loop
+and for ``simulate_naive`` alike.  It draws in blocks of a fixed private
+size B: one ``uniforms`` call, one pass for the block's Poisson points, one
+anchor lookup, one ``normals`` call and one product with the factor, anchor
+tilt included, per block; the draws past the stopping cluster go unused.
 On large grids the product reads only each row block's nonzero prefix of
 the factor (``gaussian.FactorizedGaussian.from_normals``), and each
 cluster's draw comes out as one contiguous row of n values.
 The Poisson points come out of a running sum taken in sequence, so they do
 not depend on B.  B changes which clusters share a product and so the output
-bytes only by the rounding of that product, never which uniforms a cluster
+bytes only by the rounding of that product, never which draws a cluster
 reads.  Distinct keys give independent streams, so no two samples share a
-draw, and each replays bit for bit from its key.  A run builds one generator
+draw, and each replays bit for bit from its key.  A run builds one stream
 and re-keys it for each sample.
 
 A deliberately naive truncated variant is included to demonstrate the bias
@@ -47,12 +48,12 @@ import numpy as np
 
 from .gaussian import FactorizedGaussian, SiteSet, build_sampler
 from .pointprocess import SamplingMeasure, poisson_points
-from .streams import RandomStream, positive_int, to_normals
+from .streams import RandomStream, positive_int
 
 DEFAULT_MAX_CLUSTERS = 10_000_000
 DEFAULT_V_TRACE_CAP = 100_000
 
-# Rows of uniforms (clusters, or simulate_naive points) drawn per block.
+# Rows (clusters, or simulate_naive points) drawn per block.
 _BLOCK = 64
 
 MARGINALS = ("gumbel", "frechet", "weibull")
@@ -137,28 +138,30 @@ def _prepare(sites, model, measure, sampler):
 def _rows(stream, sampler, measure=None):
     """Yield ``(v, column)`` for row after row of ``stream``.
 
-    The one reader of a sample's stream.  A row is the Poisson point's
-    uniform, then with a ``measure`` the anchor's, then m normals' uniforms;
-    v is the row's Poisson point and the column is the row's draw at the raw
-    sites of W tilted by its anchor T, less gamma (``from_normals(z, T)``),
-    or of W without a measure.  Rows are drawn ``_BLOCK`` at a time: one
-    ``uniforms`` call, one ``poisson_points`` pass, one ``anchors`` lookup,
-    one inverse CDF and one ``from_normals`` product per block.  The columns
-    are views into the block's draw, free for the caller to overwrite; with
-    a measure each one is contiguous, a row of the draw's transpose.
+    The one reader of a sample's stream.  Row k is the Poisson point's
+    uniform, then with a ``measure`` the anchor's, and normals [k m,
+    (k + 1) m); v is the row's Poisson point and the column is the row's
+    draw at the raw sites of W tilted by its anchor T, less gamma
+    (``from_normals(z, T)``), or of W without a measure.  Rows are drawn
+    ``_BLOCK`` at a time: one ``uniforms`` call, one ``poisson_points``
+    pass, one ``anchors`` lookup, one ``normals`` call and one
+    ``from_normals`` product per block.  The columns are views into the
+    block's draw, free for the caller to overwrite; with a measure each one
+    is contiguous, a row of the draw's transpose.
     """
     lead = 1 if measure is None else 2
     gamma_sum = 0.0
     while True:
-        block = stream.uniforms((_BLOCK, sampler.m + lead))
+        block = stream.uniforms((_BLOCK, lead))
         gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
         anchors = None if measure is None else measure.anchors(block[:, 1])
-        x = sampler.from_normals(to_normals(block[:, lead:]).T, anchors)
+        z = stream.normals((_BLOCK, sampler.m))
+        x = sampler.from_normals(z.T, anchors)
         yield from zip(v.tolist(), x.T)
 
 
 def _simulate(measure, sampler, stream) -> FieldSample:
-    """The sample drawn from ``stream``, one row of uniforms per cluster."""
+    """The sample drawn from ``stream``, one row of ``_rows`` per cluster."""
     t0 = time.perf_counter()
     max_clusters, v_trace_cap = DEFAULT_MAX_CLUSTERS, DEFAULT_V_TRACE_CAP
     sites, alpha = sampler.sites, sampler.model.alpha
@@ -262,9 +265,9 @@ def simulate_naive(
     where gamma is large, so far-field marginals come out stochastically
     too small.  Kept only to demonstrate that failure mode.
 
-    W_i is drawn pinned at the origin.  Point i takes row i of m + 1
-    uniforms from the one stream (seed, 0): V_i, then W_i's m normals.  The
-    rows are drawn in full blocks whatever N, so a point's draws, W_i's bits
+    W_i is drawn pinned at the origin.  Point i takes uniform i of the one
+    stream (seed, 0) for V_i and normals [i m, (i + 1) m) for W_i.  The
+    draws come in full blocks whatever N, so a point's draws, W_i's bits
     included, do not depend on N: a shorter run consumes a prefix of the
     same draws, and for a fixed seed the output is coordinatewise
     nondecreasing in N.

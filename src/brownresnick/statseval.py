@@ -6,11 +6,11 @@ extremal index theta(n) = n^{-1} E max_{i<=n} e^{Z(i)} reproduce the
 classical constants attached to the field Z.  Every Monte Carlo estimate,
 the oracles of ``distributions`` included, is a plain mean taken by
 ``mc_mean``: it factorizes W at the given points, keys the stream
-``(seed, stream_id)`` and reads one row of uniforms per draw, mapped by
-``to_normals`` and one product with the factor, the same contract as the
-simulator's, so draw i reads row i of its stream whatever the chunk size,
-and the chunks, of at most 2^16 doubles per array, run on up to 4 threads
-chosen from the CPU affinity with the same bytes for any thread count.
+``(seed, stream_id)`` and reads m standard normals per draw, mapped by one
+product with the factor as in the simulator.  Chunk c, of at most 2^16
+doubles per array, reads part c of the stream's normals, so the chunks run
+on up to 4 threads chosen from the CPU affinity with the same bytes for any
+thread count.
 theta(n) is f({1, ..., n}) / n, the same mean over the same draws divided
 by n.  A coupled mode shares the Gaussian draws across several grids so
 that set inclusions become exact inequalities between the estimates rather
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import SiteSet, _grid_axes, box_grid, build_sampler
-from .streams import RandomStream, positive_int, to_normals
+from .streams import RandomStream, positive_int
 from .variogram import VariogramModel, as_points
 
 # Monte Carlo chunks hold at most this many doubles (512 KiB) per (n, k)
@@ -148,18 +148,20 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     ``reduce_fn`` to a (g, k) array holding g statistics per draw.  Chunks
     are ``k = max(1, _CHUNK_DOUBLES // n)`` columns wide, the last one
     narrower, so each chunk array holds at most 512 KiB whatever n and
-    ``reps``.  Draw i reads row i of the stream's uniforms, m wide (m the
-    number of factorized sites), whatever k is: chunk c takes rows
-    [c k, c k + k) in one ``uniforms`` call from a stream sought to uniform
-    c k m, so its statistics depend on nothing else.  The chunks are dealt
-    round-robin to up to ``_MAX_WORKERS`` threads, as many as the CPUs
-    this process may run on allow, the calling thread among them;
-    ``reduce_fn`` must therefore be a pure function of its chunk.  The
-    per-chunk sums are added in chunk order, so the result has the same
-    bytes for any number of threads.  Returns one :class:`EstimateWithError`
-    per statistic: the mean and its standard error sqrt(s^2 / reps), with
-    the unbiased sample variance s^2 (0 when ``reps`` is 1).  With
-    ``return_samples`` it also returns the statistics as a (g, reps) array.
+    ``reps``.  Chunk c restarts the stream's normals at part c and reads
+    them in one ``normals((k_c, m))`` call (m the number of factorized
+    sites, k_c the chunk's width), so its statistics depend on nothing else.
+    The draws therefore do not depend on ``reps`` (a shorter run's are a
+    prefix of a longer one's), but they do depend on k, which sets the draw
+    each part starts at.  The chunks are dealt round-robin to up to
+    ``_MAX_WORKERS`` threads, as many as the CPUs this process may run on
+    allow, the calling thread among them; ``reduce_fn`` must therefore be a
+    pure function of its chunk.  The per-chunk sums are added in chunk
+    order, so the result has the same bytes for any number of threads.
+    Returns one :class:`EstimateWithError` per statistic: the mean and its
+    standard error sqrt(s^2 / reps), with the unbiased sample variance s^2
+    (0 when ``reps`` is 1).  With ``return_samples`` it also returns the
+    statistics as a (g, reps) array.
     """
     reps = positive_int("reps", reps)
     fg = build_sampler(points, model)
@@ -171,9 +173,9 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
 
     def run(first: int, stream: RandomStream) -> None:
         for c in range(first, len(starts), workers):
-            stream.seek(starts[c] * fg.m)
-            z = fg.from_normals(to_normals(stream.uniforms(
-                (min(chunk, reps - starts[c]), fg.m))).T)
+            stream.restart_normals(c)
+            z = fg.from_normals(stream.normals(
+                (min(chunk, reps - starts[c]), fg.m)).T)
             z += shift
             s = reduce_fn(z)
             chunks[c] = (s.sum(axis=1), (s * s).sum(axis=1),
@@ -219,8 +221,13 @@ def _region_grid(model: VariogramModel, region, mesh: float) -> np.ndarray:
         low, high = arr[0], arr[1]
     else:
         raise ValueError("region must be a (low, high) pair")
-    # Count the points before building any array: a fine mesh can ask for
-    # far more memory than the machine has.
+    return _bounded_grid(low, high, mesh)
+
+
+def _bounded_grid(low, high, mesh) -> np.ndarray:
+    """``box_grid(low, high, mesh)``, once its points are counted and found
+    within ``MAX_GRID``: a fine mesh can ask for far more memory than the
+    machine has, so nothing is built before the count."""
     size = math.prod(k + 1 for _, _, k in _grid_axes(low, high, mesh))
     if size > MAX_GRID:
         raise ResourceLimitError(

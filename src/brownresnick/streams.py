@@ -1,29 +1,35 @@
-"""Counter-based uniform random streams for reproducible Monte Carlo.
+"""Counter-based random streams for reproducible Monte Carlo.
 
 Every stream is keyed by a ``(seed, stream_id)`` pair and backed by the
 Philox counter-based generator, so streams with distinct keys are
-statistically independent and a stream's output depends only on its key
-and on how many values have been drawn from it.  A stream checks its seed
-by the one seed rule, ``seed_int``, when it is built; ``rekey`` checks
-nothing, so the per-sample path does no check.  Every consumer reads its
-stream as rows of uniforms, one row per draw.  A Gaussian draw maps the
-row's last m uniforms through ``to_normals`` and one product with the
-factor (``gaussian.FactorizedGaussian.from_normals``), m being the number
-of factorized sites; on large grids the product reads only the factor's
-nonzero prefix in each block of rows, which changes its rounding, never
-the uniforms a draw reads.  The simulator reads one stream per sample, keyed
-``(seed, replication)``; a run builds one generator and re-keys it for each
-sample (``RandomStream.rekey``), which gives the same draws as a new stream
-without numpy seeding a fresh Philox from OS entropy first.  A row is m + 2
-uniforms per cluster (its Poisson point, its anchor, then m normals) and
-m + 1 per ``simulate_naive`` point (no anchor).  The Monte Carlo oracles key
-theirs as ``(seed, 0)`` and ``(seed, 1)``; a row is m normals' uniforms,
-with no leading columns.  Consumers draw rows in blocks of their own
-choosing (``simulator``, ``statseval.mc_mean``), one ``uniforms`` call per
-block.  A block of rows holds the same values as that many one-row calls,
-so draw k reads the same uniforms whatever the block size.
-``RandomStream.seek`` restarts a stream at any uniform, with the same draws
-from there on as a stream read up to it.
+statistically independent.  A stream checks its seed by the one seed rule,
+``seed_int``, when it is built; ``rekey`` checks nothing, so the per-sample
+path does no check.
+
+A stream has two counter spaces under its one key.  Its uniforms
+(``uniforms``) run from Philox counter words (0, 0, 0, 0) upward; its
+standard normals (``normals``) are numpy's ziggurat over a second Philox with
+the same key whose counter starts at words (0, 0, p, 1), part p being 0
+unless ``restart_normals(p)`` chose another.  A space would have to draw
+2^128 Philox blocks to reach the next, so the two never meet and the
+ziggurat's variable use of bits moves no uniform.  Each space is read in
+sequence: a block of draws holds the same values as that many one-draw
+calls, whatever the block size.  ``rekey`` restarts both spaces, the uniforms
+at 0 and the normals at part 0.  The ziggurat is numpy's, so, like the
+uniforms, the normals replay bit for bit on the same library stack; an
+inverse CDF of one uniform per normal would cost more and need scipy.
+
+The simulator reads one stream per sample, keyed ``(seed, replication)``; a
+run builds one stream and re-keys it for each sample, which gives the same
+draws as a new stream without numpy seeding a fresh Philox from OS entropy
+first.  Cluster k reads uniform row k (its Poisson point, then its anchor;
+``simulate_naive`` points have no anchor) and normals [k m, (k + 1) m), m
+being the number of factorized sites; one product with the factor
+(``gaussian.FactorizedGaussian.from_normals``) turns them into W.  The Monte
+Carlo oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and read normals
+only: chunk c of ``statseval.mc_mean`` reads normal part c, so chunks can be
+drawn in any order, on any thread.  Consumers draw in blocks of their own
+choosing (``simulator``, ``statseval.mc_mean``).
 """
 
 from __future__ import annotations
@@ -32,10 +38,8 @@ import math
 import numbers
 
 import numpy as np
-from scipy.special import ndtri
 
 _MASK64 = (1 << 64) - 1
-_TINY = np.finfo(np.float64).tiny
 
 
 def mask64(value: int) -> int:
@@ -67,27 +71,31 @@ def seed_int(seed) -> int:
     return mask64(seed)
 
 
-def to_normals(u: np.ndarray) -> np.ndarray:
-    """Standard normals from uniforms on [0, 1) by the inverse CDF, in place."""
-    # u == 0 occurs with probability 2^-53 per draw; ndtri(0) is -inf.
-    np.maximum(u, _TINY, out=u)
-    return ndtri(u, out=u)
+def _restart(gen: np.random.Generator, key: np.ndarray, counter) -> None:
+    """Restart ``gen``'s Philox at ``key`` and counter words ``counter``, with
+    an empty buffer, whatever it has drawn."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.array(counter, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+    }
 
 
 class RandomStream:
-    """Independent uniform stream keyed by ``(seed, stream_id)``.
-
-    Its consumers turn uniforms into normals by ``to_normals``, the inverse
-    CDF, rather than by rejection methods, so the uniform-to-normal mapping
-    is deterministic and platform independent at full double accuracy.
+    """Uniforms and standard normals keyed by ``(seed, stream_id)``, each
+    from its own Philox counter space under the one key (module docstring).
     """
 
-    __slots__ = ("seed", "stream_id", "_gen")
+    __slots__ = ("seed", "stream_id", "_gen", "_normal_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = seed_int(seed)
         self.stream_id = mask64(stream_id)
-        self._gen = np.random.Generator(np.random.Philox(key=self._key()))
+        key = self._key()
+        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._normal_gen = np.random.Generator(np.random.Philox(key=key))
+        self.restart_normals(0)
 
     def _key(self) -> np.ndarray:
         return np.array([self.seed, self.stream_id], dtype=np.uint64)
@@ -95,36 +103,25 @@ class RandomStream:
     def rekey(self, stream_id: int) -> None:
         """Restart as stream ``(seed, stream_id)``, whatever has been drawn.
 
-        The draws that follow are the same bytes as those of a new
-        ``RandomStream(seed, stream_id)``.
+        The draws that follow, uniforms and normals alike, are the same bytes
+        as those of a new ``RandomStream(seed, stream_id)``.
         """
         self.stream_id = mask64(stream_id)
-        self.seek(0)
+        _restart(self._gen, self._key(), [0, 0, 0, 0])
+        self.restart_normals(0)
 
-    def seek(self, draws: int) -> None:
-        """Restart the same key at uniform number ``draws``, whatever has been drawn.
-
-        Philox makes its uniforms four per counter step, so the state
-        becomes the key with the counter at ``draws // 4`` and an empty
-        buffer, and ``draws % 4`` uniforms are then discarded: the draws that
-        follow are those of a new stream from uniform ``draws`` on.
-        """
-        if draws < 0:
-            raise ValueError(f"draws must be non-negative, got {draws}")
-        steps, skip = divmod(int(draws), 4)
-        self._gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.array([steps, 0, 0, 0], dtype=np.uint64),
-                      "key": self._key()},
-            "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-            "has_uint32": 0, "uinteger": 0,
-        }
-        if skip:
-            self._gen.random(skip)
+    def restart_normals(self, part: int) -> None:
+        """Restart the normals at part ``part`` of their counter space, counter
+        words (0, 0, part, 1), whatever has been drawn; the uniforms go on."""
+        _restart(self._normal_gen, self._key(), [0, 0, part, 1])
 
     def uniforms(self, size=None):
         """Uniform draws on [0, 1)."""
         return self._gen.random(size)
+
+    def normals(self, size):
+        """Standard normal draws (numpy's ziggurat) from the normal space."""
+        return self._normal_gen.standard_normal(size)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

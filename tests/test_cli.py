@@ -12,7 +12,7 @@ from brownresnick import (
     fdd_cdf_oracle,
     replications,
 )
-from brownresnick import simulator
+from brownresnick import cli, simulator
 from brownresnick.cli import emit_svg_qq, main, parse_grid
 
 ECHO_KEYS = {"seed", "alpha", "n", "reps", "version"}
@@ -315,20 +315,71 @@ def test_rejected_input_exits_with_one_line_message(argv, message):
     assert message in exc.value.code and "\n" not in exc.value.code
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["simulate", "--grid", "0:1:0.5", "--alpha", "1"], "--out"),
-    (["simulate", "--grid", "0:1:0.5", "--alpha", "1", "--out", os.devnull], "--diag"),
-    (["theta", "--alpha", "1", "--n", "2", "--reps", "10"], "--out"),
-    (["validate", "--reps", "20", "--skip", "bivariate", "--skip", "mu_invariance",
-      "--skip", "stationarity"], "--report"),
-    (["simulate", "--alpha", "1", "--out", os.devnull], "--sites"),
-], ids=["simulate-out", "simulate-diag", "theta-out", "validate-report", "simulate-sites"])
-def test_unopenable_file_exits_with_one_line_naming_it(tmp_path, argv, flag):
-    missing = str(tmp_path / "no_such_dir" / "file")
+def _no_draws(*args, **kwargs):
+    raise AssertionError("the command went on to draw")
+
+
+@pytest.mark.parametrize("argv, flag, other", [
+    (["simulate", "--grid", "0:1:0.5", "--alpha", "1"], "--out", "--diag"),
+    (["simulate", "--grid", "0:1:0.5", "--alpha", "1"], "--diag", "--out"),
+    (["oracle", "--grid", "0:1:0.5", "--alpha", "1", "--y", "1"], "--out", None),
+    (["pickands", "--alpha", "1", "--N", "1", "--mesh", "0.5"], "--out", None),
+    (["theta", "--alpha", "1", "--n", "2", "--reps", "10"], "--out", None),
+    (["clusters", "--grid", "0:1:0.5", "--alphas", "1"], "--out", "--summary"),
+    (["clusters", "--grid", "0:1:0.5", "--alphas", "1"], "--summary", "--out"),
+    (["validate", "--reps", "20"], "--report", "--qq"),
+    (["validate", "--reps", "20"], "--qq", "--report"),
+    (["simulate", "--alpha", "1"], "--sites", "--out"),
+], ids=["simulate-out", "simulate-diag", "oracle-out", "pickands-out", "theta-out",
+        "clusters-out", "clusters-summary", "validate-report", "validate-qq",
+        "simulate-sites"])
+def test_unopenable_file_exits_with_one_line_naming_it(tmp_path, monkeypatch, argv,
+                                                       flag, other):
+    # Output paths are checked before the first draw, without opening or
+    # truncating the command's other output, an existing file here.
+    for name in ("replications", "fdd_cdf_oracle", "pickands_estimate",
+                 "extremal_index_estimate"):
+        monkeypatch.setattr(cli, name, _no_draws)
+    kept = tmp_path / "kept.txt"
+    kept.write_text("kept\n")
+    extra = [] if other is None else [other, str(kept)]
+    for bad in (tmp_path / "no_such_dir" / "file", tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + extra + [flag, str(bad)])
+        assert isinstance(exc.value.code, str)
+        assert str(bad) in exc.value.code and "\n" not in exc.value.code
+    assert kept.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--grid", "0:1:0.5", "--dim", "2", "--alpha", "1"],
+    ["oracle", "--grid", "0:1:0.5", "--alpha", "1", "--y", "1,x"],
+    ["clusters", "--grid", "0:1:0.5", "--alphas", "1,x"],
+    ["pickands", "--alpha", "1", "--N", "0", "--mesh", "0.5"],
+], ids=lambda argv: argv[0])
+def test_command_errors_print_the_subcommand_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(argv + [flag, missing])
-    assert isinstance(exc.value.code, str)
-    assert missing in exc.value.code and "\n" not in exc.value.code
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: brownresnick {argv[0]} ")
+    assert f"\nbrownresnick {argv[0]}: error: " in err
+
+
+def test_grid_budget_is_checked_before_the_grid_is_built(capsys, monkeypatch):
+    # 10^5 + 1 points: each array of the built grid would take 0.8 MB, so a
+    # grid built before its count breaks the bound, yet fits in memory.
+    monkeypatch.setattr(cli, "build_sampler", _no_draws)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--grid", "0:1e5:1", "--alpha", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert "budget of 4096" in capsys.readouterr().err.splitlines()[-1]
+    assert peak < 2 ** 19
 
 
 def test_oracle_replays_byte_identically(tmp_path):

@@ -17,21 +17,20 @@ from brownresnick import (
 )
 from brownresnick import gaussian
 from brownresnick.gaussian import read_csv
-from brownresnick.streams import to_normals
 
 
 def _normals(stream, k, m):
-    """k draws' normals as an (m, k) array, one row of m uniforms per draw."""
-    return to_normals(stream.uniforms((k, m))).T
+    """k draws' normals as an (m, k) array, m normals per draw."""
+    return stream.normals((k, m)).T
 
 
 def _w(fg, stream):
-    """One draw of W at the raw sites from the stream's next row of m uniforms."""
-    return fg.from_normals(to_normals(stream.uniforms(fg.m)))
+    """One draw of W at the raw sites from the stream's next m normals."""
+    return fg.from_normals(stream.normals(fg.m))
 
 
 def _draws(fg, stream, k):
-    """(n, k) draws of W, one row of m uniforms per draw."""
+    """(n, k) draws of W, m normals per draw."""
     return fg.from_normals(_normals(stream, k, fg.m))
 
 
@@ -123,34 +122,19 @@ def test_identical_key_streams_replay_exactly():
 
 
 def test_rekeyed_stream_replays_a_new_stream():
-    # Re-keying mid-buffer (an odd number of uniforms drawn) must reset the
-    # counter and the buffer, not only the key.
+    # Re-keying mid-buffer (an odd number of uniforms, or of normals, drawn)
+    # must reset both counter spaces and their buffers, not only the key.
     for seed in (123, 2 ** 64 - 7):
         for r in (1, 2 ** 63 + 5, 2 ** 64 - 1):
             stream = RandomStream(seed, 0)
             stream.uniforms(3)
+            stream.normals(3)
             stream.rekey(r)
             fresh = RandomStream(seed, r)
             assert (stream.seed, stream.stream_id) == (fresh.seed, fresh.stream_id)
             assert stream.uniforms(9).tobytes() == fresh.uniforms(9).tobytes()
             assert stream.uniforms((4, 5)).tobytes() == fresh.uniforms((4, 5)).tobytes()
-
-
-@pytest.mark.parametrize("m", [5, 7, 64])
-def test_sought_stream_replays_the_tail(m):
-    # seek(draws) must continue the stream at uniform number draws, whether
-    # the stream is new or has a part-used buffer, and read on in rows of m.
-    seed, sid, rows = 2 ** 64 - 3, 11, 6
-    for draws in (0, 1, 3, 4, 5, 1008 * 65):
-        tail = RandomStream(seed, sid).uniforms(draws + rows * m)[draws:]
-        for used in (0, m + 2):
-            stream = RandomStream(seed, sid)
-            stream.uniforms(used)
-            stream.seek(draws)
-            assert (stream.seed, stream.stream_id) == (seed, sid)
-            assert stream.uniforms((rows, m)).tobytes() == tail.tobytes()
-    with pytest.raises(ValueError):
-        RandomStream(seed, sid).seek(-1)
+            assert stream.normals((4, 5)).tobytes() == fresh.normals((4, 5)).tobytes()
 
 
 def test_sample_moments_match_kernel():

@@ -25,7 +25,6 @@ from brownresnick import (
     transform_marginals,
 )
 from brownresnick import simulator
-from brownresnick.streams import to_normals
 from brownresnick.variogram import gamma
 
 M1 = VariogramModel(alpha=1.0)
@@ -43,9 +42,8 @@ def single_site_values():
 
 
 def _cluster(fg, mu, v, stream):
-    """A cluster from the stream's next m + 1 uniforms: anchor, then normals."""
-    u = stream.uniforms(fg.m + 1)
-    x = fg.from_normals(to_normals(u[1:]), mu.anchors(u[0]))
+    """A cluster from the stream's next anchor uniform and m normals."""
+    x = fg.from_normals(stream.normals(fg.m), mu.anchors(stream.uniforms(1)[0]))
     return simulator._cluster_step(x, mu.log_weights, v)
 
 
@@ -427,7 +425,7 @@ def _reference_sample(sites, model, measure, seed, r):
         anchor = min(int(np.searchsorted(np.cumsum(measure.weights), u, side="right")),
                      s.n - 1)
         w_rep = np.zeros((s.num_representatives, 1))
-        w_rep[active] = chol @ to_normals(stream.uniforms((len(active), 1)))
+        w_rep[active] = chol @ stream.normals((len(active), 1))
         x = w_rep[s.rep_index][:, 0] + tilt[:, anchor]
         a = log_w + x
         lse = a.max() + np.log(np.exp(a - a.max()).sum())

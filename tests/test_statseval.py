@@ -217,15 +217,18 @@ def test_pickands_accumulator_across_chunk_boundary():
                                rtol=1e-12)
 
 
-def test_chunk_width_changes_only_rounding(monkeypatch):
-    # Draw i reads row i of the stream whatever the chunk width, so chunks of
-    # 7 draws give the default run's samples up to the rounding of the
-    # products.
+def test_shorter_run_draws_a_prefix_of_a_longer_run(monkeypatch):
+    # Chunk c reads part c of the stream's normals whatever reps is, so a run
+    # of 50 draws, whose last chunk holds one draw, takes the first 50 draws
+    # of a run of 200 up to the rounding of the products.
     grids = [box_grid(0.0, 1.0, 0.25), box_grid(0.0, 2.0, 0.25), np.array([[0.5]])]
-    _, base = pickands_coupled(M1, grids, reps=50, seed=8, return_samples=True)
     monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", 7 * 9)  # 9-site union
-    _, narrow = pickands_coupled(M1, grids, reps=50, seed=8, return_samples=True)
-    assert np.all(np.abs(narrow - base) <= 1e-12 * np.maximum(1.0, np.abs(base)))
+    _, short = pickands_coupled(M1, grids, reps=50, seed=8, return_samples=True)
+    _, long = pickands_coupled(M1, grids, reps=200, seed=8, return_samples=True)
+    base = long[:, :50]
+    assert np.all(np.abs(short - base) <= 1e-12 * np.maximum(1.0, np.abs(base)))
+    # Each chunk reads a part of its own: no draw repeats another's.
+    assert np.unique(long[2]).size == long.shape[1]  # exp(Z(0.5)) per draw
 
 
 def _oracle_bytes(reps: int) -> bytes:
@@ -252,9 +255,9 @@ def _oracle_bytes_to(conn, reps):
 
 @pytest.mark.parametrize("chunk_doubles", [_CHUNK_DOUBLES, 7 * 13])
 def test_worker_count_never_changes_a_byte(monkeypatch, chunk_doubles):
-    # Chunk c reads the rows [c k, c k + k) of its stream whoever computes
-    # it, and the chunk sums are added in chunk order, so 1, 2 or 3 threads
-    # (3 being more than some machines have cores) give the same bytes.
+    # Chunk c reads part c of its stream's normals whoever computes it, and
+    # the chunk sums are added in chunk order, so 1, 2 or 3 threads (3 being
+    # more than some machines have cores) give the same bytes.
     monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", chunk_doubles)
     reps = 3 * (chunk_doubles // 7) + 5
     interval = sys.getswitchinterval()
