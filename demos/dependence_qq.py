@@ -35,7 +35,7 @@ samples = np.array([
 ])
 
 d = ks_statistic(samples, gumbel_cdf)
-bound = ks_critical(reps, alpha=0.01)
+bound = ks_critical(reps)
 print(f"separation s        : {s}")
 print(f"recentering constant: {loc:.6f}")
 print(f"KS vs Gumbel        : {d:.5f} (1% bound {bound:.5f})")

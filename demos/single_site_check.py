@@ -32,7 +32,7 @@ print(f"cluster counts      : min={counts.min()} max={counts.max()} "
       f"(always 2 at a single site)")
 
 d = ks_statistic(values, gumbel_cdf)
-bound = ks_critical(reps, alpha=0.01)
+bound = ks_critical(reps)
 verdict = "consistent" if d <= bound else "NOT consistent"
 print(f"KS vs Gumbel        : {d:.5f} (1% bound {bound:.5f}) -> {verdict}")
 print(f"sample mean         : {values.mean():+.4f} (Euler-Mascheroni is +0.5772)")

@@ -26,7 +26,7 @@ model = VariogramModel(alpha=1.0)
 sites = [0.0, 2.5, 5.0, 7.5, 10.0]
 sampler = build_sampler(sites, model)
 reps = 10_000
-bound = ks_critical(reps, alpha=0.01)
+bound = ks_critical(reps)
 
 # The truncated arm draws from streams (80_000 + r, 0), r < reps; the
 # exact arm's seed lies outside that range, so the arms share no stream.

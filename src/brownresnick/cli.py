@@ -283,7 +283,7 @@ def cmd_oracle(args, parser) -> int:
 
 def cmd_pickands(args, parser) -> int:
     _check_outputs(out=args.out)
-    if args.N <= 0:
+    if not args.N > 0:  # NaN fails too
         parser.error("N must be positive")
     model = _build_model(parser, args.alpha, args.scale, args.dim)
     est = pickands_estimate(model, (0.0, args.N), args.mesh, args.reps, args.seed)
@@ -433,19 +433,15 @@ def _reps(text: str) -> int:
         raise argparse.ArgumentTypeError(f"reps must be a positive integer, got {text!r}")
 
 
-def _add_common(sp, default_seed, reps_default):
+def _add_common(sp, reps_default):
     sp.add_argument("--scale", type=float, default=1.0,
                     help="variogram scale (default 1)")
     sp.add_argument("--reps", type=_reps, default=reps_default,
                     help=f"replications (default {reps_default})")
-    sp.add_argument("--seed", type=int, default=default_seed,
-                    help="base seed (default from BROWNRESNICK_SEED or 1)")
+    sp.add_argument("--seed", type=int, default=1, help="base seed (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse reads a string default through type=int, as it reads --seed.
-    default_seed = os.environ.get("BROWNRESNICK_SEED", "1")
-
     parser = argparse.ArgumentParser(
         prog="brownresnick",
         description="Exact Brown-Resnick max-stable field simulation")
@@ -455,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="draw field replications")
     _add_site_args(sp)
     sp.add_argument("--alpha", type=float, required=True)
-    _add_common(sp, default_seed, reps_default=1)
+    _add_common(sp, reps_default=1)
     sp.add_argument("--marginals", choices=MARGINALS, default="gumbel")
     sp.add_argument("--measure-weights",
                     help="CSV of one positive weight per site, in one row or one "
@@ -472,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--y", required=True,
                     help="comma list of thresholds (one value broadcasts)")
-    _add_common(sp, default_seed, reps_default=1_000_000)
+    _add_common(sp, reps_default=1_000_000)
     sp.add_argument("--out", help="output JSON path (default stdout)")
     sp.set_defaults(func=cmd_oracle, parser=sp)
 
@@ -480,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, default=1.0)
     sp.add_argument("--s", type=float, default=1.0 - 1.0 / 1024.0,
                     help="site separation for the bivariate check")
-    _add_common(sp, default_seed, reps_default=10_000)
+    _add_common(sp, reps_default=10_000)
     sp.add_argument("--skip", action="append", default=[], metavar="CHECK",
                     choices=VALIDATE_CHECKS,
                     help=f"skip a named check; one of {', '.join(VALIDATE_CHECKS)}")
@@ -494,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=float, required=True, help="box is [0, N]^dim")
     sp.add_argument("--mesh", type=float, required=True)
     sp.add_argument("--dim", type=int, default=1)
-    _add_common(sp, default_seed, reps_default=100_000)
+    _add_common(sp, reps_default=100_000)
     sp.add_argument("--out", help="output JSON path (default stdout)")
     sp.set_defaults(func=cmd_pickands, parser=sp)
 
@@ -502,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--n", type=int, required=True, help="integer sites 1..n")
     sp.add_argument("--dim", type=int, default=1)
-    _add_common(sp, default_seed, reps_default=100_000)
+    _add_common(sp, reps_default=100_000)
     sp.add_argument("--out", help="output JSON path (default stdout)")
     sp.set_defaults(func=cmd_theta, parser=sp)
 
@@ -510,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_site_args(sp)
     sp.add_argument("--alphas", required=True,
                     help="comma list of alpha values")
-    _add_common(sp, default_seed, reps_default=200)
+    _add_common(sp, reps_default=200)
     sp.add_argument("--out", help="per-run counts CSV (rows alpha,count)")
     sp.add_argument("--summary", help="summary JSON path (default stdout)")
     sp.set_defaults(func=cmd_clusters, parser=sp)
@@ -525,8 +521,8 @@ def main(argv=None) -> int:
         # Each command reports argument errors through its own subparser,
         # with its usage and its prog.
         return args.func(args, args.parser)
-    except (OSError, ValueError, FactorizationError, ResourceLimitError,
-            ClusterLimitError) as exc:
+    except (OSError, ValueError, OverflowError, FactorizationError,
+            ResourceLimitError, ClusterLimitError) as exc:
         # Input the library rejects, and a file that cannot be read or
         # written, end in one line, not a traceback.
         raise SystemExit(str(exc))

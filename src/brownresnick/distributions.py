@@ -31,15 +31,17 @@ from .statseval import EstimateWithError, _exp_max, mc_mean
 from .variogram import VariogramModel, as_points, cov_w, gamma
 
 
-def gumbel_cdf(x, loc: float = 0.0):
-    """Standard Gumbel CDF exp(-e^{-(x - loc)})."""
-    out = np.exp(-np.exp(-(np.asarray(x, dtype=np.float64) - loc)))
+def gumbel_cdf(x):
+    """Standard Gumbel CDF exp(-e^{-x}); shift a sample by its location
+    before testing it against this law."""
+    out = np.exp(-np.exp(-np.asarray(x, dtype=np.float64)))
     return float(out) if out.ndim == 0 else out
 
 
-def gumbel_quantile(p, loc: float = 0.0):
-    """Inverse of :func:`gumbel_cdf` on (0, 1)."""
-    out = loc - np.log(-np.log(np.asarray(p, dtype=np.float64)))
+def gumbel_quantile(p):
+    """Standard Gumbel quantile -log(-log p), the inverse of
+    :func:`gumbel_cdf` on (0, 1)."""
+    out = -np.log(-np.log(np.asarray(p, dtype=np.float64)))
     return float(out) if out.ndim == 0 else out
 
 

@@ -101,8 +101,9 @@ def box_grid(low, high, mesh) -> np.ndarray:
     """Regular grid over the box [low, high] with the given mesh per axis.
 
     ``low``, ``high`` and ``mesh`` broadcast to the box dimension.  Both
-    endpoints are included, so the mesh must divide ``high - low`` on every
-    axis; a zero-length axis contributes the single coordinate ``low``.
+    endpoints are included, so the mesh, positive and finite, must divide
+    ``high - low`` on every axis; a zero-length axis contributes the single
+    coordinate ``low``.
     Points are returned in row-major order, first axis slowest.
     """
     axes = [np.linspace(lo, hi, k + 1) for lo, hi, k in _grid_axes(low, high, mesh)]
@@ -125,7 +126,7 @@ def _grid_axes(low, high, mesh) -> list:
     axes = []
     for lo, hi, m in zip(low.tolist(), high.tolist(), mesh.tolist()):
         span = hi - lo
-        if not math.isfinite(span / m):  # a non-finite bound, or an overflow
+        if not (math.isfinite(span / m) and math.isfinite(m)):  # inf bound or mesh, overflow
             raise ValueError(f"mesh {m} over the span [{lo}, {hi}] gives no finite grid")
         k = int(round(span / m))
         if abs(k * m - span) > 1e-9 * max(1.0, abs(span)):

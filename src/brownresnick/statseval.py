@@ -79,12 +79,13 @@ def ks_two_sample(a, b) -> float:
     return float(np.max(np.abs(fa - fb)))
 
 
-def ks_critical(n: int, alpha: float = 0.01, m: int | None = None) -> float:
-    """Asymptotic KS critical value; two-sample form when ``m`` is given.
+def ks_critical(n: int, m: int | None = None) -> float:
+    """Asymptotic KS critical value at the 1% level; two-sample form when
+    ``m`` is given.
 
-    c(alpha) = sqrt(-ln(alpha/2)/2), about 1.63 at the 1% level.
+    c = sqrt(-ln(0.005)/2), about 1.63: c / sqrt(n), or c sqrt((n + m)/(n m)).
     """
-    c = np.sqrt(-0.5 * np.log(alpha / 2.0))
+    c = np.sqrt(-0.5 * np.log(0.005))
     if m is None:
         return float(c / np.sqrt(n))
     return float(c * np.sqrt((n + m) / (n * m)))
@@ -138,7 +139,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
-            reduce_fn, *, stream_id: int = 0, return_samples: bool = False):
+            reduce_fn, *, stream_id: int = 0) -> list:
     """Monte Carlo means and standard errors of per-draw statistics.
 
     The one Monte Carlo path of the oracles and estimators.  It factorizes
@@ -160,8 +161,7 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     order, so the result has the same bytes for any number of threads.
     Returns one :class:`EstimateWithError` per statistic: the mean and its
     standard error sqrt(s^2 / reps), with the unbiased sample variance s^2
-    (0 when ``reps`` is 1).  With ``return_samples`` it also returns the
-    statistics as a (g, reps) array.
+    (0 when ``reps`` is 1).
     """
     reps = positive_int("reps", reps)
     fg = build_sampler(points, model)
@@ -178,8 +178,7 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
                 (min(chunk, reps - starts[c]), fg.m)).T)
             z += shift
             s = reduce_fn(z)
-            chunks[c] = (s.sum(axis=1), (s * s).sum(axis=1),
-                         s if return_samples else None)
+            chunks[c] = (s.sum(axis=1), (s * s).sum(axis=1))
 
     helpers = [_executor().submit(run, w, RandomStream(seed, stream_id))
                for w in range(1, workers)]
@@ -191,36 +190,25 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
         f.result()
     total = 0.0
     total_sq = 0.0
-    for s_sum, sq_sum, _ in chunks:
+    for s_sum, sq_sum in chunks:
         total = total + s_sum
         total_sq = total_sq + sq_sum
-    samples = np.hstack([c[2] for c in chunks]) if return_samples else None
     mean = total / reps
     se = np.zeros_like(mean)
     if reps > 1:
         var = np.maximum(total_sq - reps * mean * mean, 0.0) / (reps - 1)
         se = np.sqrt(var / reps)
-    estimates = [EstimateWithError(float(m), float(e), reps)
-                 for m, e in zip(mean, se)]
-    return (estimates, samples) if return_samples else estimates
+    return [EstimateWithError(float(m), float(e), reps) for m, e in zip(mean, se)]
 
 
 def _region_grid(model: VariogramModel, region, mesh: float) -> np.ndarray:
-    """Grid over a box region given as a (low, high) pair.
-
-    ``low``/``high`` may be scalars (broadcast across dimensions) or
-    length-dim vectors; low == high yields a single point.
-    """
-    arr = np.asarray(region, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = np.array([float(arr), float(arr)])
-    if arr.ndim == 1 and arr.shape[0] == 2:
-        low = np.full(model.dim, arr[0])
-        high = np.full(model.dim, arr[1])
-    elif arr.ndim == 2 and arr.shape == (2, model.dim):
-        low, high = arr[0], arr[1]
-    else:
-        raise ValueError("region must be a (low, high) pair")
+    """Grid over the box [low, high] of ``low, high = region``, each bound a
+    scalar or a length-dim vector broadcast to the model's dimension."""
+    try:
+        low, high = (np.broadcast_to(np.asarray(b, dtype=np.float64), (model.dim,))
+                     for b in region)
+    except (TypeError, ValueError):
+        raise ValueError("region must be a (low, high) pair") from None
     return _bounded_grid(low, high, mesh)
 
 
@@ -235,8 +223,7 @@ def _bounded_grid(low, high, mesh) -> np.ndarray:
     return box_grid(low, high, mesh)
 
 
-def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
-                     *, return_samples: bool = False):
+def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int) -> list:
     """Estimates of f over several grids from shared Z draws.
 
     Z is drawn once per replication on the union of the grids; each grid's
@@ -244,8 +231,8 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
     shared, inclusions between grids yield deterministic inequalities of
     the estimates: a grid's estimate never exceeds that of a supergrid.
 
-    Returns a list of :class:`EstimateWithError`, plus the per-draw sample
-    matrix of shape (len(grids), reps) when ``return_samples`` is set.
+    Returns one :class:`EstimateWithError` per grid, a mean over the draws
+    ``mc_mean`` lays out on the union's distinct sites.
     """
     grids = [as_points(model, g) for g in grids]
     if not grids:
@@ -263,16 +250,17 @@ def pickands_coupled(model: VariogramModel, grids, reps: int, seed: int,
     def grid_maxima(z):
         return np.stack([np.exp(z[rows].max(axis=0)) for rows in row_sets])
 
-    return mc_mean(model, union.rep_points, 0.0, reps, seed, grid_maxima,
-                   return_samples=return_samples)
+    return mc_mean(model, union.rep_points, 0.0, reps, seed, grid_maxima)
 
 
 def pickands_estimate(model: VariogramModel, region, mesh: float, reps: int,
                       seed: int) -> EstimateWithError:
     """f(region) = E exp(sup of Z over the meshed region), by Monte Carlo.
 
-    The estimate is of the raw set function; dividing f([0, N]^d) by N^d
-    gives the usual Pickands-constant approximant.
+    ``region`` is a ``(low, high)`` pair, each bound a scalar or a
+    length-dim vector, so a (2, dim) array is one too; ``low == high`` is a
+    single point.  The estimate is of the raw set function; dividing
+    f([0, N]^d) by N^d gives the usual Pickands-constant approximant.
     """
     grid = _region_grid(model, region, mesh)
     return pickands_coupled(model, [grid], reps, seed)[0]
@@ -286,10 +274,8 @@ def extremal_index_estimate(model: VariogramModel, n: int, reps: int,
     ``pickands_coupled(model, [sites 1..n], reps, seed)``, divided by n.
     """
     n = positive_int("n", n)
-    if n > MAX_GRID:
-        raise ResourceLimitError(f"n={n} exceeds the budget of {MAX_GRID}")
-    points = np.zeros((n, model.dim))
-    points[:, 0] = np.arange(1, n + 1)
+    low = np.eye(model.dim)[0]  # site 1 on the first axis
+    points = _bounded_grid(low, n * low, 1.0)
     (est,) = mc_mean(model, points, 0.0, reps, seed, _exp_max)
     return EstimateWithError(est.value / n, est.std_error / n, est.reps)
 

@@ -305,9 +305,11 @@ def test_oracle_rejects_mismatched_thresholds(capsys):
     (["clusters", "--grid", "0:1e200:1e200", "--alphas", "2"], "overflowed"),
     (["pickands", "--alpha", "2", "--N", "1e200", "--mesh", "1e200"], "overflowed"),
     (["pickands", "--alpha", "1", "--N", "inf", "--mesh", "1"], "finite grid"),
+    (["pickands", "--alpha", "1", "--N", "1", "--mesh", "inf"], "finite grid"),
+    (["theta", "--alpha", "1", "--n", "1" + "0" * 400], "too large"),
 ], ids=["oracle-nan", "pickands-mesh", "pickands-budget", "pickands-fine-mesh",
         "theta-budget", "oracle-overflow", "clusters-overflow", "pickands-overflow",
-        "pickands-inf"])
+        "pickands-inf", "pickands-inf-mesh", "theta-huge"])
 def test_rejected_input_exits_with_one_line_message(argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -356,7 +358,9 @@ def test_unopenable_file_exits_with_one_line_naming_it(tmp_path, monkeypatch, ar
     ["oracle", "--grid", "0:1:0.5", "--alpha", "1", "--y", "1,x"],
     ["clusters", "--grid", "0:1:0.5", "--alphas", "1,x"],
     ["pickands", "--alpha", "1", "--N", "0", "--mesh", "0.5"],
-], ids=lambda argv: argv[0])
+    ["pickands", "--alpha", "1", "--N", "nan", "--mesh", "0.5"],
+    ["simulate", "--grid", "0:1:inf", "--alpha", "1"],
+], ids=["simulate", "oracle", "clusters", "pickands", "pickands-nan", "simulate-inf-mesh"])
 def test_command_errors_print_the_subcommand_usage(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -514,18 +518,16 @@ def test_validate_rejects_bad_arguments(tmp_path):
     assert exc.value.code == 2
 
 
-def test_environment_variable_seeds_default(tmp_path, monkeypatch):
-    monkeypatch.setenv("BROWNRESNICK_SEED", "777")
-    out = tmp_path / "env.csv"
-    diag = tmp_path / "env.json"
-    main(["simulate", "--grid", "0.5:0.5:1", "--alpha", "1.0",
-          "--reps", "1", "--no-timing", "--out", str(out),
-          "--diag", str(diag)])
-    assert json.loads(diag.read_text())["seed"] == 777
-
-    monkeypatch.setenv("BROWNRESNICK_SEED", "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["simulate", "--grid", "0.5:0.5:1", "--alpha", "1.0"])
+def test_environment_does_not_set_the_seed(monkeypatch, capsys):
+    # The default seed is 1 whatever the environment holds, so a run's
+    # output is a function of its command line alone.
+    argv = ["simulate", "--grid", "0:1:0.5", "--alpha", "1.0", "--reps", "2"]
+    main(argv + ["--seed", "1"])
+    expected = capsys.readouterr().out
+    for value in ("777", "not-a-number"):
+        monkeypatch.setenv("BROWNRESNICK_SEED", value)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 def test_svg_marker_and_line_counts(tmp_path):

@@ -365,8 +365,12 @@ def test_box_grid_rejects_bad_input():
         box_grid(1.0, 0.0, 0.5)
     with pytest.raises(ValueError):
         box_grid((0.0, 0.0), (1.0,), 0.5)
+    # An infinite mesh gives k = 0 intervals, and 0 * inf = NaN passes the
+    # divisibility test, so it must be rejected as such.
     for low, high, mesh in ((0.0, np.inf, 1.0), (0.0, np.nan, 1.0), (0.0, 1.0, np.nan),
-                            (-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300)):
+                            (-1e308, 1e308, 1.0), (0.0, 1e300, 1e-300),
+                            (0.0, 1.0, np.inf), (0.5, 0.5, np.inf),
+                            ((0.0, 0.0), (1.0, 2.0), (0.5, np.inf))):
         with pytest.raises(ValueError, match="finite grid"):
             box_grid(low, high, mesh)
 

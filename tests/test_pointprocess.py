@@ -83,7 +83,7 @@ def test_gamma3_matches_integrated_density(first_points):
     cdf_grid = np.concatenate([[0.0], np.cumsum(steps)])
 
     d = ks_statistic(g3, lambda x: np.interp(x, grid, cdf_grid))
-    assert d <= ks_critical(N_STREAMS, alpha=0.01)
+    assert d <= ks_critical(N_STREAMS)
 
 
 def test_measure_normalizes_and_caches_logs():

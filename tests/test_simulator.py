@@ -95,13 +95,13 @@ def test_single_site_consumes_exactly_two_points():
 
 def test_single_site_marginal_is_standard_gumbel(single_site_values):
     d = ks_statistic(single_site_values, gumbel_cdf)
-    assert d <= ks_critical(len(single_site_values), alpha=0.01)
+    assert d <= ks_critical(len(single_site_values))
 
 
 def test_frechet_transform_is_standard_frechet(single_site_values):
     x = np.exp(single_site_values)
     d = ks_statistic(x, lambda t: np.exp(-1.0 / t))
-    assert d <= ks_critical(len(x), alpha=0.01)
+    assert d <= ks_critical(len(x))
 
 
 def test_identical_sites_count_law():

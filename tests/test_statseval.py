@@ -7,9 +7,11 @@ import pytest
 
 from brownresnick import (
     EstimateWithError,
+    RandomStream,
     ResourceLimitError,
     VariogramModel,
     box_grid,
+    build_sampler,
     change_of_measure_check,
     cluster_count_stats,
     extremal_index_estimate,
@@ -27,6 +29,43 @@ from brownresnick import statseval
 from brownresnick.statseval import _CHUNK_DOUBLES
 
 M1 = VariogramModel(alpha=1.0)
+
+
+def _reference_draws(points, reps, seed, reduce_fn):
+    """Per-draw statistics of ``mc_mean(M1, points, 0.0, reps, seed,
+    reduce_fn)``, drawn apart from it by its documented layout: chunk c
+    holds max(1, _CHUNK_DOUBLES // n) draws and reads normal part c."""
+    fg = build_sampler(points, M1)
+    chunk = max(1, statseval._CHUNK_DOUBLES // fg.n)
+    stream = RandomStream(seed, 0)
+    parts = []
+    for c, start in enumerate(range(0, reps, chunk)):
+        stream.restart_normals(c)
+        z = fg.from_normals(stream.normals((min(chunk, reps - start), fg.m)).T)
+        z += (0.0 - fg.gamma)[:, None]
+        parts.append(reduce_fn(z))
+    return np.hstack(parts)
+
+
+def _coupled_draws(grids, reps, seed):
+    """Reference of ``pickands_coupled``'s draws: exp(max of Z over each
+    grid), one row per grid, with Z drawn on the union's distinct sites."""
+    union = np.unique(np.vstack(grids), axis=0)
+    rows = [np.flatnonzero((union[:, None] == g[None]).all(axis=2).any(axis=1))
+            for g in grids]
+    return _reference_draws(
+        union, reps, seed, lambda z: np.stack([np.exp(z[r].max(axis=0)) for r in rows]))
+
+
+def _assert_estimates_of(estimates, samples):
+    """The estimates are the mean and standard error of the sample rows."""
+    reps = samples.shape[1]
+    assert all(e.reps == reps for e in estimates)
+    np.testing.assert_allclose([e.value for e in estimates],
+                               samples.mean(axis=1), rtol=1e-12)
+    np.testing.assert_allclose([e.std_error for e in estimates],
+                               samples.std(axis=1, ddof=1) / np.sqrt(reps),
+                               rtol=1e-12)
 
 
 def test_ks_statistic_exact_quantile_sample():
@@ -76,8 +115,6 @@ def test_ks_critical_values():
     c = np.sqrt(-0.5 * np.log(0.005))
     assert ks_critical(100, m=400) == pytest.approx(
         c * np.sqrt(500 / 40_000), rel=1e-12)
-    assert ks_critical(50, alpha=0.05) == pytest.approx(
-        np.sqrt(-0.5 * np.log(0.025)) / np.sqrt(50), rel=1e-12)
 
 
 def test_qq_data_single_point_and_diagonal():
@@ -93,7 +130,7 @@ def test_qq_data_single_point_and_diagonal():
 
 def test_pickands_at_origin_is_exactly_one():
     # Z is pinned at the origin, so f({0}) carries no Monte Carlo error.
-    est = pickands_estimate(M1, 0.0, 1.0, reps=500, seed=3)
+    est = pickands_estimate(M1, (0.0, 0.0), 1.0, reps=500, seed=3)
     assert est.value == 1.0
     assert est.std_error == 0.0
 
@@ -101,7 +138,7 @@ def test_pickands_at_origin_is_exactly_one():
 def test_pickands_single_offsite_point_is_one_in_mean():
     # E e^{Z(t)} = 1 for every single t (lognormal with mean -gamma,
     # variance 2 gamma).
-    est = pickands_estimate(M1, 0.5, 1.0, reps=20_000, seed=4)
+    est = pickands_estimate(M1, (0.5, 0.5), 1.0, reps=20_000, seed=4)
     assert abs(est.value - 1.0) <= 3.0 * est.std_error
     assert est.std_error > 0.0
 
@@ -109,9 +146,10 @@ def test_pickands_single_offsite_point_is_one_in_mean():
 def test_pickands_monotone_under_grid_refinement():
     fine = box_grid(0.0, 1.0, 0.125)
     coarse = fine[::2]
-    (est_f, est_c), samples = pickands_coupled(
-        M1, [fine, coarse], reps=2000, seed=5, return_samples=True)
+    est_f, est_c = pickands_coupled(M1, [fine, coarse], reps=2000, seed=5)
     # Shared draws make the inclusion deterministic, draw by draw.
+    samples = _coupled_draws([fine, coarse], 2000, 5)
+    _assert_estimates_of([est_f, est_c], samples)
     assert np.all(samples[0] >= samples[1])
     assert est_f.value >= est_c.value - 1e-12
 
@@ -121,8 +159,9 @@ def test_pickands_subadditive_on_shared_draws():
     a = box_grid(0.0, 1.0, mesh)
     b = box_grid(1.0, 2.0, mesh)
     u = box_grid(0.0, 2.0, mesh)
-    (est_a, est_b, est_u), samples = pickands_coupled(
-        M1, [a, b, u], reps=5000, seed=6, return_samples=True)
+    est_a, est_b, est_u = pickands_coupled(M1, [a, b, u], reps=5000, seed=6)
+    samples = _coupled_draws([a, b, u], 5000, 6)
+    _assert_estimates_of([est_a, est_b, est_u], samples)
     np.testing.assert_array_equal(
         samples[2], np.maximum(samples[0], samples[1]))
     assert est_u.value <= est_a.value + est_b.value + 1e-12
@@ -144,8 +183,15 @@ def test_pickands_region_forms():
     est_box = pickands_estimate(
         m2, np.array([[0.0, 0.0], [0.5, 1.0]]), 0.25, reps=100, seed=1)
     assert est_box.value >= 1.0 - 1e-12 or est_box.std_error > 0.0
-    with pytest.raises(ValueError):
-        pickands_estimate(M1, np.zeros((3, 2)), 0.25, reps=100, seed=1)
+    # A (2, dim) array is a (low, high) pair of vectors; a bound may be a
+    # scalar broadcast to the dimension.
+    assert pickands_estimate(m2, ([0.0, 0.0], np.array([0.5, 1.0])), 0.25,
+                             reps=100, seed=1) == est_box
+    assert pickands_estimate(m2, (0.0, [0.5, 0.5]), 0.25, reps=100, seed=1) == \
+        pickands_estimate(m2, np.array([[0.0, 0.0], [0.5, 0.5]]), 0.25, reps=100, seed=1)
+    for bad in (np.zeros((3, 2)), 0.5, (0.0, [0.5, 0.5])):
+        with pytest.raises(ValueError, match=r"region must be a \(low, high\) pair"):
+            pickands_estimate(M1, bad, 0.25, reps=100, seed=1)
 
 
 def test_pickands_grid_budget(monkeypatch):
@@ -164,8 +210,7 @@ def test_pickands_grid_budget(monkeypatch):
     with pytest.raises(ValueError):
         pickands_estimate(M1, (0.0, 1.0), 0.5, reps=0, seed=0)
     with pytest.raises(ValueError, match="reps must be a positive integer"):
-        pickands_coupled(M1, [box_grid(0.0, 1.0, 0.5)], reps=-1, seed=0,
-                         return_samples=True)
+        pickands_coupled(M1, [box_grid(0.0, 1.0, 0.5)], reps=-1, seed=0)
     # mc_mean's one count check, reached through two of its callers.
     for bad in (np.inf, -np.inf, np.nan, 0, -1, 2.7):
         with pytest.raises(ValueError, match="reps must be a positive integer"):
@@ -189,32 +234,26 @@ def test_pickands_budget_checked_before_any_grid():
 
 def test_pickands_repeated_points_share_draws():
     # A point listed twice within a grid, and a grid holding the same points
-    # in another order, factorize the same distinct sites: the samples are
+    # in another order, factorize the same distinct sites: the estimates are
     # those of the de-duplicated grids, byte for byte.
     grid = box_grid(0.0, 1.0, 0.25)
     repeated = np.vstack([grid, grid[[2]]])
     shuffled = grid[::-1]
-    _, samples = pickands_coupled(M1, [repeated, shuffled], reps=3000, seed=8,
-                                  return_samples=True)
-    _, expected = pickands_coupled(M1, [grid, grid], reps=3000, seed=8,
-                                   return_samples=True)
-    assert samples.tobytes() == expected.tobytes()
+    got = pickands_coupled(M1, [repeated, shuffled], reps=3000, seed=8)
+    expected = pickands_coupled(M1, [grid, grid], reps=3000, seed=8)
+    assert got == expected
+    _assert_estimates_of(got, _coupled_draws([grid, grid], 3000, 8))
 
 
 def test_pickands_accumulator_across_chunk_boundary():
     # The 5-site union takes _CHUNK_DOUBLES // 5 draws per chunk, so 3 more
     # span two chunks of the shared accumulator; the estimates must equal
-    # plain statistics of the returned samples.
+    # plain statistics of the same draws taken apart from it.
     grids = [box_grid(0.0, 1.0, 0.25), np.array([[0.5]])]
     reps = _CHUNK_DOUBLES // 5 + 3
-    estimates, samples = pickands_coupled(M1, grids, reps=reps, seed=21,
-                                          return_samples=True)
+    samples = _coupled_draws(grids, reps, 21)
     assert samples.shape == (2, reps)
-    np.testing.assert_allclose([e.value for e in estimates],
-                               samples.mean(axis=1), rtol=1e-12)
-    np.testing.assert_allclose([e.std_error for e in estimates],
-                               samples.std(axis=1, ddof=1) / np.sqrt(reps),
-                               rtol=1e-12)
+    _assert_estimates_of(pickands_coupled(M1, grids, reps=reps, seed=21), samples)
 
 
 def test_shorter_run_draws_a_prefix_of_a_longer_run(monkeypatch):
@@ -223,8 +262,10 @@ def test_shorter_run_draws_a_prefix_of_a_longer_run(monkeypatch):
     # of a run of 200 up to the rounding of the products.
     grids = [box_grid(0.0, 1.0, 0.25), box_grid(0.0, 2.0, 0.25), np.array([[0.5]])]
     monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", 7 * 9)  # 9-site union
-    _, short = pickands_coupled(M1, grids, reps=50, seed=8, return_samples=True)
-    _, long = pickands_coupled(M1, grids, reps=200, seed=8, return_samples=True)
+    short = _coupled_draws(grids, 50, 8)
+    long = _coupled_draws(grids, 200, 8)
+    _assert_estimates_of(pickands_coupled(M1, grids, reps=50, seed=8), short)
+    _assert_estimates_of(pickands_coupled(M1, grids, reps=200, seed=8), long)
     base = long[:, :50]
     assert np.all(np.abs(short - base) <= 1e-12 * np.maximum(1.0, np.abs(base)))
     # Each chunk reads a part of its own: no draw repeats another's.
@@ -239,13 +280,11 @@ def _oracle_bytes(reps: int) -> bytes:
     """
     grid = box_grid(0.0, 1.5, 0.25)
     out = [fdd_cdf_oracle(grid, M1, np.linspace(0.5, 2.0, 7), reps, seed=61)]
-    ests, samples = pickands_coupled(M1, [grid[:3], grid], reps, seed=62,
-                                     return_samples=True)
-    out += ests
+    out += pickands_coupled(M1, [grid[:3], grid], reps, seed=62)
     out.append(extremal_index_estimate(M1, 7, reps, seed=63))
     values = [v for e in out for v in (e.value, e.std_error)]
     values.append(change_of_measure_check(M1, grid, [0.5], reps, seed=64))
-    return np.array(values).tobytes() + samples.tobytes()
+    return np.array(values).tobytes()
 
 
 def _oracle_bytes_to(conn, reps):
