@@ -231,8 +231,7 @@ def cmd_simulate(args, parser) -> int:
     t0 = time.perf_counter()
     sampler = build_sampler(sites, model)
     t1 = time.perf_counter()
-    counts = []
-    gaps = []
+    counts, formed, raising, gaps = [], [], [], []
     # The inputs are checked before --out is opened, so a rejected run
     # leaves an existing file as it was; then each replication's row is
     # written as it is drawn: no (reps, n) array.
@@ -244,6 +243,8 @@ def cmd_simulate(args, parser) -> int:
             values = transform_marginals(fs, args.marginals).values
             fh.write(",".join(map(repr, values.tolist())) + "\n")
             counts.append(fs.num_clusters)
+            formed.append(fs.formed_clusters)
+            raising.append(fs.raising_clusters)
             gaps.append(fs.bound_gap)
     finally:
         if fh is not sys.stdout:
@@ -256,6 +257,8 @@ def cmd_simulate(args, parser) -> int:
             "jitter_used": sampler.jitter_used,
             "marginals": args.marginals,
             "cluster_counts": counts,
+            "formed_clusters": formed,
+            "raising_clusters": raising,
             "bound_gaps": gaps,
         })
         if not args.no_timing:

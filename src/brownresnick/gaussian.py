@@ -11,8 +11,10 @@ row per raw site: the Cholesky row of its representative, or zeros at the
 origin.  A draw reads m standard normals from its stream (``streams``)
 and maps them through one product with the factor; ``from_normals`` also
 applies a cluster's tilt by its anchor site T, the Cameron-Martin
-shift of the normals by row T of the factor.  How the simulator groups its
-draws into blocks is told in ``simulator``.
+shift of the normals by row T of the factor, and ``from_tilted_normals``
+takes normals already shifted, at every site or at a subset of the rows.
+How the simulator groups its draws into blocks, and screens them on a
+subset of the rows, is told in ``simulator``.
 
 Row j of the factor is zero past column ``rep(j)``, its representative's
 rank, so the product need not read the rest.  The sampler records, per
@@ -219,16 +221,38 @@ class FactorizedGaussian:
         anchors = np.asarray(anchors)
         if anchors.min() < 0 or anchors.max() >= self.n:
             raise IndexError(f"anchor index {anchors} out of range [0, {self.n})")
-        z = z + self.factor[anchors].T
-        x = self._product(z, np.empty(z.shape[1:] + (self.n,)).T)
-        np.subtract(x.T, self.gamma, out=x.T)
+        return self.from_tilted_normals(z + self.factor[anchors].T)
+
+    def from_tilted_normals(self, z: np.ndarray, rows=None) -> np.ndarray:
+        """``from_normals(z - factor[T].T, T)``: draws less ``gamma`` from
+        normals ``z`` that already carry their anchors' tilt, at every raw
+        site or at the increasing raw site indices ``rows`` alone.
+
+        The result ``factor[rows] @ z - gamma[rows]`` has ``from_normals``'
+        tilted layout, the transpose of a C-ordered (k, len(rows)) array.
+        With ``rows``, the factor's rows are gathered at most ``_ROWS`` at a
+        time, each group over the nonzero prefix of the row blocks it spans,
+        so a gathered copy holds at most ``_ROWS`` rows.
+        """
+        x = np.empty(z.shape[1:] + (self.n if rows is None else len(rows),)).T
+        self._product(z, x, rows)
+        np.subtract(x.T, self.gamma if rows is None else self.gamma[rows], out=x.T)
         return x
 
-    def _product(self, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``factor @ z`` written into ``out``, one prefix block at a time."""
-        for b, width in enumerate(self._widths):
-            rows = slice(b * _ROWS, (b + 1) * _ROWS)
-            np.matmul(self.factor[rows, :width], z[:width], out=out[rows])
+    def _product(self, z: np.ndarray, out: np.ndarray, rows=None) -> np.ndarray:
+        """``factor[rows] @ z`` (every row by default) written into ``out``,
+        one block of at most ``_ROWS`` rows at a time over its nonzero column
+        prefix."""
+        if rows is None:
+            for b, width in enumerate(self._widths):
+                block = slice(b * _ROWS, (b + 1) * _ROWS)
+                np.matmul(self.factor[block, :width], z[:width], out=out[block])
+            return out
+        for start in range(0, len(rows), _ROWS):
+            group = rows[start:start + _ROWS]
+            width = max(self._widths[group[0] // _ROWS:group[-1] // _ROWS + 1])
+            np.matmul(self.factor[group, :width], z[:width],
+                      out=out[start:start + _ROWS])
         return out
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -18,20 +18,40 @@ the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Cluster k
 reads row k of the stream's uniforms, its Poisson point and then its anchor,
 and normals [k m, (k + 1) m) of the stream's normals (m the number of
 factorized sites; ``streams`` keeps the two in separate counter spaces).
-One row reader, ``_rows``, reads every sample's stream, for the exact loop
-and for ``simulate_naive`` alike.  It draws in blocks of a fixed private
-size B: one ``uniforms`` call, one pass for the block's Poisson points, one
-anchor lookup, one ``normals`` call and one product with the factor, anchor
-tilt included, per block; the draws past the stopping cluster go unused.
-On large grids the product reads only each row block's nonzero prefix of
-the factor (``gaussian.FactorizedGaussian.from_normals``), and each
-cluster's draw comes out as one contiguous row of n values.
-The Poisson points come out of a running sum taken in sequence, so they do
-not depend on B.  B changes which clusters share a product and so the output
-bytes only by the rounding of that product, never which draws a cluster
-reads.  Distinct keys give independent streams, so no two samples share a
-draw, and each replays bit for bit from its key.  A run builds one stream
-and re-keys it for each sample.
+One block reader, ``_blocks``, reads every sample's stream, for the exact
+loop and for ``simulate_naive`` alike.  It draws in blocks of a fixed
+private size B: one ``uniforms`` call, one pass for the block's Poisson
+points, one anchor lookup and one ``normals`` call per block; the draws past
+the stopping cluster go unused.  The Poisson points come out of a running
+sum taken in sequence, so they do not depend on B, nor does which draws a
+cluster reads.  Distinct keys give independent streams, so no two samples
+share a draw, and each replays bit for bit from its key.  A run builds one
+stream and re-keys it for each sample.
+
+The screen: only an *open* site, one with ``sup_j + log w_j < v``, can be
+raised by the cluster at v, and the sites open at a block's first point
+include those open at each later point of the block, since v falls and sup
+only rises.  A cluster is ``C_j = v + X_j - lse``, where X is the draw tilted
+by the anchor T less gamma and lse the log-sum-exp of ``log w_l + X_l`` over
+every site.  Over the open sites S, one product with the factor's rows at S
+gives ``X_S`` for the block's B clusters, and ``L = max(lse_S, log w_T +
+X_T)`` is a lower bound on lse: the max of the two terms, not their
+log-sum, since T may lie in S.  So ``C_j <= v + X_j - L``, and only the
+clusters for which that exceeds ``sup_j`` less a margin at some open j, sup
+as it stood at the block's start, have their draw at every site formed, in
+one product over those clusters, and stepped, and merged if they raise a
+value.  The margin (``_MARGIN``, relative to the magnitudes compared) is
+far above the rounding of either product, so a screened cluster would
+raise no value in floating point either.  Every cluster still takes its turn in order, so ``num_clusters``,
+``v_trace``, ``bound_gap`` and the stopping point are those of merging all.
+A block at whose first point more than ``_FULL_SHARE`` of the sites are
+open, as in the first block, where no site is raised yet, forms every
+cluster in one product instead.  On large grids the products read only
+each row block's nonzero prefix of the factor
+(``gaussian.FactorizedGaussian.from_normals``), and each formed cluster's
+draw comes out as one contiguous row of n values.  Which clusters share a
+product, set by B and by the screen, changes the output bytes only by the
+rounding of that product.
 
 A deliberately naive truncated variant is included to demonstrate the bias
 that the exact algorithm removes.
@@ -55,6 +75,11 @@ DEFAULT_V_TRACE_CAP = 100_000
 
 # Rows (clusters, or simulate_naive points) drawn per block.
 _BLOCK = 64
+# The screen's margin, relative to the magnitudes it compares.
+_MARGIN = 1e-9
+# A block at whose first point more than this share of the sites is open
+# forms every cluster in one product, unscreened.
+_FULL_SHARE = 0.25
 
 MARGINALS = ("gumbel", "frechet", "weibull")
 
@@ -77,7 +102,11 @@ class FieldSample:
     ``len(v_trace) < num_clusters``).  ``elapsed`` is the wall time of the
     draw, factorization excluded.  ``bound_gap`` is the stopping bound's
     slack ``min_j (sup_j + log w_j) - v >= 0`` at the final point; NaN for
-    ``simulate_naive``, which has no stopping bound.
+    ``simulate_naive``, which has no stopping bound.  ``formed_clusters``
+    counts the clusters whose draw at every site was formed, the others
+    having been screened out, and ``raising_clusters`` those of them that
+    raised at least one value and so were merged; ``simulate_naive`` forms
+    every point.
     """
 
     values: np.ndarray
@@ -86,6 +115,8 @@ class FieldSample:
     seed: int
     elapsed: float
     bound_gap: float = math.nan
+    formed_clusters: int = 0
+    raising_clusters: int = 0
 
 
 def _cluster_step(x: np.ndarray, log_w: np.ndarray, v: float) -> np.ndarray:
@@ -135,19 +166,15 @@ def _prepare(sites, model, measure, sampler):
     return measure, sampler
 
 
-def _rows(stream, sampler, measure=None):
-    """Yield ``(v, column)`` for row after row of ``stream``.
+def _blocks(stream, m, measure=None):
+    """Yield ``(v, anchors, z)`` for block after block of ``_BLOCK`` rows.
 
     The one reader of a sample's stream.  Row k is the Poisson point's
     uniform, then with a ``measure`` the anchor's, and normals [k m,
-    (k + 1) m); v is the row's Poisson point and the column is the row's
-    draw at the raw sites of W tilted by its anchor T, less gamma
-    (``from_normals(z, T)``), or of W without a measure.  Rows are drawn
-    ``_BLOCK`` at a time: one ``uniforms`` call, one ``poisson_points``
-    pass, one ``anchors`` lookup, one ``normals`` call and one
-    ``from_normals`` product per block.  The columns are views into the
-    block's draw, free for the caller to overwrite; with a measure each one
-    is contiguous, a row of the draw's transpose.
+    (k + 1) m): per block one ``uniforms`` call, one ``poisson_points``
+    pass, one ``anchors`` lookup (None without a measure) and one
+    ``normals`` call, whose (``_BLOCK``, m) array z is the caller's to
+    overwrite.
     """
     lead = 1 if measure is None else 2
     gamma_sum = 0.0
@@ -155,20 +182,98 @@ def _rows(stream, sampler, measure=None):
         block = stream.uniforms((_BLOCK, lead))
         gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
         anchors = None if measure is None else measure.anchors(block[:, 1])
-        z = stream.normals((_BLOCK, sampler.m))
-        x = sampler.from_normals(z.T, anchors)
-        yield from zip(v.tolist(), x.T)
+        yield v, anchors, stream.normals((_BLOCK, m))
+
+
+def _rows(stream, sampler, measure=None, sup=None):
+    """Yield ``(v, column)`` for row after row of ``_blocks``.
+
+    v is the row's Poisson point and the column is its draw at the raw
+    sites of W tilted by its anchor T, less gamma (``from_normals(z, T)``),
+    or of W without a measure, one ``from_normals`` product per block.  The
+    columns are views into the block's draw, free for the caller to
+    overwrite; with a measure each one is contiguous, a row of the draw's
+    transpose.  With ``sup``, the exact loop's running suprema, each block
+    is first screened (``_screen``) against ``sup`` as it stands when the
+    block is read, after the merges of every earlier row: the column is
+    None where no draw is formed, and the formed ones equal this view's
+    unscreened columns up to the rounding of the product they share.
+    """
+    for v, anchors, z in _blocks(stream, sampler.m, measure):
+        formed = None if sup is None else _screen(
+            sampler, measure.log_weights, sup, v, anchors, z)
+        if formed is None:
+            yield from zip(v.tolist(), sampler.from_normals(z.T, anchors).T)
+            continue
+        row = [None] * len(v)
+        for i, x in zip(*formed):
+            row[i] = x
+        yield from zip(v.tolist(), row)
+
+
+def _screen(sampler, log_w, sup, v, anchors, z):
+    """The block's columns that may raise an open site, and their draws.
+
+    Returns None, for every column, when more than ``_FULL_SHARE`` of the
+    sites are open at the block's first point.  Otherwise returns the
+    indices of the columns that pass the screen (module docstring) and, one
+    per row, their draws ``from_normals(z[i], T_i)``; the screen tilts
+    ``z`` in place.
+    """
+    g = sup + log_w
+    if np.minimum.reduce(g) == -math.inf:  # no merge yet: every site open
+        return None
+    v0 = float(v[0])
+    # Magnitudes the margin is relative to.
+    scale = 1.0 + abs(v0) + abs(float(v[-1])) + float(np.maximum.reduce(np.abs(g)))
+    open_ = np.flatnonzero(g < v0 + _MARGIN * scale)
+    if len(open_) > _FULL_SHARE * sampler.n:
+        return None
+    if not len(open_):  # the block's first point stops the loop
+        return (), ()
+    f_t = sampler.factor[anchors]
+    z += f_t
+    # log w_T + X_T, the anchor's own term of the log-sum-exp.
+    anchor_term = (log_w[anchors] + np.einsum("ij,ij->i", f_t, z)
+                   - sampler.gamma[anchors])
+    del f_t
+    # a[i, j] = log w_j + X_j of column i at open site j, one buffer
+    # throughout: its maximum less g_j, then its log-sum-exp.
+    a = sampler.from_tilted_normals(z.T, open_).T
+    a += log_w[open_]
+    g = g[open_]
+    peak = np.maximum.reduce(a, axis=1)
+    scale += max(abs(float(peak.max())), abs(float(np.minimum.reduce(a, axis=None))))
+    a -= g
+    rise = np.maximum.reduce(a, axis=1)
+    a += g
+    a -= peak[:, None]
+    np.exp(a, out=a)
+    # L <= the full log-sum-exp: the max of two lower bounds, not their
+    # log-sum, since T may be an open site.
+    lse = np.maximum(peak + np.log(np.add.reduce(a, axis=1)), anchor_term)
+    del a
+    scale += float(np.maximum.reduce(np.abs(lse)))
+    # Column i passes if v_i + X_j - L_i > sup_j - margin at an open j; a
+    # NaN passes, so that its merge stops the loop as it would unscreened.
+    keep = np.flatnonzero(~(rise + v - lse <= -_MARGIN * scale))
+    if not len(keep):
+        return (), ()
+    return keep.tolist(), sampler.from_tilted_normals(z[keep].T).T
 
 
 def _simulate(measure, sampler, stream) -> FieldSample:
-    """The sample drawn from ``stream``, one row of ``_rows`` per cluster."""
+    """The sample drawn from ``stream``, one screened row of ``_rows`` per
+    cluster; only the formed ones are stepped and merged."""
     t0 = time.perf_counter()
     max_clusters, v_trace_cap = DEFAULT_MAX_CLUSTERS, DEFAULT_V_TRACE_CAP
     sites, alpha = sampler.sites, sampler.model.alpha
     log_w = measure.log_weights
     sup = np.full(sites.n, -np.inf)
+    bound = -math.inf
     v_trace: list = []
-    for k, (v, x) in enumerate(_rows(stream, sampler, measure), 1):
+    formed = raising = 0
+    for k, (v, x) in enumerate(_rows(stream, sampler, measure, sup), 1):
         if k > max_clusters:
             raise ClusterLimitError(
                 f"no termination after {max_clusters} clusters "
@@ -177,7 +282,6 @@ def _simulate(measure, sampler, stream) -> FieldSample:
                 f"bound={float((sup + log_w).min())}, "
                 f"{_worst_site(sites, sup, log_w)})"
             )
-        bound = np.minimum.reduce(sup + log_w)
         if math.isnan(bound):
             raise ClusterLimitError(
                 f"dominance bound turned NaN before cluster {k}: a merged "
@@ -188,7 +292,17 @@ def _simulate(measure, sampler, stream) -> FieldSample:
             v_trace.append(v)
         if v <= bound:
             break
-        np.maximum(sup, _cluster_step(x, log_w, v), out=sup)
+        if x is None:
+            continue
+        x = _cluster_step(x, log_w, v)
+        formed += 1
+        # A cluster that raises no value leaves sup and the bound as they
+        # are; a NaN merges, so that the bound turns NaN.
+        if np.logical_and.reduce(x <= sup):
+            continue
+        raising += 1
+        np.maximum(sup, x, out=sup)
+        bound = np.minimum.reduce(sup + log_w)
 
     return FieldSample(
         values=sup,
@@ -197,6 +311,8 @@ def _simulate(measure, sampler, stream) -> FieldSample:
         seed=stream.seed,
         elapsed=time.perf_counter() - t0,
         bound_gap=float(bound - v),
+        formed_clusters=formed,
+        raising_clusters=raising,
     )
 
 
@@ -278,8 +394,12 @@ def simulate_naive(
     t0 = time.perf_counter()
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
+    raising = 0
     for v, w in islice(_rows(stream, sampler), truncation):
-        np.maximum(sup, v + w - sampler.gamma, out=sup)
+        w = v + w - sampler.gamma
+        if not np.logical_and.reduce(w <= sup):
+            raising += 1
+            np.maximum(sup, w, out=sup)
         if len(v_trace) < DEFAULT_V_TRACE_CAP:
             v_trace.append(v)
 
@@ -289,6 +409,8 @@ def simulate_naive(
         v_trace=v_trace,
         seed=stream.seed,
         elapsed=time.perf_counter() - t0,
+        formed_clusters=truncation,
+        raising_clusters=raising,
     )
 
 

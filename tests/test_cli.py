@@ -93,6 +93,9 @@ def test_simulate_diag_fields(tmp_path):
     assert d["seed"] == 9 and d["n"] == 5 and d["reps"] == 3
     assert d["marginals"] == "gumbel"
     assert len(d["cluster_counts"]) == 3
+    lib = list(replications(np.linspace(0.0, 1.0, 5), VariogramModel(alpha=1.0), 3, seed=9))
+    assert d["formed_clusters"] == [fs.formed_clusters for fs in lib]
+    assert d["raising_clusters"] == [fs.raising_clusters for fs in lib]
     assert d["jitter_used"] == 0.0
     assert "workers" not in d
     assert not {"wall_time_s", "factorization_s", "loop_s"} & d.keys()

@@ -487,6 +487,66 @@ def test_final_cluster_changes_no_value(sites, dim, weights):
             assert merged.tobytes() == fs.values.tobytes()
 
 
+def _plain_loop(measure, sampler, stream):
+    """The exact loop with no screen: every row of ``_rows`` is stepped and
+    merged, in order, until a point meets the bound."""
+    log_w = measure.log_weights
+    sup = np.full(sampler.n, -np.inf)
+    trace = []
+    for v, x in simulator._rows(stream, sampler, measure):
+        bound = np.min(sup + log_w)
+        trace.append(v)
+        if v <= bound:
+            return sup, trace, bound - v
+        np.maximum(sup, simulator._cluster_step(x, log_w, v), out=sup)
+
+
+# 135 sites: two row blocks of the factor.
+SCREEN_CASES = REFERENCE_CASES + [(box_grid([0, 0], [1, 1.75], 1 / 8), 2, None)]
+
+
+@pytest.mark.parametrize("block", [64, 7])
+@pytest.mark.parametrize("sites, dim, weights", SCREEN_CASES)
+def test_screened_clusters_raise_no_value(sites, dim, weights, block, monkeypatch):
+    # Merging every cluster, screened or not, must stop at the same point
+    # with the same values: a screened cluster could have raised nothing.
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    screened = 0
+    for alpha in (0.5, 1.0, 1.5, 2.0):
+        model = VariogramModel(alpha=alpha, dim=dim)
+        fg = build_sampler(sites, model)
+        mu = SamplingMeasure.uniform(fg.n) if weights is None else SamplingMeasure(weights)
+        for r, fs in enumerate(replications(sites, model, 20, mu, seed=53, sampler=fg)):
+            values, trace, gap = _plain_loop(mu, fg, RandomStream(53, r))
+            assert fs.num_clusters == len(trace)
+            assert fs.v_trace == trace
+            assert np.all(np.abs(fs.values - values)
+                          <= 1e-12 * np.maximum(1.0, np.abs(values)))
+            assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
+            screened += fs.num_clusters - 1 - fs.formed_clusters
+    # Most samples on the small sets stop within the first block of 64,
+    # which is never screened.
+    if block == 7 or len(sites) > 128:
+        assert screened > 0
+
+
+def test_formed_and_raising_counts():
+    sites = box_grid([0, 0], [1, 1.75], 1 / 8)
+    model = VariogramModel(alpha=1.0, dim=2)
+    samples = list(replications(sites, model, 20, seed=59))
+    for fs in samples:
+        assert 1 <= fs.raising_clusters <= fs.formed_clusters <= fs.num_clusters - 1
+    assert sum(fs.formed_clusters for fs in samples) < sum(fs.num_clusters - 1
+                                                           for fs in samples)
+    # One site: every cluster but the last is formed, and only the first
+    # raises the value.
+    for fs in replications([0.7], M1, 5, seed=59):
+        assert (fs.num_clusters, fs.formed_clusters, fs.raising_clusters) == (2, 1, 1)
+    naive = simulate_naive(sites, model, seed=59, truncation=70)
+    assert naive.formed_clusters == 70
+    assert 1 <= naive.raising_clusters <= 70
+
+
 BLOCK_CASES = [
     (box_grid(0.0, 4.0, 1.0 / 16.0), 1, None),
     (box_grid([0, 0], [1, 1], 0.25), 2, None),
