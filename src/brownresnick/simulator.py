@@ -78,7 +78,9 @@ _BLOCK = 64
 # The screen's margin, relative to the magnitudes it compares.
 _MARGIN = 1e-9
 # A block at whose first point more than this share of the sites is open
-# forms every cluster in one product, unscreened.
+# forms every cluster in one product, unscreened.  Chosen by measurement: a
+# higher share is faster, but reads more peak RSS on the benchmark's 65-site
+# line, whose harness keeps a record per op (ROADMAP item 1).
 _FULL_SHARE = 0.25
 
 MARGINALS = ("gumbel", "frechet", "weibull")
@@ -105,8 +107,8 @@ class FieldSample:
     ``simulate_naive``, which has no stopping bound.  ``formed_clusters``
     counts the clusters whose draw at every site was formed, the others
     having been screened out, and ``raising_clusters`` those of them that
-    raised at least one value and so were merged; ``simulate_naive`` forms
-    every point.
+    raised at least one value and so were merged; both are 0 for
+    ``simulate_naive``, which screens nothing.
     """
 
     values: np.ndarray
@@ -394,12 +396,8 @@ def simulate_naive(
     t0 = time.perf_counter()
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
-    raising = 0
     for v, w in islice(_rows(stream, sampler), truncation):
-        w = v + w - sampler.gamma
-        if not np.logical_and.reduce(w <= sup):
-            raising += 1
-            np.maximum(sup, w, out=sup)
+        np.maximum(sup, v + w - sampler.gamma, out=sup)
         if len(v_trace) < DEFAULT_V_TRACE_CAP:
             v_trace.append(v)
 
@@ -409,8 +407,6 @@ def simulate_naive(
         v_trace=v_trace,
         seed=stream.seed,
         elapsed=time.perf_counter() - t0,
-        formed_clusters=truncation,
-        raising_clusters=raising,
     )
 
 

@@ -511,6 +511,11 @@ def test_screened_clusters_raise_no_value(sites, dim, weights, block, monkeypatc
     # Merging every cluster, screened or not, must stop at the same point
     # with the same values: a screened cluster could have raised nothing.
     monkeypatch.setattr(simulator, "_BLOCK", block)
+    # At most 128 sites and blocks of 64, the products round alike and the
+    # bytes must match.  Blocks of 7 leave products over a few columns, which
+    # OpenBLAS's small-matrix path rounds differently from one over the whole
+    # block, and 135 sites take two factor row blocks: there, rounding only.
+    exact = block == 64 and len(sites) <= 128
     screened = 0
     for alpha in (0.5, 1.0, 1.5, 2.0):
         model = VariogramModel(alpha=alpha, dim=dim)
@@ -520,9 +525,13 @@ def test_screened_clusters_raise_no_value(sites, dim, weights, block, monkeypatc
             values, trace, gap = _plain_loop(mu, fg, RandomStream(53, r))
             assert fs.num_clusters == len(trace)
             assert fs.v_trace == trace
-            assert np.all(np.abs(fs.values - values)
-                          <= 1e-12 * np.maximum(1.0, np.abs(values)))
-            assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
+            if exact:
+                assert fs.values.tobytes() == values.tobytes()
+                assert fs.bound_gap == gap
+            else:
+                assert np.all(np.abs(fs.values - values)
+                              <= 1e-12 * np.maximum(1.0, np.abs(values)))
+                assert abs(fs.bound_gap - gap) <= 1e-12 * max(1.0, abs(gap))
             screened += fs.num_clusters - 1 - fs.formed_clusters
     # Most samples on the small sets stop within the first block of 64,
     # which is never screened.
@@ -543,8 +552,7 @@ def test_formed_and_raising_counts():
     for fs in replications([0.7], M1, 5, seed=59):
         assert (fs.num_clusters, fs.formed_clusters, fs.raising_clusters) == (2, 1, 1)
     naive = simulate_naive(sites, model, seed=59, truncation=70)
-    assert naive.formed_clusters == 70
-    assert 1 <= naive.raising_clusters <= 70
+    assert (naive.formed_clusters, naive.raising_clusters) == (0, 0)
 
 
 BLOCK_CASES = [
