@@ -4,7 +4,7 @@ Subcommands
 -----------
 simulate   draw replications of the field and write CSV / JSON diagnostics
 oracle     finite-dimensional CDF probability by the Monte Carlo identity
-validate   run the built-in validation experiments, write report + Q-Q SVG
+validate   run the validation experiments of ``distributions``, write report + Q-Q SVG
 pickands   estimate the Pickands set function over [0, N]^d
 theta      estimate the discrete extremal index
 clusters   cluster-count distributions across a list of alpha values
@@ -33,33 +33,20 @@ import time
 import numpy as np
 
 from . import __version__
-from .distributions import bivariate_neglog, fdd_cdf_oracle, gumbel_cdf, gumbel_quantile
+from .distributions import (FIVE_SITES, VALIDATION_CHECKS, fdd_cdf_oracle, gumbel_checks,
+                            gumbel_quantile, mu_invariance_check, stationarity_check)
 from .gaussian import (FactorizationError, SiteSet, build_sampler, load_sites_csv,
                        read_csv)
 from .pointprocess import SamplingMeasure
 from .simulator import MARGINALS, ClusterLimitError, replications, transform_marginals
-from .statseval import (
-    ResourceLimitError,
-    _bounded_grid,
-    cluster_count_stats,
-    extremal_index_estimate,
-    ks_critical,
-    ks_statistic,
-    ks_two_sample,
-    pickands_estimate,
-    qq_data,
-)
+from .statseval import (ResourceLimitError, _bounded_grid, cluster_count_stats,
+                        extremal_index_estimate, pickands_estimate, qq_data)
 from .streams import positive_int, seed_int
 from .variogram import VariogramModel
 
 SVG_SIZE = 480
 SVG_MARGIN = 48
 SVG_MAX_MARKERS = 2000
-
-VALIDATE_CHECKS = ("marginal", "bivariate", "mu_invariance", "stationarity")
-
-# Fixed 5-site set for the invariance experiments.
-FIVE_SITES = (0.0, 0.2, 0.45, 0.7, 1.0)
 
 
 def _arm_seeds(seed: int, count: int) -> list[int]:
@@ -340,66 +327,28 @@ def cmd_clusters(args, parser) -> int:
     return 0
 
 
-def _ks_check(name, statistic, threshold, **extra) -> dict:
-    return {"name": name, "pass": bool(statistic <= threshold),
-            "statistic": statistic, "threshold": threshold, **extra}
-
-
 def cmd_validate(args, parser) -> int:
-    _check_outputs(report=args.report,
-                   qq=None if "bivariate" in args.skip else args.qq)
-    reps = args.reps
-    seed = args.seed
+    _check_outputs(report=args.report, qq=None if "bivariate" in args.skip else args.qq)
     # Arms 0-7: marginal, bivariate, the two mu_invariance arms, then the
     # unshifted and shifted stationarity arms at alpha 1 and at alpha 2.
-    arm = _arm_seeds(seed, 8)
+    arm = _arm_seeds(args.seed, 8)
     model = _build_model(parser, args.alpha, args.scale, 1)
-    sites5 = SiteSet(np.asarray(FIVE_SITES))
     checks = []
-
     if "marginal" not in args.skip:
-        samples = [fs.values[0]
-                   for fs in replications([0.7], model, reps, seed=arm[0])]
-        checks.append(_ks_check("marginal", ks_statistic(samples, gumbel_cdf),
-                                ks_critical(reps)))
-
+        checks += gumbel_checks(model, [0.7], {"marginal": [0]}, args.reps, arm[0])[0]
     if "bivariate" not in args.skip:
-        pair = np.array([0.0, args.s])
-        loc = float(np.log(bivariate_neglog(model, args.s, 0.0, 0.0)))
-        samples = [fs.values.max() - loc
-                   for fs in replications(pair, model, reps, seed=arm[1])]
-        emit_svg_qq(qq_data(samples, gumbel_quantile), args.qq)
-        checks.append(_ks_check("bivariate", ks_statistic(samples, gumbel_cdf),
-                                ks_critical(reps), qq_svg=args.qq))
-
+        (check,), (located,) = gumbel_checks(model, [0.0, args.s], {"bivariate": [0, 1]},
+                                             args.reps, arm[1])
+        emit_svg_qq(qq_data(located, gumbel_quantile), args.qq)
+        checks.append({**check, "qq_svg": args.qq})
     if "mu_invariance" not in args.skip:
         skewed = SamplingMeasure([0.6, 0.1, 0.1, 0.1, 0.1])
-        arm_a = [fs.values.max()
-                 for fs in replications(sites5, model, reps, seed=arm[2])]
-        arm_b = [fs.values.max()
-                 for fs in replications(sites5, model, reps, measure=skewed,
-                                        seed=arm[3])]
-        checks.append(_ks_check("mu_invariance", ks_two_sample(arm_a, arm_b),
-                                ks_critical(reps, m=reps)))
-
+        checks.append(mu_invariance_check(model, FIVE_SITES, skewed, args.reps, arm[2:4]))
     if "stationarity" not in args.skip:
-        worst = 0.0
-        for k, alpha in enumerate((1.0, 2.0)):
-            m = VariogramModel(alpha=alpha, scale=args.scale)
-            runs_a = [fs.values
-                      for fs in replications(sites5, m, reps, seed=arm[4 + 2 * k])]
-            runs_b = [fs.values
-                      for fs in replications(sites5.shifted(10.0), m, reps,
-                                             seed=arm[5 + 2 * k])]
-            a = np.asarray(runs_a)
-            b = np.asarray(runs_b)
-            for stat_a, stat_b in ((a.max(axis=1), b.max(axis=1)),
-                                   (a[:, 0], b[:, 0])):
-                worst = max(worst, ks_two_sample(stat_a, stat_b))
-        checks.append(_ks_check("stationarity", worst, ks_critical(reps, m=reps)))
-
+        models = [VariogramModel(alpha=alpha, scale=args.scale) for alpha in (1.0, 2.0)]
+        checks.append(stationarity_check(models, FIVE_SITES, 10.0, args.reps, arm[4:]))
     all_pass = all(c["pass"] for c in checks)
-    report = _echo(seed, args.alpha, sites5.n, reps)
+    report = _echo(args.seed, args.alpha, len(FIVE_SITES), args.reps)
     report.update({"s": args.s, "checks": checks, "all_pass": all_pass})
     _emit_json(report, args.report)
     for c in checks:
@@ -481,8 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="site separation for the bivariate check")
     _add_common(sp, reps_default=10_000)
     sp.add_argument("--skip", action="append", default=[], metavar="CHECK",
-                    choices=VALIDATE_CHECKS,
-                    help=f"skip a named check; one of {', '.join(VALIDATE_CHECKS)}")
+                    choices=VALIDATION_CHECKS,
+                    help=f"skip a named check; one of {', '.join(VALIDATION_CHECKS)}")
     sp.add_argument("--report", default="validate_report.json")
     sp.add_argument("--qq", default="qq_dependence.svg",
                     help="Q-Q SVG path for the bivariate check")

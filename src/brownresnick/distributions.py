@@ -1,4 +1,4 @@
-"""Reference laws and Monte Carlo oracles for validating the simulator.
+"""Reference laws, Monte Carlo oracles and the validation experiments.
 
 Closed forms: the Gumbel marginal and the two-site formula
 
@@ -27,8 +27,13 @@ import math
 import numpy as np
 
 from .gaussian import SiteSet
-from .statseval import EstimateWithError, _exp_max, mc_mean
+from .simulator import replications
+from .statseval import (EstimateWithError, _exp_max, ks_critical, ks_statistic,
+                        ks_two_sample, mc_mean)
 from .variogram import VariogramModel, as_points, cov_w, gamma
+
+VALIDATION_CHECKS = ("marginal", "bivariate", "mu_invariance", "stationarity")
+FIVE_SITES = (0.0, 0.2, 0.45, 0.7, 1.0)  # the sites of validate's two-arm checks
 
 
 def gumbel_cdf(x):
@@ -128,3 +133,49 @@ def change_of_measure_check(model: VariogramModel, grid, t, reps: int,
     if denom == 0.0:
         return 0.0
     return float((left.value - right.value) / denom)
+
+
+def _check(name: str, statistic: float, threshold: float) -> dict:
+    return {"name": name, "pass": bool(statistic <= threshold),
+            "statistic": statistic, "threshold": threshold}
+
+
+def _values(sites, model, reps, seed, measure=None) -> np.ndarray:
+    return np.array([fs.values for fs in replications(sites, model, reps, measure, seed)])
+
+
+def gumbel_checks(model: VariogramModel, sites, groups: dict, reps: int, seed: int):
+    """Check records, at ``ks_critical(reps)`` and from one run at ``seed``, of
+    each group's maximum: standard Gumbel over one site, over two sites t_i, t_j
+    Gumbel at log ``bivariate_neglog(model, t_j - t_i, 0, 0)``; and, for Q-Q
+    plots, each maximum less its location.  ``groups`` maps names to indices."""
+    sites = SiteSet.from_points(sites)
+    values = _values(sites, model, reps, seed)
+    records, located = [], []
+    for name, group in groups.items():
+        lag = sites.points[group[-1]] - sites.points[group[0]]
+        x = values[:, group].max(axis=1) - np.log(bivariate_neglog(model, lag, 0.0, 0.0))
+        records.append(_check(name, ks_statistic(x, gumbel_cdf), ks_critical(reps)))
+        located.append(x)
+    return records, located
+
+
+def mu_invariance_check(model: VariogramModel, sites, measure, reps: int, seeds) -> dict:
+    """Two-sample KS check of the maximum over ``sites`` under the uniform
+    anchor measure, at ``seeds[0]``, against ``measure``, at ``seeds[1]``."""
+    a = _values(sites, model, reps, seeds[0]).max(axis=1)
+    b = _values(sites, model, reps, seeds[1], measure).max(axis=1)
+    return _check("mu_invariance", ks_two_sample(a, b), ks_critical(reps, m=reps))
+
+
+def stationarity_check(models, sites, shift, reps: int, seeds) -> dict:
+    """Worst two-sample KS check, over ``models``, of the maximum and the first
+    site at ``sites`` against ``sites`` moved by ``shift``; model k draws its
+    arms at ``seeds[2k]`` and ``seeds[2k + 1]``."""
+    worst = 0.0
+    for model, here, there in zip(models, seeds[::2], seeds[1::2]):
+        a = _values(sites, model, reps, here)
+        b = _values(SiteSet.from_points(sites).shifted(shift), model, reps, there)
+        worst = max(worst, ks_two_sample(a.max(axis=1), b.max(axis=1)),
+                    ks_two_sample(a[:, 0], b[:, 0]))
+    return _check("stationarity", worst, ks_critical(reps, m=reps))

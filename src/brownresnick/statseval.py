@@ -1,4 +1,4 @@
-"""Estimators and test statistics for the validation experiments.
+"""Estimators, and the test statistics of the validation experiments in ``distributions``.
 
 Kolmogorov-Smirnov distances and Q-Q pairs check the simulated marginals;
 the Pickands set function f(A) = E exp(sup_{t in A} Z(t)) and the discrete

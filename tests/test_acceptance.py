@@ -11,7 +11,8 @@ and no two arms share a (seed, stream) key.  ``replications(seed=s)``
 draws sample r from stream (s, r) and the Monte Carlo oracles use (s, 0)
 and (s, 1), so distinct seeds suffice.  Criterion 10's truncated arm runs
 ``simulate_naive(seed=s0 + r)`` on keys (s0 + r, 0) for r < REPS, so the
-exact arm after it takes seed s0 + REPS, the first seed past that range.
+exact arm after it takes seed s0 + REPS, the first seed past that range,
+and the 2-d arm after criterion 10 the next one, s0 + REPS + 1 = 10020.
 """
 
 import time
@@ -30,15 +31,14 @@ from brownresnick import (
     gumbel_quantile,
     ks_critical,
     ks_statistic,
-    ks_two_sample,
     pickands_coupled,
     pickands_estimate,
     qq_data,
     replications,
     simulate_naive,
-    std_normal_cdf,
 )
 from brownresnick.cli import emit_svg_qq
+from brownresnick.distributions import gumbel_checks, mu_invariance_check, stationarity_check
 from brownresnick.gaussian import box_grid, build_sampler
 
 ALPHA_ONE = VariogramModel(alpha=1.0)
@@ -47,27 +47,22 @@ SITES5 = [0.0, 0.2, 0.45, 0.7, 1.0]
 SPAN_SITES = [0.0, 2.5, 5.0, 7.5, 10.0]
 KS_BOUND = 0.0163          # 1%-level one-sample bound at 10^4 draws
 REPS = 10_000
+# 135 sites, two row blocks of the factor (128 + 7); its sample size keeps
+# the arm near 12 s on 2 CPUs.
+PLANE = box_grid([0.0, 0.0], [1.0, 1.75], 0.125)
+PLANE_REPS = 2_500
 
 
 def _report(acceptance_report, num, name, passed, detail):
-    line = f"[criterion {num:2d}] {name}: {'PASS' if passed else 'FAIL'} ({detail})"
+    line = f"[criterion {num:>2}] {name}: {'PASS' if passed else 'FAIL'} ({detail})"
     acceptance_report.append(line)
     print(line)
 
 
-def _max_values(sites, model, reps, seed, measure=None):
-    return np.array([
-        fs.values.max()
-        for fs in replications(sites, model, reps, measure=measure, seed=seed)
-    ])
-
-
 def test_criterion_01_single_site_marginal(acceptance_report):
     t0 = time.perf_counter()
-    values = np.array([
-        fs.values[0] for fs in replications([0.7], ALPHA_ONE, REPS, seed=1)
-    ])
-    d = ks_statistic(values, gumbel_cdf)
+    (check,), _ = gumbel_checks(ALPHA_ONE, [0.7], {"marginal": [0]}, REPS, seed=1)
+    d = check["statistic"]
     elapsed = time.perf_counter() - t0
     ok = d <= KS_BOUND and elapsed < 30.0
     _report(acceptance_report, 1, "single-site marginal is standard Gumbel",
@@ -78,12 +73,11 @@ def test_criterion_01_single_site_marginal(acceptance_report):
 
 def test_criterion_02_bivariate_dependence(acceptance_report, tmp_path):
     t0 = time.perf_counter()
-    s = 1.0 - 1.0 / 1024.0
-    loc = float(np.log(2.0 * std_normal_cdf(np.sqrt(s) / 2.0)))
-    samples = _max_values(np.array([0.0, s]), ALPHA_ONE, REPS, seed=2) - loc
-    d = ks_statistic(samples, gumbel_cdf)
+    pair = [0.0, 1.0 - 1.0 / 1024.0]
+    (check,), (located,) = gumbel_checks(ALPHA_ONE, pair, {"bivariate": [0, 1]}, REPS, seed=2)
+    d = check["statistic"]
     svg = tmp_path / "qq_dependence.svg"
-    emit_svg_qq(qq_data(samples, gumbel_quantile), str(svg))
+    emit_svg_qq(qq_data(located, gumbel_quantile), str(svg))
     elapsed = time.perf_counter() - t0
     ok = d <= KS_BOUND and svg.exists() and elapsed < 60.0
     _report(acceptance_report, 2, "two-site max matches the closed form",
@@ -136,10 +130,8 @@ def test_criterion_04_cluster_count_law(acceptance_report):
 
 def test_criterion_05_measure_invariance(acceptance_report):
     t0 = time.perf_counter()
-    uniform_arm = _max_values(SITES5, ALPHA_ONE, REPS, seed=6)
     skew = SamplingMeasure([0.6, 0.1, 0.1, 0.1, 0.1])
-    skewed_arm = _max_values(SITES5, ALPHA_ONE, REPS, seed=7, measure=skew)
-    d = ks_two_sample(uniform_arm, skewed_arm)
+    d = mu_invariance_check(ALPHA_ONE, SITES5, skew, REPS, seeds=(6, 7))["statistic"]
     thr = ks_critical(REPS, m=REPS)
     elapsed = time.perf_counter() - t0
     ok = d <= thr
@@ -151,16 +143,8 @@ def test_criterion_05_measure_invariance(acceptance_report):
 def test_criterion_06_stationarity(acceptance_report):
     t0 = time.perf_counter()
     thr = ks_critical(REPS, m=REPS)
-    worst = 0.0
-    shifted = [t + 10.0 for t in SITES5]
-    for model, seed_here, seed_there in ((ALPHA_ONE, 8, 9), (ALPHA_TWO, 10, 11)):
-        here = np.array([fs.values for fs in
-                         replications(SITES5, model, REPS, seed=seed_here)])
-        there = np.array([fs.values for fs in
-                          replications(shifted, model, REPS, seed=seed_there)])
-        for stat_a, stat_b in ((here.max(axis=1), there.max(axis=1)),
-                               (here[:, 0], there[:, 0])):
-            worst = max(worst, ks_two_sample(stat_a, stat_b))
+    worst = stationarity_check((ALPHA_ONE, ALPHA_TWO), SITES5, 10.0, REPS,
+                               seeds=(8, 9, 10, 11))["statistic"]
     elapsed = time.perf_counter() - t0
     ok = worst <= thr
     _report(acceptance_report, 6, "field is stationary under translation",
@@ -264,3 +248,22 @@ def test_criterion_10_truncation_bias_is_detected(acceptance_report):
                 f"exact KS={d_exact:.4f} <= {KS_BOUND}, {elapsed:.1f}s")
     assert d_naive > KS_BOUND
     assert d_exact <= KS_BOUND
+
+
+def test_criteria_01_02_on_a_multi_block_plane(acceptance_report):
+    # Site 134, (1, 1.75), lies in the second row block.  Its pairs with
+    # sites 59 and 85 are at the axis lag (5/8, 0) and the diagonal lag
+    # (3/8, 1/2), of equal norm, so the two pair laws also test isotropy.
+    t0 = time.perf_counter()
+    assert np.array_equal(PLANE[134] - PLANE[59], [0.625, 0.0])
+    assert np.array_equal(PLANE[134] - PLANE[85], [0.375, 0.5])
+    groups = {"marginal": [134], "axis pair": [134, 59], "diagonal pair": [134, 85]}
+    checks, _ = gumbel_checks(VariogramModel(alpha=1.0, dim=2), PLANE, groups,
+                              PLANE_REPS, seed=10020)
+    thr = ks_critical(PLANE_REPS)
+    worst = max(c["statistic"] for c in checks)
+    elapsed = time.perf_counter() - t0
+    _report(acceptance_report, "2-d", "criteria 1-2 hold on a 135-site plane",
+            worst <= thr, ", ".join(f"{c['name']} KS={c['statistic']:.5f}" for c in checks)
+            + f" <= {thr:.5f} at {PLANE_REPS} reps, {elapsed:.1f}s")
+    assert worst <= thr

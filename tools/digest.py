@@ -22,7 +22,8 @@ Groups:
 * ``oracle <name>``: the four Monte Carlo oracles and ``pickands_estimate``
   at the same alphas and seeds.
 * ``cli <subcommand>``: stdout, exit status and every file written by each
-  of the six subcommands, ``simulate`` with ``--no-timing``.
+  of the six subcommands, ``simulate`` with ``--no-timing``, and by a second
+  ``validate`` run at alpha 2 with a scale, a lag and a ``--skip``.
 
 No golden digest is stored: the bytes depend on the library stack.
 """
@@ -123,6 +124,9 @@ CLI_RUNS = {
     "oracle": ["oracle", "--grid", "0:2:0.5", "--alpha", "1", "--y", "1.5",
                "--reps", "20000", "--seed", "17"],
     "validate": ["validate", "--alpha", "1", "--reps", "300", "--seed", "17"],
+    # Another model, scale and lag, and a skipped check.
+    "validate-alpha2": ["validate", "--alpha", "2", "--scale", "4", "--s", "0.5",
+                        "--skip", "marginal", "--reps", "300", "--seed", "17"],
     "pickands": ["pickands", "--alpha", "1", "--N", "2", "--mesh", "0.25",
                  "--reps", "20000", "--seed", "17"],
     "theta": ["theta", "--alpha", "1", "--n", "8", "--reps", "20000", "--seed", "17"],
