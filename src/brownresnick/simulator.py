@@ -42,12 +42,12 @@ as it stood at the block's start, have their draw at every site formed, in
 one product over those clusters, and stepped, and merged if they raise a
 value.  The margin (``_MARGIN``, relative to the magnitudes compared) is
 far above the rounding of either product, so a screened cluster would
-raise no value in floating point either.  Every cluster still takes its turn in order, so ``num_clusters``,
-``v_trace``, ``bound_gap`` and the stopping point are those of merging all.
-A block at whose first point more than ``_FULL_SHARE`` of the sites are
-open, as in the first block, where no site is raised yet, forms every
-cluster in one product instead.  On large grids the products read only
-each row block's nonzero prefix of the factor
+raise no value in floating point either.  Every cluster still takes its
+turn in order, so ``num_clusters``, ``v_trace``, ``bound_gap`` and the
+stopping point are those of merging all.  Only the first block, read while
+some ``sup_j`` is still -inf and every site open, forms every cluster in
+one product, unscreened.  On large grids the products read only each row
+block's nonzero prefix of the factor
 (``gaussian.FactorizedGaussian.from_normals``), and each formed cluster's
 draw comes out as one contiguous row of n values.  Which clusters share a
 product, set by B and by the screen, changes the output bytes only by the
@@ -77,11 +77,6 @@ DEFAULT_V_TRACE_CAP = 100_000
 _BLOCK = 64
 # The screen's margin, relative to the magnitudes it compares.
 _MARGIN = 1e-9
-# A block at whose first point more than this share of the sites is open
-# forms every cluster in one product, unscreened.  Chosen by measurement: a
-# higher share is faster, but reads more peak RSS on the benchmark's 65-site
-# line, whose harness keeps a record per op (ROADMAP item 1).
-_FULL_SHARE = 0.25
 
 MARGINALS = ("gumbel", "frechet", "weibull")
 
@@ -216,11 +211,10 @@ def _rows(stream, sampler, measure=None, sup=None):
 def _screen(sampler, log_w, sup, v, anchors, z):
     """The block's columns that may raise an open site, and their draws.
 
-    Returns None, for every column, when more than ``_FULL_SHARE`` of the
-    sites are open at the block's first point.  Otherwise returns the
-    indices of the columns that pass the screen (module docstring) and, one
-    per row, their draws ``from_normals(z[i], T_i)``; the screen tilts
-    ``z`` in place.
+    Returns None, for every column, while some ``sup_j`` is still -inf,
+    before the first merge.  Otherwise returns the indices of the columns
+    that pass the screen (module docstring) and, one per row, their draws
+    ``from_normals(z[i], T_i)``; the screen tilts ``z`` in place.
     """
     g = sup + log_w
     if np.minimum.reduce(g) == -math.inf:  # no merge yet: every site open
@@ -229,8 +223,6 @@ def _screen(sampler, log_w, sup, v, anchors, z):
     # Magnitudes the margin is relative to.
     scale = 1.0 + abs(v0) + abs(float(v[-1])) + float(np.maximum.reduce(np.abs(g)))
     open_ = np.flatnonzero(g < v0 + _MARGIN * scale)
-    if len(open_) > _FULL_SHARE * sampler.n:
-        return None
     if not len(open_):  # the block's first point stops the loop
         return (), ()
     f_t = sampler.factor[anchors]

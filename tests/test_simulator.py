@@ -501,8 +501,11 @@ def _plain_loop(measure, sampler, stream):
         np.maximum(sup, simulator._cluster_step(x, log_w, v), out=sup)
 
 
-# 135 sites: two row blocks of the factor.
-SCREEN_CASES = REFERENCE_CASES + [(box_grid([0, 0], [1, 1.75], 1 / 8), 2, None)]
+# 135 sites: two row blocks of the factor.  The 65-site line: samples of
+# about 155 clusters, so at blocks of 64 the blocks after the first are
+# screened with many sites open.
+SCREEN_CASES = REFERENCE_CASES + [(box_grid([0, 0], [1, 1.75], 1 / 8), 2, None),
+                                  (box_grid(0.0, 4.0, 1 / 16), 1, None)]
 
 
 @pytest.mark.parametrize("block", [64, 7])
@@ -535,8 +538,30 @@ def test_screened_clusters_raise_no_value(sites, dim, weights, block, monkeypatc
             screened += fs.num_clusters - 1 - fs.formed_clusters
     # Most samples on the small sets stop within the first block of 64,
     # which is never screened.
-    if block == 7 or len(sites) > 128:
+    if block == 7 or len(sites) > 64:
         assert screened > 0
+
+
+def test_only_the_first_block_forms_every_column(monkeypatch):
+    # The screen forms every column (returns None) for a block read while
+    # some sup_j is still -inf, before the first merge, and for no other.
+    calls = []
+    screen = simulator._screen
+
+    def spy(sampler, log_w, sup, v, anchors, z):
+        unmerged = bool(np.logical_or.reduce(sup == -np.inf))
+        formed = screen(sampler, log_w, sup, v, anchors, z)
+        calls.append((unmerged, formed is None))
+        return formed
+
+    monkeypatch.setattr(simulator, "_screen", spy)
+    for sites, dim in ((box_grid(0.0, 4.0, 1 / 16), 1),
+                       (box_grid([0, 0], [1, 1.75], 1 / 8), 2)):
+        calls.clear()
+        for _ in replications(sites, VariogramModel(alpha=1.0, dim=dim), 10, seed=61):
+            pass
+        assert [full for _, full in calls] == [unmerged for unmerged, _ in calls]
+        assert sum(not unmerged for unmerged, _ in calls) > 10  # screened blocks
 
 
 def test_formed_and_raising_counts():

@@ -13,12 +13,14 @@ the same library stack; the first lines name numpy and its BLAS.
 
 Groups:
 
-* ``sampler <site set> counts`` and ``... values``: ``replications``
-  (``REPS`` samples), ``simulate`` and ``simulate_naive`` on each site set,
-  at each alpha in ``ALPHAS`` and seed in ``SEEDS``.  ``counts`` hashes
-  ``num_clusters`` and ``v_trace``; ``values`` hashes the values and
-  ``bound_gap``.  So a change that moves values only by rounding keeps
-  the counts lines.
+* ``sampler <site set> counts``, ``... values`` and ``... screen``:
+  ``replications`` (``REPS`` samples), ``simulate`` and ``simulate_naive``
+  on each site set, at each alpha in ``ALPHAS`` and seed in ``SEEDS``.
+  ``counts`` hashes ``num_clusters`` and ``v_trace``; ``values`` hashes the
+  values and ``bound_gap``; ``screen`` hashes ``formed_clusters`` and
+  ``raising_clusters``.  So a change that moves values only by rounding
+  keeps the counts lines, and one that changes only which clusters are
+  formed keeps them too but moves the screen lines.
 * ``oracle <name>``: the four Monte Carlo oracles and ``pickands_estimate``
   at the same alphas and seeds.
 * ``cli <subcommand>``: stdout, exit status and every file written by each
@@ -78,7 +80,7 @@ def _model(alpha, points) -> br.VariogramModel:
 
 def sampler_groups():
     for name, (points, weights) in SITE_SETS.items():
-        counts, values = [], []
+        counts, values, screen = [], [], []
         for alpha in ALPHAS:
             model = _model(alpha, points)
             measure = None if weights is None else br.SamplingMeasure(weights)
@@ -89,8 +91,10 @@ def sampler_groups():
                 for fs in samples:
                     counts += [fs.num_clusters, np.asarray(fs.v_trace).tobytes()]
                     values += [fs.values.tobytes(), np.float64(fs.bound_gap).tobytes()]
+                    screen += [fs.formed_clusters, fs.raising_clusters]
         yield f"sampler {name} counts", _hash(counts)
         yield f"sampler {name} values", _hash(values)
+        yield f"sampler {name} screen", _hash(screen)
 
 
 def _estimate(e) -> bytes:
