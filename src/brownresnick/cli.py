@@ -76,11 +76,16 @@ def parse_grid(expr: str) -> np.ndarray:
 
 def _check_outputs(**paths) -> None:
     """Fail before the first draw if an output file cannot be written: each
-    path's directory must exist and be writable, and an existing file must
-    be writable.  Nothing is opened, so no file is truncated."""
+    path's directory must exist and be writable, an existing file must be
+    writable, and no two flags may name the same file, which the later
+    would overwrite.  Nothing is opened, so no file is truncated."""
+    named = {}
     for flag, path in paths.items():
         if path is None:
             continue
+        same = named.setdefault(os.path.realpath(path), flag)
+        if same != flag:
+            raise OSError(f"--{same} and --{flag} name the same file {path}")
         folder = os.path.dirname(path) or "."
         if os.path.isdir(path):
             problem = "is a directory"

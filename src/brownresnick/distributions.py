@@ -8,10 +8,12 @@ Closed forms: the Gumbel marginal and the two-site formula
 with lam = sqrt(gamma(s)/2).  Monte Carlo: the finite-dimensional CDF
 identity P(eta <= y) = exp(-E exp(max_j (Z(t_j - t*) - y_j))) and the
 change-of-measure identity E e^{W(t)-gamma(t)} F(W - gamma) = E F(Z(. - t))
-for translation-invariant F.  The oracles draw W as the simulator does,
-through ``build_sampler``, ``RandomStream.normals`` and ``from_normals``,
-so their agreement with it checks what the exact sampler adds: the Poisson
-points, the anchor tilt, the cluster normalization and the stopping rule.
+for translation-invariant F.  The oracles draw W - gamma as the simulator
+does, through ``build_sampler``, ``RandomStream.normals`` and
+``from_normals``, but untilted, so their agreement with it checks what the
+exact sampler adds: the Poisson points, the anchor tilt (the simulator's
+shift of the normals by the factor's anchor row), the cluster
+normalization and the stopping rule.
 The shared draw path is checked by references outside it: the closed forms
 here (acceptance criteria 1-2) and the ``math.erf`` laws of
 ``bench/checks.py``.

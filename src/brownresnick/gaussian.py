@@ -9,12 +9,12 @@ sites at the origin are pinned to zero rather than factorized, because
 m remaining distinct sites are factorized, and the stored factor has one
 row per raw site: the Cholesky row of its representative, or zeros at the
 origin.  A draw reads m standard normals from its stream (``streams``)
-and maps them through one product with the factor; ``from_normals`` also
-applies a cluster's tilt by its anchor site T, the Cameron-Martin
-shift of the normals by row T of the factor, and ``from_tilted_normals``
-takes normals already shifted, at every site or at a subset of the rows.
-How the simulator groups its draws into blocks, and screens them on a
-subset of the rows, is told in ``simulator``.
+and maps them through one product with the factor, less ``gamma``:
+``from_normals`` is the one draw, at every site or at a subset of the
+rows.  A cluster's tilt by its anchor site T, the Cameron-Martin shift of
+the normals by row T of the factor, is the simulator's, and so are how it
+groups its draws into blocks and screens them on a subset of the rows
+(``simulator``).
 
 Row j of the factor is zero past column ``rep(j)``, its representative's
 rank, so the product need not read the rest.  The sampler records, per
@@ -196,64 +196,33 @@ class FactorizedGaussian:
         """Standard normals per draw: the distinct sites off the origin."""
         return self.factor.shape[1]
 
-    def from_normals(self, z: np.ndarray, anchors=None) -> np.ndarray:
-        """Draws of ``(W(t_1), ..., W(t_n))`` from standard normals ``z``, or
-        with anchor sites T, of W tilted by ``e^{W(T) - gamma(T)}``, less
-        ``gamma``.
-
-        ``z`` holds m normals, or is an (m, k) array with one draw's normals
-        per column, and the result is the (n,) or (n, k) array
-        ``factor @ z``, one product per block of ``_ROWS`` rows over the
-        block's nonzero column prefix.  With one block that is the dense
-        product; with more it differs from it only by rounding.
-        ``anchors`` is one site index, or k of them, one per column.  For a
-        Gaussian the tilt is the Cameron-Martin shift of the mean by
-        ``Cov(., T)``, here that of the jittered covariance the factor draws,
-        so the result is ``factor @ (z + factor[T]) - gamma``.  It equals
-        ``W - gamma(. - T)`` plus the constant ``gamma(T)`` plus
-        ``jitter_used`` at T's own sites.  The tilted result is the
-        transpose of a C-ordered (k, n) array, so each draw's values lie in
-        one contiguous row of ``x.T``; the untilted one is C-ordered (n, k),
-        one draw per column.
-        """
-        if anchors is None:
-            return self._product(z, np.empty((self.n,) + z.shape[1:]))
-        anchors = np.asarray(anchors)
-        if anchors.min() < 0 or anchors.max() >= self.n:
-            raise IndexError(f"anchor index {anchors} out of range [0, {self.n})")
-        return self.from_tilted_normals(z + self.factor[anchors].T)
-
-    def from_tilted_normals(self, z: np.ndarray, rows=None) -> np.ndarray:
-        """``from_normals(z - factor[T].T, T)``: draws less ``gamma`` from
-        normals ``z`` that already carry their anchors' tilt, at every raw
+    def from_normals(self, z: np.ndarray, rows=None) -> np.ndarray:
+        """Draws of ``W - gamma`` from standard normals ``z``, at every raw
         site or at the increasing raw site indices ``rows`` alone.
 
-        The result ``factor[rows] @ z - gamma[rows]`` has ``from_normals``'
-        tilted layout, the transpose of a C-ordered (k, len(rows)) array.
-        With ``rows``, the factor's rows are gathered at most ``_ROWS`` at a
-        time, each group over the nonzero prefix of the row blocks it spans,
-        so a gathered copy holds at most ``_ROWS`` rows.
+        ``z`` holds m normals, or is an (m, k) array with one draw's normals
+        per column; the result is the C-ordered (len(rows),) or
+        (len(rows), k) array ``factor[rows] @ z - gamma[rows]``.  Each group
+        of ``_ROWS`` rows, a view if consecutive and a copy otherwise, is
+        multiplied over the nonzero column prefix of the row blocks it
+        spans: with one block the dense product, with more the same up to
+        rounding.  The tilt by ``e^{W(T) - gamma(T)}`` is the caller's
+        shift ``z + factor[T]``, the Cameron-Martin shift of the mean by
+        ``Cov(., T)`` of the jittered covariance the factor draws; the
+        result then equals ``W - gamma(. - T)`` plus the constant
+        ``gamma(T)`` plus ``jitter_used`` at T's own sites.
         """
-        x = np.empty(z.shape[1:] + (self.n if rows is None else len(rows),)).T
-        self._product(z, x, rows)
-        np.subtract(x.T, self.gamma if rows is None else self.gamma[rows], out=x.T)
-        return x
-
-    def _product(self, z: np.ndarray, out: np.ndarray, rows=None) -> np.ndarray:
-        """``factor[rows] @ z`` (every row by default) written into ``out``,
-        one block of at most ``_ROWS`` rows at a time over its nonzero column
-        prefix."""
-        if rows is None:
-            for b, width in enumerate(self._widths):
-                block = slice(b * _ROWS, (b + 1) * _ROWS)
-                np.matmul(self.factor[block, :width], z[:width], out=out[block])
-            return out
+        rows = np.arange(self.n) if rows is None else rows
+        x = np.empty((len(rows),) + z.shape[1:])
         for start in range(0, len(rows), _ROWS):
             group = rows[start:start + _ROWS]
-            width = max(self._widths[group[0] // _ROWS:group[-1] // _ROWS + 1])
-            np.matmul(self.factor[group, :width], z[:width],
-                      out=out[start:start + _ROWS])
-        return out
+            lo, hi = group[0], group[-1] + 1
+            if hi - lo == len(group):  # consecutive rows: a view, not a copy
+                group = slice(lo, hi)
+            width = max(self._widths[lo // _ROWS:(hi - 1) // _ROWS + 1])
+            np.matmul(self.factor[group, :width], z[:width], out=x[start:start + _ROWS])
+        np.subtract(x.T, self.gamma[rows], out=x.T)
+        return x
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"FactorizedGaussian(n={self.n}, alpha={self.model.alpha}, "

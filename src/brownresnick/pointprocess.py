@@ -41,7 +41,8 @@ class SamplingMeasure:
     """Discrete probability weights ``w_1 .. w_n`` on the evaluation sites.
 
     Weights must be finite and strictly positive; they are normalized on
-    construction and the logs are cached.
+    construction, first divided by the largest when their sum overflows,
+    and the logs are cached.
     """
 
     def __init__(self, weights):
@@ -50,7 +51,12 @@ class SamplingMeasure:
             raise ValueError("measure needs at least one weight")
         if not np.all(np.isfinite(w) & (w > 0.0)):
             raise ValueError("all measure weights must be finite and strictly positive")
-        w = w / w.sum()
+        with np.errstate(over="ignore"):
+            total = w.sum()
+        if total == np.inf:
+            w = w / w.max()
+            total = w.sum()
+        w = w / total
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights failed to normalize to 1")
         self.weights = w

@@ -28,6 +28,14 @@ cluster reads.  Distinct keys give independent streams, so no two samples
 share a draw, and each replays bit for bit from its key.  A run builds one
 stream and re-keys it for each sample.
 
+The tilt: the paper's change of measure tilts each cluster's Gaussian by
+``e^{W(T) - gamma(T)}`` at its anchor T, and for a Gaussian that tilt is
+the Cameron-Martin shift of the normals by row T of the factor.  ``_rows``
+applies it once per block, ``z + factor[T]`` for each row, before the
+screen, so every draw of the block, screened or not, is
+``gaussian.FactorizedGaussian.from_normals`` of the tilted normals:
+``X = factor @ (z + factor[T]) - gamma``.
+
 The screen: only an *open* site, one with ``sup_j + log w_j < v``, can be
 raised by the cluster at v, and the sites open at a block's first point
 include those open at each later point of the block, since v falls and sup
@@ -47,11 +55,10 @@ turn in order, so ``num_clusters``, ``v_trace``, ``bound_gap`` and the
 stopping point are those of merging all.  Only the first block, read while
 some ``sup_j`` is still -inf and every site open, forms every cluster in
 one product, unscreened.  On large grids the products read only each row
-block's nonzero prefix of the factor
-(``gaussian.FactorizedGaussian.from_normals``), and each formed cluster's
-draw comes out as one contiguous row of n values.  Which clusters share a
-product, set by B and by the screen, changes the output bytes only by the
-rounding of that product.
+block's nonzero prefix of the factor, and each formed cluster's draw is
+one column of the product.  Which clusters share a product, set by B and
+by the screen, changes the output bytes only by the rounding of that
+product.
 
 A deliberately naive truncated variant is included to demonstrate the bias
 that the exact algorithm removes.
@@ -186,21 +193,26 @@ def _rows(stream, sampler, measure=None, sup=None):
     """Yield ``(v, column)`` for row after row of ``_blocks``.
 
     v is the row's Poisson point and the column is its draw at the raw
-    sites of W tilted by its anchor T, less gamma (``from_normals(z, T)``),
-    or of W without a measure, one ``from_normals`` product per block.  The
-    columns are views into the block's draw, free for the caller to
-    overwrite; with a measure each one is contiguous, a row of the draw's
-    transpose.  With ``sup``, the exact loop's running suprema, each block
-    is first screened (``_screen``) against ``sup`` as it stands when the
-    block is read, after the merges of every earlier row: the column is
-    None where no draw is formed, and the formed ones equal this view's
-    unscreened columns up to the rounding of the product they share.
+    sites of W tilted by its anchor T, less gamma, or of W less gamma
+    without a measure.  Each block is tilted once, its normals shifted by
+    the factor's rows at its anchors (``z + factor[T]``), and drawn in one
+    ``from_normals`` product.  The columns are views into the block's
+    draw, free for the caller to overwrite.  With ``sup``, the exact
+    loop's running suprema, each block is first screened (``_screen``)
+    against ``sup`` as it stands when the block is read, after the merges
+    of every earlier row: the column is None where no draw is formed, and
+    the formed ones equal this view's unscreened columns up to the
+    rounding of the product they share.
     """
     for v, anchors, z in _blocks(stream, sampler.m, measure):
+        f_t = None
+        if measure is not None:
+            f_t = sampler.factor[anchors]
+            z += f_t
         formed = None if sup is None else _screen(
-            sampler, measure.log_weights, sup, v, anchors, z)
+            sampler, measure.log_weights, sup, v, anchors, z, f_t)
         if formed is None:
-            yield from zip(v.tolist(), sampler.from_normals(z.T, anchors).T)
+            yield from zip(v.tolist(), sampler.from_normals(z.T).T)
             continue
         row = [None] * len(v)
         for i, x in zip(*formed):
@@ -208,13 +220,15 @@ def _rows(stream, sampler, measure=None, sup=None):
         yield from zip(v.tolist(), row)
 
 
-def _screen(sampler, log_w, sup, v, anchors, z):
+def _screen(sampler, log_w, sup, v, anchors, z, f_t):
     """The block's columns that may raise an open site, and their draws.
 
-    Returns None, for every column, while some ``sup_j`` is still -inf,
-    before the first merge.  Otherwise returns the indices of the columns
-    that pass the screen (module docstring) and, one per row, their draws
-    ``from_normals(z[i], T_i)``; the screen tilts ``z`` in place.
+    ``z`` holds the block's tilted normals, one row per cluster, and ``f_t``
+    the factor's rows at its anchors, by which they were shifted.  Returns
+    None, for every column, while some ``sup_j`` is still -inf, before the
+    first merge.  Otherwise returns the indices of the columns that pass
+    the screen (module docstring) and, one per row, their draws
+    ``from_normals(z[i])``.
     """
     g = sup + log_w
     if np.minimum.reduce(g) == -math.inf:  # no merge yet: every site open
@@ -225,27 +239,24 @@ def _screen(sampler, log_w, sup, v, anchors, z):
     open_ = np.flatnonzero(g < v0 + _MARGIN * scale)
     if not len(open_):  # the block's first point stops the loop
         return (), ()
-    f_t = sampler.factor[anchors]
-    z += f_t
     # log w_T + X_T, the anchor's own term of the log-sum-exp.
     anchor_term = (log_w[anchors] + np.einsum("ij,ij->i", f_t, z)
                    - sampler.gamma[anchors])
-    del f_t
-    # a[i, j] = log w_j + X_j of column i at open site j, one buffer
+    # a[j, i] = log w_j + X_j of column i at open site j, one buffer
     # throughout: its maximum less g_j, then its log-sum-exp.
-    a = sampler.from_tilted_normals(z.T, open_).T
-    a += log_w[open_]
-    g = g[open_]
-    peak = np.maximum.reduce(a, axis=1)
+    a = sampler.from_normals(z.T, open_)
+    g = g[open_, None]
+    a += log_w[open_, None]
+    peak = np.maximum.reduce(a)
     scale += max(abs(float(peak.max())), abs(float(np.minimum.reduce(a, axis=None))))
     a -= g
-    rise = np.maximum.reduce(a, axis=1)
+    rise = np.maximum.reduce(a)
     a += g
-    a -= peak[:, None]
+    a -= peak
     np.exp(a, out=a)
     # L <= the full log-sum-exp: the max of two lower bounds, not their
     # log-sum, since T may be an open site.
-    lse = np.maximum(peak + np.log(np.add.reduce(a, axis=1)), anchor_term)
+    lse = np.maximum(peak + np.log(np.add.reduce(a)), anchor_term)
     del a
     scale += float(np.maximum.reduce(np.abs(lse)))
     # Column i passes if v_i + X_j - L_i > sup_j - margin at an open j; a
@@ -253,7 +264,7 @@ def _screen(sampler, log_w, sup, v, anchors, z):
     keep = np.flatnonzero(~(rise + v - lse <= -_MARGIN * scale))
     if not len(keep):
         return (), ()
-    return keep.tolist(), sampler.from_tilted_normals(z[keep].T).T
+    return keep.tolist(), sampler.from_normals(z[keep].T).T
 
 
 def _simulate(measure, sampler, stream) -> FieldSample:
@@ -389,7 +400,7 @@ def simulate_naive(
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
     for v, w in islice(_rows(stream, sampler), truncation):
-        np.maximum(sup, v + w - sampler.gamma, out=sup)
+        np.maximum(sup, v + w, out=sup)
         if len(v_trace) < DEFAULT_V_TRACE_CAP:
             v_trace.append(v)
 

@@ -6,8 +6,8 @@ extremal index theta(n) = n^{-1} E max_{i<=n} e^{Z(i)} reproduce the
 classical constants attached to the field Z.  Every Monte Carlo estimate,
 the oracles of ``distributions`` included, is a plain mean taken by
 ``mc_mean``: it factorizes W at the given points, keys the stream
-``(seed, stream_id)`` and reads m standard normals per draw, mapped by one
-product with the factor as in the simulator.  Chunk c, of at most 2^16
+``(seed, stream_id)`` and reads m standard normals per draw, mapped to
+W - gamma by ``from_normals`` as in the simulator.  Chunk c, of at most 2^16
 doubles per array, reads part c of the stream's normals, so the chunks run
 on up to 4 threads chosen from the CPU affinity with the same bytes for any
 thread count.
@@ -165,7 +165,7 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     """
     reps = positive_int("reps", reps)
     fg = build_sampler(points, model)
-    shift = (np.asarray(offset, dtype=np.float64) - fg.gamma).reshape(-1, 1)
+    shift = np.asarray(offset, dtype=np.float64).reshape(-1, 1)
     chunk = max(1, _CHUNK_DOUBLES // fg.n)
     starts = range(0, reps, chunk)
     workers = min(_worker_count(), len(starts))

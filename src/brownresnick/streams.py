@@ -24,8 +24,10 @@ run builds one stream and re-keys it for each sample, which gives the same
 draws as a new stream without numpy seeding a fresh Philox from OS entropy
 first.  Cluster k reads uniform row k (its Poisson point, then its anchor;
 ``simulate_naive`` points have no anchor) and normals [k m, (k + 1) m), m
-being the number of factorized sites; one product with the factor
-(``gaussian.FactorizedGaussian.from_normals``) turns them into W.  The Monte
+being the number of factorized sites; shifted by the anchor's row of the
+factor (the tilt, ``simulator``), they go through one product with the
+factor (``gaussian.FactorizedGaussian.from_normals``), which returns W less
+gamma.  The Monte
 Carlo oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and read normals
 only: chunk c of ``statseval.mc_mean`` reads normal part c, so chunks can be
 drawn in any order, on any thread.  Consumers draw in blocks of their own

@@ -310,14 +310,25 @@ def test_oracle_rejects_mismatched_thresholds(capsys):
     (["pickands", "--alpha", "1", "--N", "inf", "--mesh", "1"], "finite grid"),
     (["pickands", "--alpha", "1", "--N", "1", "--mesh", "inf"], "finite grid"),
     (["theta", "--alpha", "1", "--n", "1" + "0" * 400], "too large"),
+    # Two outputs that resolve to one file: the later would overwrite it.
+    (["simulate", "--grid", "0:1:0.5", "--alpha", "1", "--out", "x.csv",
+      "--diag", "./x.csv"], "--out and --diag name the same file"),
+    (["clusters", "--grid", "0:1:0.5", "--alphas", "1", "--out", "x.csv",
+      "--summary", "sub/../x.csv"], "--out and --summary name the same file"),
+    (["validate", "--reps", "20", "--report", "x.json", "--qq", "x.json"],
+     "--report and --qq name the same file"),
 ], ids=["oracle-nan", "pickands-mesh", "pickands-budget", "pickands-fine-mesh",
         "theta-budget", "oracle-overflow", "clusters-overflow", "pickands-overflow",
-        "pickands-inf", "pickands-inf-mesh", "theta-huge"])
-def test_rejected_input_exits_with_one_line_message(argv, message):
+        "pickands-inf", "pickands-inf-mesh", "theta-huge", "simulate-same-file",
+        "clusters-same-file", "validate-same-file"])
+def test_rejected_input_exits_with_one_line_message(argv, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert isinstance(exc.value.code, str)
     assert message in exc.value.code and "\n" not in exc.value.code
+    assert not any(tmp_path.glob("x.*"))  # rejected before anything was written
 
 
 def _no_draws(*args, **kwargs):

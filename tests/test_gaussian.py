@@ -25,19 +25,20 @@ def _normals(stream, k, m):
 
 
 def _w(fg, stream):
-    """One draw of W at the raw sites from the stream's next m normals."""
+    """One draw of W - gamma at the raw sites from the stream's next m normals."""
     return fg.from_normals(stream.normals(fg.m))
 
 
 def _draws(fg, stream, k):
-    """(n, k) draws of W, m normals per draw."""
+    """(n, k) draws of W - gamma, m normals per draw."""
     return fg.from_normals(_normals(stream, k, fg.m))
 
 
 def _sampled_covariance(fg):
     # The identity's columns as normals give the factor itself, mapped to the
-    # raw sites, so F @ F.T is the covariance the sampler reproduces.
-    f = fg.from_normals(np.eye(fg.m))
+    # raw sites and less gamma, so F @ F.T is the covariance the sampler
+    # reproduces.
+    f = fg.from_normals(np.eye(fg.m)) + fg.gamma[:, None]
     return f @ f.T
 
 
@@ -85,7 +86,7 @@ def test_origin_site_is_pinned_to_zero():
     assert fg.factor.shape == (2, 0)
     np.testing.assert_array_equal(_draws(fg, RandomStream(3), 4), np.zeros((2, 4)))
     np.testing.assert_array_equal(_w(fg, RandomStream(3)), [0.0, 0.0])
-    np.testing.assert_array_equal(fg.from_normals(np.zeros(0), 1), [0.0, 0.0])
+    np.testing.assert_array_equal(fg.from_normals(np.zeros(0) + fg.factor[1]), [0.0, 0.0])
     assert simulate([0.0, 0.0], model, seed=3).num_clusters >= 2
 
     # The origin mid-grid: the factorized rows around it are not contiguous.
@@ -141,19 +142,20 @@ def test_sample_moments_match_kernel():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.5, 1.0], model)
     w = _draws(fg, RandomStream(2024), 100_000)
-    # Target covariance [[0.5, 0.5], [0.5, 1.0]]; tolerances are ~4 standard
-    # errors of the empirical moments at this sample size.
-    assert np.mean(w[0]) == pytest.approx(0.0, abs=0.02)
-    assert np.mean(w[1]) == pytest.approx(0.0, abs=0.02)
+    # Target mean -gamma = [-0.25, -0.5] and covariance [[0.5, 0.5], [0.5,
+    # 1.0]]; tolerances are ~4 standard errors of the empirical moments at
+    # this sample size.
+    assert np.mean(w[0]) == pytest.approx(-0.25, abs=0.02)
+    assert np.mean(w[1]) == pytest.approx(-0.5, abs=0.02)
     emp = np.cov(w)
     np.testing.assert_allclose(
         emp, [[0.5, 0.5], [0.5, 1.0]], atol=0.02)
 
 
 def test_anchor_tilt_is_the_mean_shift_of_the_drawn_gaussian():
-    # from_normals(z, T) - from_normals(z) is the Cameron-Martin shift
-    # Cov(., T) - gamma of the jittered covariance the factor draws:
-    # gamma(T) - gamma(. - T), plus jitter_used at T's own sites.
+    # from_normals(z + factor[T]) - from_normals(z) is the Cameron-Martin
+    # shift Cov(., T) of the jittered covariance the factor draws:
+    # gamma(.) + gamma(T) - gamma(. - T), plus jitter_used at T's own sites.
     cases = [
         (VariogramModel(alpha=1.4, scale=0.8), [0.0, 0.4, 1.1]),
         (VariogramModel(alpha=2.0), [0.5, 0.0, 1.0, 0.5, -0.7, 1.3]),
@@ -167,12 +169,13 @@ def test_anchor_tilt_is_the_mean_shift_of_the_drawn_gaussian():
         z = _normals(RandomStream(77, 3), 1, fg.m)[:, 0]
         plain = fg.from_normals(z)
         for t in range(fg.n):
-            shift = gamma(model, pts[t]) - np.atleast_1d(gamma(model, pts - pts[t]))
+            shift = (np.atleast_1d(gamma(model, pts)) + gamma(model, pts[t])
+                     - np.atleast_1d(gamma(model, pts - pts[t])))
             same = fg.sites.rep_index == fg.sites.rep_index[t]
             if np.any(pts[t] != 0.0):
                 shift[same] += fg.jitter_used
             tol = 1e-12 * np.maximum(1.0, np.abs(shift))
-            assert np.all(np.abs(fg.from_normals(z, t) - plain - shift) <= tol)
+            assert np.all(np.abs(fg.from_normals(z + fg.factor[t]) - plain - shift) <= tol)
     # Both regimes: a jitter-free factor and a jittered one (alpha 2).
     assert min(jitters) == 0.0 < max(jitters)
 
@@ -183,9 +186,9 @@ def test_block_of_anchors_tilts_each_column():
     # A block of draws, one anchor per column, equals one draw per column
     # up to the rounding of one product against three.
     zs = _normals(RandomStream(77, 4), 3, fg.m)
-    tilted = fg.from_normals(zs, np.array([2, 0, 2]))
+    tilted = fg.from_normals(zs + fg.factor[[2, 0, 2]].T)
     for k, anchor in enumerate([2, 0, 2]):
-        expected = fg.from_normals(zs[:, k].copy(), anchor)
+        expected = fg.from_normals(zs[:, k] + fg.factor[anchor])
         np.testing.assert_allclose(tilted[:, k], expected, rtol=0.0, atol=1e-12)
 
 
@@ -211,43 +214,35 @@ def test_prefix_product_equals_the_dense_product(sites, widths):
     fg = build_sampler(sites, VariogramModel(alpha=1.0, dim=2))
     assert fg._widths == widths
     zs = _normals(RandomStream(9, 1), 5, fg.m)
-    anchors = np.array([0, fg.n - 1, fg.n // 2, 7, fg.n // 2])
-    dense = fg.factor @ zs
-    dense_tilted = fg.factor @ (zs + fg.factor[anchors].T) - fg.gamma[:, None]
-    for x, ref in [(fg.from_normals(zs), dense),
+    dense = fg.factor @ zs - fg.gamma[:, None]
+    # Rows gathered across every block, a run of consecutive rows among them,
+    # and consecutive rows whose groups straddle the row blocks.
+    rows = np.unique(np.r_[0:fg.n:3, fg.n // 2:fg.n // 2 + 40, fg.n - 1])
+    tail = np.arange(fg.n // 3, fg.n)
+    x = fg.from_normals(zs)
+    for y, ref in [(x, dense),
                    (fg.from_normals(zs[:, 2].copy()), dense[:, 2]),
-                   (fg.from_normals(zs, anchors), dense_tilted),
-                   (fg.from_normals(zs[:, 1].copy(), anchors[1]), dense_tilted[:, 1])]:
-        assert x.shape == ref.shape
-        assert np.all(np.abs(x - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+                   (fg.from_normals(zs, rows), dense[rows]),
+                   (fg.from_normals(zs, tail), dense[tail]),
+                   (fg.from_normals(zs[:, 1].copy(), rows), dense[rows, 1])]:
+        assert y.shape == ref.shape
+        assert np.all(np.abs(y - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
     if len(widths) == 1:  # one block: the dense product itself
-        assert fg.from_normals(zs).tobytes() == dense.tobytes()
-    # A block with no nonzero column draws exact zeros.
+        assert x.tobytes() == dense.tobytes()
+        assert fg.from_normals(zs, rows).tobytes() == x[rows].tobytes()
+    # A block with no nonzero column lies at the origin and draws exact zeros.
     for b, width in enumerate(widths):
-        assert width or not np.any(fg.from_normals(zs)[128 * b:128 * (b + 1)])
-    # Each tilted draw is one contiguous row of the result's transpose.
-    assert fg.from_normals(zs, anchors).T.flags.c_contiguous
+        assert width or not np.any(x[128 * b:128 * (b + 1)])
+    # One draw per column of a C-ordered result.
+    assert x.flags.c_contiguous and fg.from_normals(zs, rows).flags.c_contiguous
 
 
 def test_drifted_mean_is_minus_gamma():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.0, 1.0], model)
     k = 100_000
-    x = fg.from_normals(_normals(RandomStream(31), k, fg.m), np.zeros(k, dtype=int))
+    x = fg.from_normals(_normals(RandomStream(31), k, fg.m))
     assert np.mean(x[1]) == pytest.approx(-0.5, abs=0.02)
-
-
-def test_anchor_index_validated():
-    fg = build_sampler([0.0, 1.0], VariogramModel(alpha=1.0))
-    z = _normals(RandomStream(1), 1, fg.m)[:, 0]
-    with pytest.raises(IndexError):
-        fg.from_normals(z, 2)
-    with pytest.raises(IndexError):
-        fg.from_normals(z, -1)
-    zs = _normals(RandomStream(1), 2, fg.m)
-    for anchors in ([0, 2], [-1, 1]):
-        with pytest.raises(IndexError):
-            fg.from_normals(zs, np.array(anchors))
 
 
 def test_alpha2_requires_jitter_but_samples_correctly():

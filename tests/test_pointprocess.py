@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,18 @@ def test_measure_normalizes_and_caches_logs():
     u = SamplingMeasure.uniform(4)
     np.testing.assert_array_equal(u.weights, np.full(4, 0.25))
     assert u.n == 4
+
+
+def test_measure_normalizes_weights_whose_sum_overflows():
+    # Finite weights whose plain sum overflows are rescaled by the largest
+    # one first: no RuntimeWarning, no rejection.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = SamplingMeasure([1e308, 1e308])
+        np.testing.assert_array_equal(m.weights, [0.5, 0.5])
+        m = SamplingMeasure([1e308, 5e307, 5e307])
+        np.testing.assert_array_equal(m.weights, [0.5, 0.25, 0.25])
+        assert np.all(np.isfinite(m.log_weights))
 
 
 def test_measure_rejects_bad_weights():

@@ -42,8 +42,10 @@ def single_site_values():
 
 
 def _cluster(fg, mu, v, stream):
-    """A cluster from the stream's next anchor uniform and m normals."""
-    x = fg.from_normals(stream.normals(fg.m), mu.anchors(stream.uniforms(1)[0]))
+    """A cluster from the stream's next anchor uniform and m normals, tilted
+    by the anchor's row of the factor."""
+    z = stream.normals(fg.m) + fg.factor[mu.anchors(stream.uniforms(1)[0])]
+    x = fg.from_normals(z)
     return simulator._cluster_step(x, mu.log_weights, v)
 
 
@@ -548,9 +550,9 @@ def test_only_the_first_block_forms_every_column(monkeypatch):
     calls = []
     screen = simulator._screen
 
-    def spy(sampler, log_w, sup, v, anchors, z):
+    def spy(sampler, log_w, sup, v, anchors, z, f_t):
         unmerged = bool(np.logical_or.reduce(sup == -np.inf))
-        formed = screen(sampler, log_w, sup, v, anchors, z)
+        formed = screen(sampler, log_w, sup, v, anchors, z, f_t)
         calls.append((unmerged, formed is None))
         return formed
 

@@ -42,7 +42,6 @@ def _reference_draws(points, reps, seed, reduce_fn):
     for c, start in enumerate(range(0, reps, chunk)):
         stream.restart_normals(c)
         z = fg.from_normals(stream.normals((min(chunk, reps - start), fg.m)).T)
-        z += (0.0 - fg.gamma)[:, None]
         parts.append(reduce_fn(z))
     return np.hstack(parts)
 
