@@ -42,7 +42,9 @@ class SamplingMeasure:
 
     Weights must be finite and strictly positive; they are normalized on
     construction, first divided by the largest when their sum overflows,
-    and the logs are cached.
+    and the logs are cached.  A weight so small against the others that it
+    normalizes to 0 is rejected: its log would be -inf, and the stopping
+    bound with it, so no sample could stop.
     """
 
     def __init__(self, weights):
@@ -57,6 +59,9 @@ class SamplingMeasure:
             w = w / w.max()
             total = w.sum()
         w = w / total
+        if not np.all(w > 0.0):
+            raise ValueError(f"measure weight {int(np.argmin(w))} normalizes to 0: "
+                             f"it is too small against the sum of the weights")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("weights failed to normalize to 1")
         self.weights = w

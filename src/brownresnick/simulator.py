@@ -22,7 +22,13 @@ One block reader, ``_blocks``, reads every sample's stream, for the exact
 loop and for ``simulate_naive`` alike.  It draws in blocks of a fixed
 private size B: one ``uniforms`` call, one pass for the block's Poisson
 points, one anchor lookup and one ``normals`` call per block; the draws past
-the stopping cluster go unused.  The Poisson points come out of a running
+the stopping cluster go unused.  From ``_AHEAD`` normals per block, with a
+second CPU free to the process, the next block's ``normals`` call runs on
+a helper thread of ``streams``' pool while the caller screens and merges
+this block: numpy draws them without holding the interpreter lock, and the
+draws and their order, and so the output bytes, are those of one thread.
+The reader waits for that draw before the sample returns, whether it stops,
+raises or is dropped.  The Poisson points come out of a running
 sum taken in sequence, so they do not depend on B, nor does which draws a
 cluster reads.  Distinct keys give independent streams, so no two samples
 share a draw, and each replays bit for bit from its key.  A run builds one
@@ -68,11 +74,14 @@ from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import wait
+from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
 
+from . import streams
 from .gaussian import FactorizedGaussian, SiteSet, build_sampler
 from .pointprocess import SamplingMeasure, poisson_points
 from .streams import RandomStream, positive_int
@@ -82,6 +91,11 @@ DEFAULT_V_TRACE_CAP = 100_000
 
 # Rows (clusters, or simulate_naive points) drawn per block.
 _BLOCK = 64
+# Normals per block from which the next block's are drawn on a helper
+# thread (``_blocks``): on 2 CPUs the hand-off cost more than the overlap
+# saved at 6,144 normals per block and below, about broke even from 8,192
+# to 11,264, and gained x1.2 at 12,288 (64 rows at m = 192).
+_AHEAD = 12_288
 # The screen's margin, relative to the magnitudes it compares.
 _MARGIN = 1e-9
 
@@ -178,15 +192,32 @@ def _blocks(stream, m, measure=None):
     (k + 1) m): per block one ``uniforms`` call, one ``poisson_points``
     pass, one ``anchors`` lookup (None without a measure) and one
     ``normals`` call, whose (``_BLOCK``, m) array z is the caller's to
-    overwrite.
+    overwrite.  From ``_AHEAD`` normals per block, with a second CPU free,
+    the next block's ``normals`` call is submitted to the helper pool
+    before the block is yielded, so it runs while the caller works on this
+    one; the draws and their order are those of one thread.  Closing the
+    generator waits for that draw, so none is in flight once the caller
+    is done with the stream.
     """
     lead = 1 if measure is None else 2
+    size = (_BLOCK, m)
+    pool = None
+    if _BLOCK * m >= _AHEAD and streams._worker_count() >= 2:
+        pool = streams._executor()
     gamma_sum = 0.0
-    while True:
-        block = stream.uniforms((_BLOCK, lead))
-        gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
-        anchors = None if measure is None else measure.anchors(block[:, 1])
-        yield v, anchors, stream.normals((_BLOCK, m))
+    pending = None
+    try:
+        while True:
+            block = stream.uniforms((_BLOCK, lead))
+            gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
+            anchors = None if measure is None else measure.anchors(block[:, 1])
+            z = stream.normals(size) if pending is None else pending.result()
+            if pool is not None:
+                pending = pool.submit(stream.normals, size)
+            yield v, anchors, z
+    finally:
+        if pending is not None:
+            wait((pending,))
 
 
 def _rows(stream, sampler, measure=None, sup=None):
@@ -204,27 +235,27 @@ def _rows(stream, sampler, measure=None, sup=None):
     the formed ones equal this view's unscreened columns up to the
     rounding of the product they share.
     """
-    for v, anchors, z in _blocks(stream, sampler.m, measure):
-        f_t = None
-        if measure is not None:
-            f_t = sampler.factor[anchors]
-            z += f_t
-        formed = None if sup is None else _screen(
-            sampler, measure.log_weights, sup, v, anchors, z, f_t)
-        if formed is None:
-            yield from zip(v.tolist(), sampler.from_normals(z.T).T)
-            continue
-        row = [None] * len(v)
-        for i, x in zip(*formed):
-            row[i] = x
-        yield from zip(v.tolist(), row)
+    with closing(_blocks(stream, sampler.m, measure)) as blocks:
+        for v, anchors, z in blocks:
+            if measure is not None:
+                z += sampler.factor[anchors]
+            formed = None if sup is None else _screen(
+                sampler, measure.log_weights, sup, v, anchors, z)
+            if formed is None:
+                yield from zip(v.tolist(), sampler.from_normals(z.T).T)
+                continue
+            row = [None] * len(v)
+            for i, x in zip(*formed):
+                row[i] = x
+            yield from zip(v.tolist(), row)
 
 
-def _screen(sampler, log_w, sup, v, anchors, z, f_t):
+def _screen(sampler, log_w, sup, v, anchors, z):
     """The block's columns that may raise an open site, and their draws.
 
-    ``z`` holds the block's tilted normals, one row per cluster, and ``f_t``
-    the factor's rows at its anchors, by which they were shifted.  Returns
+    ``z`` holds the block's tilted normals, one row per cluster, shifted by
+    the factor's rows at its anchors, which are gathered again here for the
+    anchor's own term rather than held through the screen.  Returns
     None, for every column, while some ``sup_j`` is still -inf, before the
     first merge.  Otherwise returns the indices of the columns that pass
     the screen (module docstring) and, one per row, their draws
@@ -240,7 +271,7 @@ def _screen(sampler, log_w, sup, v, anchors, z, f_t):
     if not len(open_):  # the block's first point stops the loop
         return (), ()
     # log w_T + X_T, the anchor's own term of the log-sum-exp.
-    anchor_term = (log_w[anchors] + np.einsum("ij,ij->i", f_t, z)
+    anchor_term = (log_w[anchors] + np.einsum("ij,ij->i", sampler.factor[anchors], z)
                    - sampler.gamma[anchors])
     # a[j, i] = log w_j + X_j of column i at open site j, one buffer
     # throughout: its maximum less g_j, then its log-sum-exp.
@@ -278,36 +309,37 @@ def _simulate(measure, sampler, stream) -> FieldSample:
     bound = -math.inf
     v_trace: list = []
     formed = raising = 0
-    for k, (v, x) in enumerate(_rows(stream, sampler, measure, sup), 1):
-        if k > max_clusters:
-            raise ClusterLimitError(
-                f"no termination after {max_clusters} clusters "
-                f"(alpha={alpha}, n={sites.n}, last v="
-                f"{v_trace[-1] if v_trace else None}, "
-                f"bound={float((sup + log_w).min())}, "
-                f"{_worst_site(sites, sup, log_w)})"
-            )
-        if math.isnan(bound):
-            raise ClusterLimitError(
-                f"dominance bound turned NaN before cluster {k}: a merged "
-                f"cluster had a NaN value (alpha={alpha}, n={sites.n}, "
-                f"{_worst_site(sites, sup, log_w)}), "
-                f"so no Poisson point could ever stop the loop")
-        if len(v_trace) < v_trace_cap:
-            v_trace.append(v)
-        if v <= bound:
-            break
-        if x is None:
-            continue
-        x = _cluster_step(x, log_w, v)
-        formed += 1
-        # A cluster that raises no value leaves sup and the bound as they
-        # are; a NaN merges, so that the bound turns NaN.
-        if np.logical_and.reduce(x <= sup):
-            continue
-        raising += 1
-        np.maximum(sup, x, out=sup)
-        bound = np.minimum.reduce(sup + log_w)
+    with closing(_rows(stream, sampler, measure, sup)) as rows:
+        for k, (v, x) in enumerate(rows, 1):
+            if k > max_clusters:
+                raise ClusterLimitError(
+                    f"no termination after {max_clusters} clusters "
+                    f"(alpha={alpha}, n={sites.n}, last v="
+                    f"{v_trace[-1] if v_trace else None}, "
+                    f"bound={float((sup + log_w).min())}, "
+                    f"{_worst_site(sites, sup, log_w)})"
+                )
+            if math.isnan(bound):
+                raise ClusterLimitError(
+                    f"dominance bound turned NaN before cluster {k}: a merged "
+                    f"cluster had a NaN value (alpha={alpha}, n={sites.n}, "
+                    f"{_worst_site(sites, sup, log_w)}), "
+                    f"so no Poisson point could ever stop the loop")
+            if len(v_trace) < v_trace_cap:
+                v_trace.append(v)
+            if v <= bound:
+                break
+            if x is None:
+                continue
+            x = _cluster_step(x, log_w, v)
+            formed += 1
+            # A cluster that raises no value leaves sup and the bound as they
+            # are; a NaN merges, so that the bound turns NaN.
+            if np.logical_and.reduce(x <= sup):
+                continue
+            raising += 1
+            np.maximum(sup, x, out=sup)
+            bound = np.minimum.reduce(sup + log_w)
 
     return FieldSample(
         values=sup,
@@ -399,10 +431,11 @@ def simulate_naive(
     t0 = time.perf_counter()
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
-    for v, w in islice(_rows(stream, sampler), truncation):
-        np.maximum(sup, v + w, out=sup)
-        if len(v_trace) < DEFAULT_V_TRACE_CAP:
-            v_trace.append(v)
+    with closing(_rows(stream, sampler)) as rows:
+        for v, w in islice(rows, truncation):
+            np.maximum(sup, v + w, out=sup)
+            if len(v_trace) < DEFAULT_V_TRACE_CAP:
+                v_trace.append(v)
 
     return FieldSample(
         values=sup,

@@ -10,7 +10,8 @@ the oracles of ``distributions`` included, is a plain mean taken by
 W - gamma by ``from_normals`` as in the simulator.  Chunk c, of at most 2^16
 doubles per array, reads part c of the stream's normals, so the chunks run
 on up to 4 threads chosen from the CPU affinity with the same bytes for any
-thread count.
+thread count; the helper threads are the package's one pool, which
+``streams`` keeps.
 theta(n) is f({1, ..., n}) / n, the same mean over the same draws divided
 by n.  A coupled mode shares the Gaussian draws across several grids so
 that set inclusions become exact inequalities between the estimates rather
@@ -20,13 +21,12 @@ than statistical ones.
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import streams
 from .gaussian import SiteSet, _grid_axes, box_grid, build_sampler
 from .streams import RandomStream, positive_int
 from .variogram import VariogramModel, as_points
@@ -35,11 +35,6 @@ from .variogram import VariogramModel, as_points
 # array, so each thread's chunk arrays stay near cache size whatever the draw
 # count.
 _CHUNK_DOUBLES = 1 << 16
-# Threads per Monte Carlo call, the caller's included, when that many CPUs
-# are free to the process; beyond this the gain is not measured.
-_MAX_WORKERS = 4
-_pool = None
-_pool_lock = threading.Lock()
 MAX_GRID = 4096
 
 
@@ -106,38 +101,6 @@ def _exp_max(z: np.ndarray) -> np.ndarray:
     return np.exp(z.max(axis=0, keepdims=True))
 
 
-def _worker_count() -> int:
-    """Threads for one Monte Carlo call: the CPUs this process may run on,
-    at most ``_MAX_WORKERS``."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:  # pragma: no cover - platforms without CPU affinity
-        cpus = os.cpu_count() or 1
-    return min(_MAX_WORKERS, cpus)
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The process's pool of helper threads, built on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_MAX_WORKERS - 1,
-                                       thread_name_prefix="mc_mean")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of its parent's threads, so it builds its own
-    # pool, and a fresh lock, on first use.
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
             reduce_fn, *, stream_id: int = 0) -> list:
     """Monte Carlo means and standard errors of per-draw statistics.
@@ -155,8 +118,8 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     The draws therefore do not depend on ``reps`` (a shorter run's are a
     prefix of a longer one's), but they do depend on k, which sets the draw
     each part starts at.  The chunks are dealt round-robin to up to
-    ``_MAX_WORKERS`` threads, as many as the CPUs this process may run on
-    allow, the calling thread among them; ``reduce_fn`` must therefore be a
+    ``streams._MAX_WORKERS`` threads, as many as the CPUs this process may
+    run on allow, the calling thread among them; ``reduce_fn`` must be a
     pure function of its chunk.  The per-chunk sums are added in chunk
     order, so the result has the same bytes for any number of threads.
     Returns one :class:`EstimateWithError` per statistic: the mean and its
@@ -168,7 +131,7 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     shift = np.asarray(offset, dtype=np.float64).reshape(-1, 1)
     chunk = max(1, _CHUNK_DOUBLES // fg.n)
     starts = range(0, reps, chunk)
-    workers = min(_worker_count(), len(starts))
+    workers = min(streams._worker_count(), len(starts))
     chunks = [None] * len(starts)
 
     def run(first: int, stream: RandomStream) -> None:
@@ -180,7 +143,7 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
             s = reduce_fn(z)
             chunks[c] = (s.sum(axis=1), (s * s).sum(axis=1))
 
-    helpers = [_executor().submit(run, w, RandomStream(seed, stream_id))
+    helpers = [streams._executor().submit(run, w, RandomStream(seed, stream_id))
                for w in range(1, workers)]
     try:
         run(0, RandomStream(seed, stream_id))

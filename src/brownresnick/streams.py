@@ -31,17 +31,35 @@ gamma.  The Monte
 Carlo oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and read normals
 only: chunk c of ``statseval.mc_mean`` reads normal part c, so chunks can be
 drawn in any order, on any thread.  Consumers draw in blocks of their own
-choosing (``simulator``, ``statseval.mc_mean``).
+choosing (``simulator``, ``statseval.mc_mean``).  On large sets the
+simulator draws each block's normals one block ahead, on a helper thread,
+while the calling thread goes on with the uniforms: the two counter spaces
+are separate generators, each read in sequence by one thread at a time, so
+neither space's draws change.
+
+This module also keeps the package's one pool of helper threads
+(``_executor``), built on first use and again in a forked child, and the
+thread count a call may use (``_worker_count``: the CPUs in the process's
+affinity, at most ``_MAX_WORKERS``), for ``statseval.mc_mean`` and
+``simulator._blocks`` alike.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# Threads per call, the caller's included, when that many CPUs are free to
+# the process; beyond this the gain is not measured.
+_MAX_WORKERS = 4
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def mask64(value: int) -> int:
@@ -71,6 +89,38 @@ def seed_int(seed) -> int:
     if not _whole(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
     return mask64(seed)
+
+
+def _worker_count() -> int:
+    """Threads for one call: the CPUs this process may run on, at most
+    ``_MAX_WORKERS``."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without CPU affinity
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus)
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The process's pool of helper threads, built on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_MAX_WORKERS - 1,
+                                       thread_name_prefix="brownresnick")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads, so it builds its own
+    # pool, and a fresh lock, on first use.
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _restart(gen: np.random.Generator, key: np.ndarray, counter) -> None:

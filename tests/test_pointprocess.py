@@ -109,6 +109,19 @@ def test_measure_normalizes_weights_whose_sum_overflows():
         assert np.all(np.isfinite(m.log_weights))
 
 
+def test_measure_rejects_a_weight_that_normalizes_to_zero():
+    # A positive weight whose ratio to the sum underflows would have log
+    # weight -inf, so the stopping bound would never be met.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="weight 1 normalizes to 0"):
+            SamplingMeasure([1e10, 1e-320])
+        with pytest.raises(ValueError, match="weight 2 normalizes to 0"):
+            SamplingMeasure([1e308, 1e308, 1e-300])
+        m = SamplingMeasure([1.0, 1e-300])  # tiny, but positive once normalized
+        assert np.all(np.isfinite(m.log_weights))
+
+
 def test_measure_rejects_bad_weights():
     with pytest.raises(ValueError, match="at least one weight"):
         SamplingMeasure([])

@@ -1,3 +1,5 @@
+import multiprocessing
+import sys
 import time
 import tracemalloc
 from itertools import islice
@@ -24,7 +26,7 @@ from brownresnick import (
     simulate_naive,
     transform_marginals,
 )
-from brownresnick import simulator
+from brownresnick import simulator, streams
 from brownresnick.variogram import gamma
 
 M1 = VariogramModel(alpha=1.0)
@@ -550,9 +552,9 @@ def test_only_the_first_block_forms_every_column(monkeypatch):
     calls = []
     screen = simulator._screen
 
-    def spy(sampler, log_w, sup, v, anchors, z, f_t):
+    def spy(sampler, log_w, sup, v, anchors, z):
         unmerged = bool(np.logical_or.reduce(sup == -np.inf))
-        formed = screen(sampler, log_w, sup, v, anchors, z, f_t)
+        formed = screen(sampler, log_w, sup, v, anchors, z)
         calls.append((unmerged, formed is None))
         return formed
 
@@ -654,3 +656,145 @@ def test_sample_memory_peak_is_a_few_blocks():
     # Five or more blocks: keeping each block alive would pass the bound.
     assert fs.num_clusters > 4 * simulator._BLOCK
     assert peak < 3 * block_bytes
+
+
+# Sets with at least simulator._AHEAD normals per block, whose next block's
+# normals are drawn on a helper thread: the 17x17 plane (m = 288) and the
+# 257-site line (m = 256), each with a skewed anchor measure.
+AHEAD_CASES = [(box_grid([0, 0], [4, 4], 0.25), 2), (box_grid(0.0, 32.0, 0.125), 1)]
+
+
+def _sample_bytes(samples) -> bytes:
+    return b"".join(fs.values.tobytes() + repr((
+        fs.num_clusters, fs.v_trace, fs.bound_gap, fs.formed_clusters,
+        fs.raising_clusters)).encode() for fs in samples)
+
+
+def _ahead_run(sites, dim, reps=4, seed=71):
+    """Sample bytes of ``replications`` and ``simulate_naive`` on ``sites``."""
+    model = VariogramModel(alpha=1.0, dim=dim)
+    fg = build_sampler(sites, model)
+    assert simulator._BLOCK * fg.m >= simulator._AHEAD
+    mu = SamplingMeasure(np.linspace(1.0, 3.0, fg.n))
+    samples = list(replications(sites, model, reps, mu, seed=seed, sampler=fg))
+    samples.append(simulate_naive(sites, model, seed=seed, truncation=150, sampler=fg))
+    return _sample_bytes(samples)
+
+
+def _ahead_run_to(conn, sites, dim):
+    conn.send(_ahead_run(sites, dim))
+    conn.close()
+
+
+class _KeptPool:
+    """The helper pool, each task started ``delay`` seconds late, every
+    future kept: with a delay, a reader that did not wait for its draw in
+    flight would leave one running."""
+
+    def __init__(self, delay):
+        self.pool = streams._executor()
+        self.delay = delay
+        self.futures = []
+
+    def submit(self, fn, *args):
+        def late():
+            time.sleep(self.delay)
+            return fn(*args)
+        self.futures.append(self.pool.submit(late))
+        return self.futures[-1]
+
+
+@pytest.mark.parametrize("sites, dim", AHEAD_CASES, ids=["plane-17x17", "line-257"])
+def test_normals_drawn_ahead_keep_every_byte(sites, dim, monkeypatch):
+    # With one worker every normal is drawn on the calling thread; with two
+    # the next block's are drawn on a helper while this one is screened.
+    # The draws and their order are the same, so the bytes are too, also
+    # with the threads switching as often as the interpreter allows.
+    pool = _KeptPool(0.0)
+    monkeypatch.setattr(streams, "_executor", lambda: pool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(streams, "_worker_count", lambda: workers)
+            outputs.append(_ahead_run(sites, dim))
+            assert bool(pool.futures) == (workers == 2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[1] == outputs[0]
+
+
+def test_small_blocks_draw_on_the_calling_thread(monkeypatch):
+    # Below simulator._AHEAD normals per block (the 65-site line, m = 64)
+    # the helper is never asked, whatever the CPU count.
+    monkeypatch.setattr(streams, "_worker_count", lambda: 2)
+    monkeypatch.setattr(streams, "_executor", None)  # any use would fail
+    sites = box_grid(0.0, 4.0, 1.0 / 16.0)
+    assert simulator._BLOCK * build_sampler(sites, M1).m < simulator._AHEAD
+    assert len(list(replications(sites, M1, 3, seed=5))) == 3
+
+
+def test_no_draw_in_flight_after_a_sample_ends(monkeypatch):
+    # A sample that ends in ClusterLimitError, a replications generator
+    # dropped mid-run and a block reader closed mid-block each wait for the
+    # draw in flight, so the stream re-keyed after them gives the bytes of a
+    # fresh one.
+    sites, dim = AHEAD_CASES[0]
+    model = VariogramModel(alpha=1.0, dim=dim)
+    fg = build_sampler(sites, model)
+    mu = SamplingMeasure.uniform(fg.n)
+    expected = [simulator._simulate(mu, fg, RandomStream(83, r)) for r in (1, 2, 3)]
+    pool = _KeptPool(0.02)
+    monkeypatch.setattr(streams, "_executor", lambda: pool)
+    monkeypatch.setattr(streams, "_worker_count", lambda: 2)
+
+    def in_flight():
+        return [f for f in pool.futures if not f.done()]
+
+    stream = RandomStream(83, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(simulator, "DEFAULT_MAX_CLUSTERS", 2 * simulator._BLOCK + 5)
+        with pytest.raises(ClusterLimitError, match="no termination"):
+            simulator._simulate(mu, fg, stream)
+    assert len(pool.futures) >= 3 and not in_flight()
+    stream.rekey(1)
+    got = [simulator._simulate(mu, fg, stream)]
+
+    samples = replications(sites, model, 5, mu, seed=83, sampler=fg)
+    next(samples)
+    next(samples)
+    del samples
+    assert not in_flight()
+
+    rows = simulator._rows(stream, fg, mu)
+    for _ in islice(rows, simulator._BLOCK + 3):
+        pass
+    rows.close()
+    assert not in_flight()
+    for r in (2, 3):
+        stream.rekey(r)
+        got.append(simulator._simulate(mu, fg, stream))
+    assert _sample_bytes(got) == _sample_bytes(expected)
+
+
+def test_forked_child_draws_ahead_with_the_same_bytes(monkeypatch):
+    # A child forked after the parent's helper has drawn normals has none of
+    # its threads; it builds a pool of its own and draws the same samples.
+    monkeypatch.setattr(streams, "_worker_count", lambda: 2)
+    sites, dim = AHEAD_CASES[0]
+    expected = _ahead_run(sites, dim)
+    parent_end, child_end = multiprocessing.Pipe(duplex=False)
+    child = multiprocessing.get_context("fork").Process(
+        target=_ahead_run_to, args=(child_end, sites, dim))
+    child.start()
+    child_end.close()
+    try:
+        assert parent_end.poll(60), "forked child did not answer in 60 s"
+        got = parent_end.recv()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert not child.is_alive()
+    assert got == expected

@@ -25,7 +25,7 @@ from brownresnick import (
     pickands_estimate,
     qq_data,
 )
-from brownresnick import statseval
+from brownresnick import statseval, streams
 from brownresnick.statseval import _CHUNK_DOUBLES
 
 M1 = VariogramModel(alpha=1.0)
@@ -303,7 +303,7 @@ def test_worker_count_never_changes_a_byte(monkeypatch, chunk_doubles):
     try:
         outputs = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(statseval, "_worker_count", lambda: workers)
+            monkeypatch.setattr(streams, "_worker_count", lambda: workers)
             outputs.append(_oracle_bytes(reps))
     finally:
         sys.setswitchinterval(interval)
@@ -314,7 +314,7 @@ def test_worker_count_never_changes_a_byte(monkeypatch, chunk_doubles):
 def test_forked_child_builds_its_own_pool(monkeypatch):
     # A child forked after the parent's pool has run has none of its
     # threads; it must build a pool of its own rather than wait on them.
-    monkeypatch.setattr(statseval, "_worker_count", lambda: 2)
+    monkeypatch.setattr(streams, "_worker_count", lambda: 2)
     reps = 2 * (_CHUNK_DOUBLES // 7) + 5
     expected = _oracle_bytes(reps)
     parent_end, child_end = multiprocessing.Pipe(duplex=False)
