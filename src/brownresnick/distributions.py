@@ -18,8 +18,14 @@ The shared draw path is checked by references outside it: the closed forms
 here (acceptance criteria 1-2) and the ``math.erf`` laws of
 ``bench/checks.py``.
 Both oracles are means taken by ``statseval.mc_mean`` from the stream
-``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``); its
-docstring tells how it bounds memory and spreads the work over threads.
+``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``).  It draws in
+antithetic pairs: row i of normal part c gives chunk c's draws 2i, y, and
+2i + 1, -y - 2 gamma, each of the law of W - gamma, so a chunk of k draws
+reads ceil(k / 2) x m normals and a shorter run's draws are the first
+``reps`` of a longer one's.  Its standard error,
+sqrt((s^2 + 2 (P / reps) c) / reps), counts the covariance c within the P
+pairs.  Its docstring tells how it bounds memory and spreads the work over
+threads.  The exact sampler pairs nothing: its clusters stay independent.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ def change_of_measure_check(model: VariogramModel, grid, t, reps: int,
     W_j + cov_w(s_j, t) - gamma(s_j).  Right side is F(Z(. - t)) with Z
     drawn on the shifted grid.  The sides draw from the streams (seed, 0)
     and (seed, 1); the returned z-score should be O(1) when the identity
-    holds.  When both sample variances vanish (e.g. a single-point grid,
+    holds.  When both standard errors vanish (e.g. a single-point grid,
     where F is identically 1) the sides agree exactly and 0 is returned.
     """
     grid = SiteSet.from_points(grid)

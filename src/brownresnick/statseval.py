@@ -6,12 +6,19 @@ extremal index theta(n) = n^{-1} E max_{i<=n} e^{Z(i)} reproduce the
 classical constants attached to the field Z.  Every Monte Carlo estimate,
 the oracles of ``distributions`` included, is a plain mean taken by
 ``mc_mean``: it factorizes W at the given points, keys the stream
-``(seed, stream_id)`` and reads m standard normals per draw, mapped to
-W - gamma by ``from_normals`` as in the simulator.  Chunk c, of at most 2^16
-doubles per array, reads part c of the stream's normals, so the chunks run
-on up to 4 threads chosen from the CPU affinity with the same bytes for any
-thread count; the helper threads are the package's one pool, which
-``streams`` keeps.
+``(seed, stream_id)`` and reads m standard normals per pair of draws,
+mapped to y = W - gamma by ``from_normals`` as in the simulator.  The pair
+is y and its antithetic mirror -y - 2 gamma (Glasserman, *Monte Carlo
+Methods in Financial Engineering*, 2004, section 4.2): each has the law of
+Z, so the mean is unchanged, and the standard error
+sqrt((s^2 + 2 (P / reps) c) / reps) counts the within-pair covariance c of
+the P pairs.  Chunk c of k draws, at most 2^16 doubles per array, reads
+ceil(k / 2) x m normals from part c of the stream's normals, row i giving
+draws 2i and 2i + 1, so a shorter run's draws are the first ``reps`` of a
+longer one's, and the chunks run on up to 4 threads chosen from the CPU
+affinity with the same bytes for any thread count; the helper threads are
+the package's one pool, which ``streams`` keeps.  Only these means pair
+their draws: the exact sampler's clusters stay independent.
 theta(n) is f({1, ..., n}) / n, the same mean over the same draws divided
 by n.  A coupled mode shares the Gaussian draws across several grids so
 that set inclusions become exact inequalities between the estimates rather
@@ -101,6 +108,19 @@ def _exp_max(z: np.ndarray) -> np.ndarray:
     return np.exp(z.max(axis=0, keepdims=True))
 
 
+def _chunk_moments(s: np.ndarray):
+    """Sum, mean and moments about the mean of a chunk's (g, k) statistics
+    whose columns 2i and 2i + 1 are the pairs, a last odd column unpaired:
+    the squares, the pairs' cross products and the pairs' sums of
+    deviations, one entry per statistic each."""
+    total = s.sum(axis=1)
+    mean = total / s.shape[1]
+    d = s - mean[:, None]
+    first, second = d[:, 0:s.shape[1] - 1:2], d[:, 1::2]
+    return (total, mean, (d * d).sum(axis=1), (first * second).sum(axis=1),
+            (first + second).sum(axis=1))
+
+
 def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
             reduce_fn, *, stream_id: int = 0) -> list:
     """Monte Carlo means and standard errors of per-draw statistics.
@@ -112,36 +132,50 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     ``reduce_fn`` to a (g, k) array holding g statistics per draw.  Chunks
     are ``k = max(1, _CHUNK_DOUBLES // n)`` columns wide, the last one
     narrower, so each chunk array holds at most 512 KiB whatever n and
-    ``reps``.  Chunk c restarts the stream's normals at part c and reads
-    them in one ``normals((k_c, m))`` call (m the number of factorized
-    sites, k_c the chunk's width), so its statistics depend on nothing else.
-    The draws therefore do not depend on ``reps`` (a shorter run's are a
-    prefix of a longer one's), but they do depend on k, which sets the draw
-    each part starts at.  The chunks are dealt round-robin to up to
-    ``streams._MAX_WORKERS`` threads, as many as the CPUs this process may
-    run on allow, the calling thread among them; ``reduce_fn`` must be a
-    pure function of its chunk.  The per-chunk sums are added in chunk
-    order, so the result has the same bytes for any number of threads.
+    ``reps``.
+
+    The draws come in antithetic pairs.  Chunk c restarts the stream's
+    normals at part c and reads ceil(k_c / 2) rows of m normals in one
+    ``normals((ceil(k_c / 2), m))`` call (m the number of factorized sites,
+    k_c the chunk's width); row i, mapped by ``from_normals`` to
+    y = F z - gamma, gives the chunk's draws 2i, y + ``offset``, and
+    2i + 1, its reflection through the mean -y - 2 gamma + ``offset``.  An
+    odd chunk's last row gives draw 2i alone.  Each draw has the law of
+    Z + ``offset``; only the two draws of a pair depend on each other.  A
+    chunk's statistics depend on its part alone, so the draws do not depend
+    on ``reps`` (a shorter run's are the first ``reps`` of a longer one's),
+    but they do depend on k, which sets the draw each part starts at.  The
+    chunks are dealt round-robin to up to ``streams._MAX_WORKERS`` threads,
+    as many as the CPUs this process may run on allow, the calling thread
+    among them; ``reduce_fn`` must be a pure function of its chunk.
+
     Returns one :class:`EstimateWithError` per statistic: the mean and its
-    standard error sqrt(s^2 / reps), with the unbiased sample variance s^2
-    (0 when ``reps`` is 1).
+    standard error sqrt((s^2 + 2 (P / reps) c) / reps), with s^2 the
+    unbiased per-draw sample variance, c the mean cross product of the P
+    complete pairs' deviations from the mean, and 0 when ``reps`` is 1.
+    Each chunk's moments about its own mean are moved to the overall mean
+    and added in chunk order (the pairwise update of Chan, Golub & LeVeque,
+    1983), so a constant statistic has standard error 0 and the result has
+    the same bytes for any number of threads.
     """
     reps = positive_int("reps", reps)
     fg = build_sampler(points, model)
     shift = np.asarray(offset, dtype=np.float64).reshape(-1, 1)
+    mirror = shift - 2.0 * fg.gamma[:, None]
     chunk = max(1, _CHUNK_DOUBLES // fg.n)
-    starts = range(0, reps, chunk)
-    workers = min(streams._worker_count(), len(starts))
-    chunks = [None] * len(starts)
+    widths = np.minimum(chunk, reps - np.arange(0, reps, chunk))
+    workers = min(streams._worker_count(), len(widths))
+    chunks = [None] * len(widths)
 
     def run(first: int, stream: RandomStream) -> None:
-        for c in range(first, len(starts), workers):
+        for c in range(first, len(widths), workers):
+            k = int(widths[c])
             stream.restart_normals(c)
-            z = fg.from_normals(stream.normals(
-                (min(chunk, reps - starts[c]), fg.m)).T)
-            z += shift
-            s = reduce_fn(z)
-            chunks[c] = (s.sum(axis=1), (s * s).sum(axis=1))
+            y = fg.from_normals(stream.normals(((k + 1) // 2, fg.m)).T)
+            x = np.empty((fg.n, k))
+            np.add(y, shift, out=x[:, 0::2])
+            np.subtract(mirror, y[:, :k // 2], out=x[:, 1::2])
+            chunks[c] = _chunk_moments(reduce_fn(x))
 
     helpers = [streams._executor().submit(run, w, RandomStream(seed, stream_id))
                for w in range(1, workers)]
@@ -151,15 +185,14 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
         wait(helpers)
     for f in helpers:
         f.result()
-    total = 0.0
-    total_sq = 0.0
-    for s_sum, sq_sum in chunks:
-        total = total + s_sum
-        total_sq = total_sq + sq_sum
-    mean = total / reps
+    total, means, squares, cross, sums = (np.array(a) for a in zip(*chunks))
+    mean = total.sum(axis=0) / reps
+    d = means - mean
+    squares = (squares + widths[:, None] * d * d).sum(axis=0)
+    cross = (cross + d * (sums + (widths // 2)[:, None] * d)).sum(axis=0)
     se = np.zeros_like(mean)
     if reps > 1:
-        var = np.maximum(total_sq - reps * mean * mean, 0.0) / (reps - 1)
+        var = np.maximum(squares / (reps - 1) + 2.0 * cross / reps, 0.0)
         se = np.sqrt(var / reps)
     return [EstimateWithError(float(m), float(e), reps) for m, e in zip(mean, se)]
 

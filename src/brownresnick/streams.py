@@ -29,9 +29,13 @@ factor (the tilt, ``simulator``), they go through one product with the
 factor (``gaussian.FactorizedGaussian.from_normals``), which returns W less
 gamma.  The Monte
 Carlo oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and read normals
-only: chunk c of ``statseval.mc_mean`` reads normal part c, so chunks can be
-drawn in any order, on any thread.  Consumers draw in blocks of their own
-choosing (``simulator``, ``statseval.mc_mean``).  On large sets the
+only: chunk c of ``statseval.mc_mean``, k draws wide, reads ceil(k / 2) x m
+normals from part c, so chunks can be drawn in any order, on any thread.
+Row i of part c gives the chunk's draws 2i and 2i + 1, an antithetic pair
+(y and -y - 2 gamma), so a shorter run's draws are the first of a longer
+run's.  Only the oracles pair their draws; the simulator reads m fresh
+normals per cluster, so its clusters stay independent.  Consumers draw in
+blocks of their own choosing (``simulator``, ``statseval.mc_mean``).  On large sets the
 simulator draws each block's normals one block ahead, on a helper thread,
 while the calling thread goes on with the uniforms: the two counter spaces
 are separate generators, each read in sequence by one thread at a time, so

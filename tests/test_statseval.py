@@ -33,22 +33,29 @@ M1 = VariogramModel(alpha=1.0)
 
 def _reference_draws(points, reps, seed, reduce_fn):
     """Per-draw statistics of ``mc_mean(M1, points, 0.0, reps, seed,
-    reduce_fn)``, drawn apart from it by its documented layout: chunk c
-    holds max(1, _CHUNK_DOUBLES // n) draws and reads normal part c."""
+    reduce_fn)``, drawn apart from it by its documented layout, and the
+    columns that open a complete pair.  Chunk c holds k_c of at most
+    max(1, _CHUNK_DOUBLES // n) draws and reads ceil(k_c / 2) rows of normal
+    part c; row i, y = F z - gamma, gives draw 2i, y, and draw 2i + 1, its
+    mirror -y - 2 gamma, the last row of an odd chunk draw 2i alone."""
     fg = build_sampler(points, M1)
     chunk = max(1, statseval._CHUNK_DOUBLES // fg.n)
     stream = RandomStream(seed, 0)
-    parts = []
+    parts, pairs = [], []
     for c, start in enumerate(range(0, reps, chunk)):
+        k = min(chunk, reps - start)
         stream.restart_normals(c)
-        z = fg.from_normals(stream.normals((min(chunk, reps - start), fg.m)).T)
-        parts.append(reduce_fn(z))
-    return np.hstack(parts)
+        y = fg.from_normals(stream.normals(((k + 1) // 2, fg.m)).T)
+        mirror = -y - 2.0 * fg.gamma[:, None]
+        parts.append(reduce_fn(np.stack([y, mirror], axis=2).reshape(fg.n, -1)[:, :k]))
+        pairs.append(start + np.arange(0, k - 1, 2))
+    return np.hstack(parts), np.concatenate(pairs)
 
 
 def _coupled_draws(grids, reps, seed):
     """Reference of ``pickands_coupled``'s draws: exp(max of Z over each
-    grid), one row per grid, with Z drawn on the union's distinct sites."""
+    grid), one row per grid, with Z drawn on the union's distinct sites; and
+    the columns that open a complete pair."""
     union = np.unique(np.vstack(grids), axis=0)
     rows = [np.flatnonzero((union[:, None] == g[None]).all(axis=2).any(axis=1))
             for g in grids]
@@ -56,15 +63,20 @@ def _coupled_draws(grids, reps, seed):
         union, reps, seed, lambda z: np.stack([np.exp(z[r].max(axis=0)) for r in rows]))
 
 
-def _assert_estimates_of(estimates, samples):
-    """The estimates are the mean and standard error of the sample rows."""
+def _assert_estimates_of(estimates, samples, pairs):
+    """The estimates are the mean of the sample rows and its standard error
+    sqrt((s^2 + 2 (P / reps) c) / reps): s^2 the per-draw sample variance,
+    c the mean cross product of the P pairs (j, j + 1), j in ``pairs``, of
+    deviations from the mean."""
     reps = samples.shape[1]
     assert all(e.reps == reps for e in estimates)
-    np.testing.assert_allclose([e.value for e in estimates],
-                               samples.mean(axis=1), rtol=1e-12)
+    mean = samples.mean(axis=1)
+    dev = samples - mean[:, None]
+    c = (dev[:, pairs] * dev[:, pairs + 1]).mean(axis=1)
+    var = samples.var(axis=1, ddof=1) + 2.0 * (pairs.size / reps) * c
+    np.testing.assert_allclose([e.value for e in estimates], mean, rtol=1e-12)
     np.testing.assert_allclose([e.std_error for e in estimates],
-                               samples.std(axis=1, ddof=1) / np.sqrt(reps),
-                               rtol=1e-12)
+                               np.sqrt(var / reps), rtol=1e-12)
 
 
 def test_ks_statistic_exact_quantile_sample():
@@ -147,8 +159,8 @@ def test_pickands_monotone_under_grid_refinement():
     coarse = fine[::2]
     est_f, est_c = pickands_coupled(M1, [fine, coarse], reps=2000, seed=5)
     # Shared draws make the inclusion deterministic, draw by draw.
-    samples = _coupled_draws([fine, coarse], 2000, 5)
-    _assert_estimates_of([est_f, est_c], samples)
+    samples, pairs = _coupled_draws([fine, coarse], 2000, 5)
+    _assert_estimates_of([est_f, est_c], samples, pairs)
     assert np.all(samples[0] >= samples[1])
     assert est_f.value >= est_c.value - 1e-12
 
@@ -159,8 +171,8 @@ def test_pickands_subadditive_on_shared_draws():
     b = box_grid(1.0, 2.0, mesh)
     u = box_grid(0.0, 2.0, mesh)
     est_a, est_b, est_u = pickands_coupled(M1, [a, b, u], reps=5000, seed=6)
-    samples = _coupled_draws([a, b, u], 5000, 6)
-    _assert_estimates_of([est_a, est_b, est_u], samples)
+    samples, pairs = _coupled_draws([a, b, u], 5000, 6)
+    _assert_estimates_of([est_a, est_b, est_u], samples, pairs)
     np.testing.assert_array_equal(
         samples[2], np.maximum(samples[0], samples[1]))
     assert est_u.value <= est_a.value + est_b.value + 1e-12
@@ -241,18 +253,19 @@ def test_pickands_repeated_points_share_draws():
     got = pickands_coupled(M1, [repeated, shuffled], reps=3000, seed=8)
     expected = pickands_coupled(M1, [grid, grid], reps=3000, seed=8)
     assert got == expected
-    _assert_estimates_of(got, _coupled_draws([grid, grid], 3000, 8))
+    _assert_estimates_of(got, *_coupled_draws([grid, grid], 3000, 8))
 
 
 def test_pickands_accumulator_across_chunk_boundary():
-    # The 5-site union takes _CHUNK_DOUBLES // 5 draws per chunk, so 3 more
-    # span two chunks of the shared accumulator; the estimates must equal
-    # plain statistics of the same draws taken apart from it.
+    # The 5-site union takes _CHUNK_DOUBLES // 5 draws per chunk, an odd
+    # count whose last row gives one unpaired draw, so 3 more span two chunks
+    # of the shared accumulator; the estimates must equal plain statistics of
+    # the same draws taken apart from it.
     grids = [box_grid(0.0, 1.0, 0.25), np.array([[0.5]])]
     reps = _CHUNK_DOUBLES // 5 + 3
-    samples = _coupled_draws(grids, reps, 21)
+    samples, pairs = _coupled_draws(grids, reps, 21)
     assert samples.shape == (2, reps)
-    _assert_estimates_of(pickands_coupled(M1, grids, reps=reps, seed=21), samples)
+    _assert_estimates_of(pickands_coupled(M1, grids, reps=reps, seed=21), samples, pairs)
 
 
 def test_shorter_run_draws_a_prefix_of_a_longer_run(monkeypatch):
@@ -261,14 +274,55 @@ def test_shorter_run_draws_a_prefix_of_a_longer_run(monkeypatch):
     # of a run of 200 up to the rounding of the products.
     grids = [box_grid(0.0, 1.0, 0.25), box_grid(0.0, 2.0, 0.25), np.array([[0.5]])]
     monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", 7 * 9)  # 9-site union
-    short = _coupled_draws(grids, 50, 8)
-    long = _coupled_draws(grids, 200, 8)
-    _assert_estimates_of(pickands_coupled(M1, grids, reps=50, seed=8), short)
-    _assert_estimates_of(pickands_coupled(M1, grids, reps=200, seed=8), long)
+    short, short_pairs = _coupled_draws(grids, 50, 8)
+    long, long_pairs = _coupled_draws(grids, 200, 8)
+    _assert_estimates_of(pickands_coupled(M1, grids, reps=50, seed=8), short, short_pairs)
+    _assert_estimates_of(pickands_coupled(M1, grids, reps=200, seed=8), long, long_pairs)
     base = long[:, :50]
     assert np.all(np.abs(short - base) <= 1e-12 * np.maximum(1.0, np.abs(base)))
     # Each chunk reads a part of its own: no draw repeats another's.
     assert np.unique(long[2]).size == long.shape[1]  # exp(Z(0.5)) per draw
+
+
+def test_pair_draws_mirror_through_the_mean(monkeypatch):
+    # Row i of a chunk gives draws 2i and 2i + 1, reflections of each other
+    # through the mean -gamma + offset; chunks of 5 draws leave the last row
+    # of each, and of the 3-draw last chunk, unpaired.
+    monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", 7 * 5)
+    monkeypatch.setattr(streams, "_worker_count", lambda: 1)
+    points = box_grid(0.0, 1.5, 0.25)
+    offset = np.linspace(-1.0, 2.0, 7)
+    gamma = build_sampler(points, M1).gamma
+    seen = []
+
+    def keep(x):
+        seen.append(x.copy())
+        return x
+
+    estimates = statseval.mc_mean(M1, points, offset, 23, 9, keep)
+    assert [x.shape[1] for x in seen] == [5, 5, 5, 5, 3]
+    for x in seen:
+        pair_sum = x[:, 0:x.shape[1] - 1:2] + x[:, 1::2]
+        np.testing.assert_allclose(pair_sum, np.broadcast_to(
+            (2.0 * offset - 2.0 * gamma)[:, None], pair_sum.shape), rtol=0, atol=1e-12)
+    draws = np.hstack(seen)
+    assert np.unique(draws[1]).size == draws.shape[1]
+    np.testing.assert_allclose([e.value for e in estimates], draws.mean(axis=1), rtol=1e-12)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda seed: [fdd_cdf_oracle([0.0, 1.0], M1, [1.0, 1.0], reps=4000, seed=seed)],
+    lambda seed: pickands_coupled(M1, [box_grid(0.0, 0.5, 0.125), box_grid(0.0, 1.0, 0.125)],
+                                  reps=4000, seed=seed),
+], ids=["fdd_cdf_oracle", "pickands_coupled"])
+def test_reported_standard_error_matches_the_spread_over_seeds(oracle):
+    # The pairs are dependent, so the standard error must count them: over
+    # 200 seeds the mean reported SE is within 20% of the estimates' standard
+    # deviation, a band fixed beforehand (200 seeds measure the deviation to
+    # about 1 / sqrt(2 * 199), or 5%).
+    runs = np.array([[(e.value, e.std_error) for e in oracle(seed)] for seed in range(200)])
+    ratio = runs[:, :, 1].mean(axis=0) / runs[:, :, 0].std(axis=0, ddof=1)
+    assert np.all(np.abs(ratio - 1.0) <= 0.2), ratio
 
 
 def _oracle_bytes(reps: int) -> bytes:
@@ -294,7 +348,7 @@ def _oracle_bytes_to(conn, reps):
 @pytest.mark.parametrize("chunk_doubles", [_CHUNK_DOUBLES, 7 * 13])
 def test_worker_count_never_changes_a_byte(monkeypatch, chunk_doubles):
     # Chunk c reads part c of its stream's normals whoever computes it, and
-    # the chunk sums are added in chunk order, so 1, 2 or 3 threads (3 being
+    # the chunk moments are combined in chunk order, so 1, 2 or 3 threads (3 being
     # more than some machines have cores) give the same bytes.
     monkeypatch.setattr(statseval, "_CHUNK_DOUBLES", chunk_doubles)
     reps = 3 * (chunk_doubles // 7) + 5
