@@ -17,22 +17,23 @@ Random streams: sample r of ``replications(seed=s)`` draws everything from
 the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Cluster k
 reads row k of the stream's uniforms, its Poisson point and then its anchor,
 and normals [k m, (k + 1) m) of the stream's normals (m the number of
-factorized sites; ``streams`` keeps the two in separate counter spaces).
-One block reader, ``_blocks``, reads every sample's stream, for the exact
-loop and for ``simulate_naive`` alike.  It draws in blocks of a fixed
-private size B: one ``uniforms`` call, one pass for the block's Poisson
-points, one anchor lookup and one ``normals`` call per block; the draws past
-the stopping cluster go unused.  From ``_AHEAD`` normals per block, with a
-second CPU free to the process, the next block's ``normals`` call runs on
-a helper thread of ``streams``' pool while the caller screens and merges
-this block: numpy draws them without holding the interpreter lock, and the
-draws and their order, and so the output bytes, are those of one thread.
-The reader waits for that draw before the sample returns, whether it stops,
-raises or is dropped.  The Poisson points come out of a running
-sum taken in sequence, so they do not depend on B, nor does which draws a
-cluster reads.  Distinct keys give independent streams, so no two samples
-share a draw, and each replays bit for bit from its key.  A run builds one
-stream and re-keys it for each sample.
+factorized sites; ``streams`` draws the two from separate generators, both
+derived from the stream's key).  One block reader, ``_blocks``, reads every
+sample's stream, for the exact loop and for ``simulate_naive`` alike.  It
+draws in blocks of a fixed private size B: one ``uniforms`` call, one pass
+for the block's Poisson points, one anchor lookup and one ``normals`` call
+per block; the draws past the stopping cluster go unused.  From ``_AHEAD``
+normals per block, with a second CPU free to the process, the next block's
+``normals`` call runs on a helper thread of ``streams``' pool while the
+caller screens and merges this block: numpy draws them without holding the
+interpreter lock, and the draws and their order, and so the output bytes,
+are those of one thread.  The reader waits for that draw before the sample
+returns, whether it stops, raises or is dropped.  The Poisson points come
+out of a running sum taken in sequence, so they do not depend on B, nor
+does which draws a cluster reads.  Distinct keys give independent streams,
+so two samples share a draw only with the vanishing odds that ``streams``
+bounds, and each replays bit for bit from its key.  A run builds one stream
+and re-keys it for each sample.
 
 The tilt: the paper's change of measure tilts each cluster's Gaussian by
 ``e^{W(T) - gamma(T)}`` at its anchor T, and for a Gaussian that tilt is
@@ -94,7 +95,9 @@ _BLOCK = 64
 # Normals per block from which the next block's are drawn on a helper
 # thread (``_blocks``): on 2 CPUs the hand-off cost more than the overlap
 # saved at 6,144 normals per block and below, about broke even from 8,192
-# to 11,264, and gained x1.2 at 12,288 (64 rows at m = 192).
+# to 11,264, and gained x1.2 at 12,288 (64 rows at m = 192).  Those figures
+# were taken when the normals came from Philox; SFC64's are about 30%
+# cheaper, which shortens the helper's share of the overlap.
 _AHEAD = 12_288
 # The screen's margin, relative to the magnitudes it compares.
 _MARGIN = 1e-9

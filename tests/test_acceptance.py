@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from brownresnick import (
+    RandomStream,
     SamplingMeasure,
     VariogramModel,
     bivariate_neglog,
@@ -200,7 +201,9 @@ def test_criterion_08_pickands_and_extremal_index(acceptance_report):
 
 def test_criterion_09_seed_determinism(acceptance_report):
     # Same seed: the run replays bit for bit.  Adjacent seeds: no sample of
-    # one run shares its first Poisson point with any sample of the other.
+    # one run shares its first Poisson point, or its first normal, with any
+    # sample of the other.  Sample r of seed s reads stream (s, r), whose
+    # first normal is its first cluster's.
     t0 = time.perf_counter()
     first = list(replications(SITES5, ALPHA_ONE, 100, seed=17))
     again = list(replications(SITES5, ALPHA_ONE, 100, seed=17))
@@ -213,13 +216,17 @@ def test_criterion_09_seed_determinism(acceptance_report):
     neighbour = replications(SITES5, ALPHA_ONE, 100, seed=18)
     shared = len({fs.v_trace[0] for fs in first}
                  & {fs.v_trace[0] for fs in neighbour})
+    shared_normals = len({RandomStream(17, r).normals(1)[0] for r in range(100)}
+                         & {RandomStream(18, r).normals(1)[0] for r in range(100)})
     elapsed = time.perf_counter() - t0
-    ok = mismatches == 0 and shared == 0
+    ok = mismatches == 0 and shared == 0 and shared_normals == 0
     _report(acceptance_report, 9, "same seed replays, adjacent seeds share no draw",
-            ok, f"{mismatches}/100 replay mismatches, {shared}/100 first "
-                f"points shared by seeds 17 and 18, {elapsed:.1f}s")
+            ok, f"{mismatches}/100 replay mismatches, {shared}/100 first points and "
+                f"{shared_normals}/100 first normals shared by seeds 17 and 18, "
+                f"{elapsed:.1f}s")
     assert mismatches == 0
     assert shared == 0
+    assert shared_normals == 0
 
 
 def test_criterion_10_truncation_bias_is_detected(acceptance_report):

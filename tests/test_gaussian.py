@@ -138,6 +138,65 @@ def test_rekeyed_stream_replays_a_new_stream():
             assert stream.normals((4, 5)).tobytes() == fresh.normals((4, 5)).tobytes()
 
 
+def _reference_normals(seed, r, part, size):
+    """Normals of key (seed, r) at part ``part``, seeded by hand: numpy's
+    ``sfc64_set_seed`` (state (w0, w1, w2, 1), then 12 outputs discarded) on
+    the first three words a Philox under the key draws from counter words
+    (0, 0, part, 1)."""
+    key = np.array([seed, r], dtype=np.uint64)
+    counter = np.array([0, 0, part, 1], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=counter).random_raw(3)
+    sfc64 = np.random.SFC64(0)
+    sfc64.state = {"bit_generator": "SFC64",
+                   "state": {"state": np.append(words, np.uint64(1))},
+                   "has_uint32": 0, "uinteger": 0}
+    sfc64.random_raw(12)
+    return np.random.Generator(sfc64).standard_normal(size)
+
+
+@pytest.mark.parametrize("seed, r", [(0, 0), (123, 1), (2 ** 64 - 7, 2 ** 63 + 5)])
+def test_normals_are_sfc64_seeded_from_the_philox_key(seed, r):
+    stream = RandomStream(seed, r)
+    assert stream.normals((4, 25)).tobytes() == _reference_normals(seed, r, 0, (4, 25)).tobytes()
+    for part in (1, 7, 2 ** 64 - 1, 0):
+        stream.uniforms(3)
+        stream.restart_normals(part)
+        assert stream.normals(100).tobytes() == _reference_normals(seed, r, part, 100).tobytes()
+
+
+@pytest.mark.parametrize("seed, r", [(17, 5), (0, 0), (2 ** 64 - 1, 2 ** 64 - 1)])
+def test_neighbouring_keys_and_parts_share_no_normal(seed, r):
+    # Keys (s, r), (s, r + 1) and (s + 1, r), each at parts 0-3: twelve
+    # normal spaces, whose first 64 normals are 768 distinct values.
+    firsts = []
+    for key in ((seed, r), (seed, r + 1), (seed + 1, r)):
+        stream = RandomStream(*key)
+        for part in range(4):
+            stream.restart_normals(part)
+            firsts.append(stream.normals(64))
+    values = np.concatenate(firsts)
+    assert np.unique(values).size == values.size
+
+
+def test_uniforms_and_normals_do_not_move_each_other():
+    u = RandomStream(31, 2).uniforms(60)
+    z = RandomStream(31, 2).normals(60)
+    stream = RandomStream(31, 2)
+    got_u, got_z = [], []
+    for k in (1, 7, 2, 13, 37):
+        got_u.append(stream.uniforms(k))
+        got_z.append(stream.normals(k))
+    assert np.concatenate(got_u).tobytes() == u.tobytes()
+    assert np.concatenate(got_z).tobytes() == z.tobytes()
+    # Restarting the normals moves no uniform either.
+    stream.restart_normals(3)
+    fresh = RandomStream(31, 2)
+    fresh.uniforms(60)
+    fresh.restart_normals(3)
+    assert stream.uniforms(9).tobytes() == fresh.uniforms(9).tobytes()
+    assert stream.normals(9).tobytes() == fresh.normals(9).tobytes()
+
+
 def test_sample_moments_match_kernel():
     model = VariogramModel(alpha=1.0)
     fg = build_sampler([0.5, 1.0], model)

@@ -13,6 +13,9 @@ the same library stack; the first lines name numpy and its BLAS.
 
 Groups:
 
+* ``streams``: the uniforms and the normals of ``RandomStream`` at the keys
+  in ``STREAM_KEYS``, the normals at each part in ``STREAM_PARTS``.  A change
+  to the stream recipe moves this line, besides every line that draws.
 * ``sampler <site set> counts``, ``... values`` and ``... screen``:
   ``replications`` (``REPS`` samples), ``simulate`` and ``simulate_naive``
   on each site set, at each alpha in ``ALPHAS`` and seed in ``SEEDS``.
@@ -53,6 +56,9 @@ SEEDS = (0, 17, 2 ** 63 + 91)
 REPS = 20
 NAIVE_TRUNCATION = 100
 ORACLE_REPS = 4096
+STREAM_KEYS = ((0, 0), (17, 1), (2 ** 63 + 91, 2 ** 64 - 1))
+STREAM_PARTS = (0, 1, 2 ** 64 - 1)
+STREAM_DRAWS = 1000
 
 _PLANE = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
 SITE_SETS = {
@@ -76,6 +82,17 @@ def _hash(parts) -> str:
 
 def _model(alpha, points) -> br.VariogramModel:
     return br.VariogramModel(alpha=alpha, dim=br.SiteSet(points).dim)
+
+
+def stream_groups():
+    parts = []
+    for seed, stream_id in STREAM_KEYS:
+        stream = br.RandomStream(seed, stream_id)
+        parts.append(stream.uniforms(STREAM_DRAWS).tobytes())
+        for part in STREAM_PARTS:
+            stream.restart_normals(part)
+            parts.append(stream.normals(STREAM_DRAWS).tobytes())
+    yield "streams", _hash(parts)
 
 
 def sampler_groups():
@@ -167,7 +184,7 @@ def library_stack() -> list:
 def main() -> int:
     for line in library_stack():
         print(line)
-    for groups in (sampler_groups, oracle_groups, cli_groups):
+    for groups in (stream_groups, sampler_groups, oracle_groups, cli_groups):
         for name, digest in groups():
             print(f"{name} {digest}", flush=True)
     return 0
