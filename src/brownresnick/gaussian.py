@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .variogram import VariogramModel, as_points, covariance_matrix, gamma
+from .variogram import VariogramModel, _gamma_points, as_points, covariance_matrix
 
 # Largest diagonal jitter tried, as a fraction of the mean covariance diagonal.
 _MAX_JITTER_FACTOR = 1e-6
@@ -53,7 +53,8 @@ class SiteSet:
     points : (n, d) ndarray
         Raw sites in input order.
     rep_points : (m, d) ndarray
-        Pairwise-distinct representative sites, m <= n.
+        Pairwise-distinct representative sites, m <= n, in lexicographic
+        order with the first coordinate primary.
     rep_index : (n,) ndarray of int
         Maps each raw site to its representative's row in ``rep_points``.
     """
@@ -67,11 +68,20 @@ class SiteSet:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2 or pts.size == 0:
             raise ValueError("site set must be a nonempty (n, d) array")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("site coordinates must be finite")
         self.points = pts
-        self.rep_points, self.rep_index = np.unique(pts, axis=0, return_inverse=True)
-        self.rep_index = self.rep_index.reshape(-1)
+        # np.unique(pts, axis=0, return_inverse=True) from one stable sort:
+        # a representative is the first of its equal rows in sorted order,
+        # and -0.0 equals 0.0.
+        order = np.lexsort(pts.T[::-1])
+        ranked = pts[order]
+        first = np.empty(len(pts), dtype=bool)
+        first[0] = True
+        (ranked[1:] != ranked[:-1]).any(axis=1, out=first[1:])
+        self.rep_points = ranked[first]
+        self.rep_index = np.empty(len(pts), dtype=np.intp)
+        self.rep_index[order] = np.cumsum(first) - 1
 
     @classmethod
     def from_points(cls, points) -> "SiteSet":
@@ -240,13 +250,12 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
     raises at once.
     """
     sites = SiteSet.from_points(sites)
-    as_points(model, sites.points)  # dimension check
 
     # The factorized sites: the representatives off the origin, in
     # representative order.
-    is_origin = np.all(sites.rep_points == 0.0, axis=1)
+    is_origin = ~sites.rep_points.any(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        g = np.atleast_1d(gamma(model, sites.points))
+        g = _gamma_points(model, as_points(model, sites.points))
         cov = covariance_matrix(model, sites.rep_points[~is_origin])
 
     def failure(reason):
@@ -259,25 +268,12 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
 
     # gamma(t_j) is half of cov's diagonal entry at t_j off the origin and 0
     # at it: a finite cov means a finite gamma.
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise failure("covariance overflowed to a non-finite value")
     sub_factor = np.zeros((1, 0))  # every site at the origin: rows of width 0
     jitter_used = 0.0
     if len(cov):
-        mean_diag = float(np.mean(np.diag(cov)))
-        jitters = [0.0] + [mean_diag * 10.0 ** k for k in range(-12, 1)
-                           if 10.0 ** k <= _MAX_JITTER_FACTOR * (1 + 1e-9)]
-        for j in jitters:
-            try:
-                sub_factor = np.linalg.cholesky(
-                    cov + j * np.eye(len(cov)) if j else cov)
-                jitter_used = j
-                break
-            except np.linalg.LinAlgError:
-                continue
-        else:  # no jitter level gave a factor
-            raise failure(f"covariance factorization failed even with jitter "
-                          f"{_MAX_JITTER_FACTOR:g} * mean_diag")
+        sub_factor, jitter_used = _cholesky(cov, failure)
 
     # Raw site j takes the Cholesky row of its representative, and sites at
     # the origin a zeroed row, in one (n, m) allocation.
@@ -292,3 +288,24 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
                                  np.arange(0, sites.n, _ROWS)).tolist()
 
     return FactorizedGaussian(sites, model, factor, jitter_used, g, widths)
+
+
+def _cholesky(cov, failure):
+    """The Cholesky factor of ``cov + j * I`` and j, for the first jitter j
+    of ``build_sampler``'s ladder that gives one: 0, then the jitter list,
+    built only once the jitter-free attempt has failed."""
+    try:
+        return np.linalg.cholesky(cov), 0.0
+    except np.linalg.LinAlgError:
+        pass
+    mean_diag = float(cov.diagonal().mean())
+    eye = np.eye(len(cov))
+    jitters = [mean_diag * 10.0 ** k for k in range(-12, 1)
+               if 10.0 ** k <= _MAX_JITTER_FACTOR * (1 + 1e-9)]
+    for j in jitters:
+        try:
+            return np.linalg.cholesky(cov + j * eye), j
+        except np.linalg.LinAlgError:
+            continue
+    raise failure(f"covariance factorization failed even with jitter "
+                  f"{_MAX_JITTER_FACTOR:g} * mean_diag")

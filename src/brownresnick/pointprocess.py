@@ -51,7 +51,7 @@ class SamplingMeasure:
         w = np.asarray(weights, dtype=np.float64).reshape(-1)
         if w.size == 0:
             raise ValueError("measure needs at least one weight")
-        if not np.all(np.isfinite(w) & (w > 0.0)):
+        if not (np.isfinite(w) & (w > 0.0)).all():
             raise ValueError("all measure weights must be finite and strictly positive")
         with np.errstate(over="ignore"):
             total = w.sum()
@@ -59,7 +59,7 @@ class SamplingMeasure:
             w = w / w.max()
             total = w.sum()
         w = w / total
-        if not np.all(w > 0.0):
+        if not (w > 0.0).all():
             raise ValueError(f"measure weight {int(np.argmin(w))} normalizes to 0: "
                              f"it is too small against the sum of the weights")
         if abs(w.sum() - 1.0) > 1e-12:

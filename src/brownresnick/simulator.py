@@ -25,7 +25,8 @@ for the block's Poisson points, one anchor lookup and one ``normals`` call
 per block; the draws past the stopping cluster go unused.  From ``_AHEAD``
 normals per block, with a second CPU free to the process, the next block's
 ``normals`` call runs on a helper thread of ``streams``' pool while the
-caller screens and merges this block: numpy draws them without holding the
+caller screens and merges this block, unless the block's last point already
+meets the stopping bound: numpy draws them without holding the
 interpreter lock, and the draws and their order, and so the output bytes,
 are those of one thread.  The reader waits for that draw before the sample
 returns, whether it stops, raises or is dropped.  The Poisson points come
@@ -187,7 +188,7 @@ def _prepare(sites, model, measure, sampler):
     return measure, sampler
 
 
-def _blocks(stream, m, measure=None):
+def _blocks(stream, m, measure=None, sup=None):
     """Yield ``(v, anchors, z)`` for block after block of ``_BLOCK`` rows.
 
     The one reader of a sample's stream.  Row k is the Poisson point's
@@ -198,9 +199,13 @@ def _blocks(stream, m, measure=None):
     overwrite.  From ``_AHEAD`` normals per block, with a second CPU free,
     the next block's ``normals`` call is submitted to the helper pool
     before the block is yielded, so it runs while the caller works on this
-    one; the draws and their order are those of one thread.  Closing the
-    generator waits for that draw, so none is in flight once the caller
-    is done with the stream.
+    one; the draws and their order are those of one thread.  With ``sup``,
+    the exact loop's running suprema, it is submitted only while the
+    block's last point is above the stopping bound ``min_j (sup_j +
+    log w_j)`` as the block is read: the bound only rises, so otherwise
+    the sample stops inside this block.  Closing the generator waits for
+    the draw in flight, so none is left once the caller is done with the
+    stream.
     """
     lead = 1 if measure is None else 2
     size = (_BLOCK, m)
@@ -215,7 +220,9 @@ def _blocks(stream, m, measure=None):
             gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
             anchors = None if measure is None else measure.anchors(block[:, 1])
             z = stream.normals(size) if pending is None else pending.result()
-            if pool is not None:
+            pending = None
+            if pool is not None and (sup is None or v[-1] > np.minimum.reduce(
+                    sup + measure.log_weights)):
                 pending = pool.submit(stream.normals, size)
             yield v, anchors, z
     finally:
@@ -238,7 +245,7 @@ def _rows(stream, sampler, measure=None, sup=None):
     the formed ones equal this view's unscreened columns up to the
     rounding of the product they share.
     """
-    with closing(_blocks(stream, sampler.m, measure)) as blocks:
+    with closing(_blocks(stream, sampler.m, measure, sup)) as blocks:
         for v, anchors, z in blocks:
             if measure is not None:
                 z += sampler.factor[anchors]

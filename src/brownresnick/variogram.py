@@ -68,7 +68,7 @@ def as_points(model: VariogramModel, t) -> np.ndarray:
 
 
 def _gamma_points(model: VariogramModel, pts: np.ndarray) -> np.ndarray:
-    sq = np.sum(pts * pts, axis=1)
+    sq = (pts * pts).sum(axis=1)
     return model.scale * sq ** (model.alpha / 2.0) / 2.0
 
 

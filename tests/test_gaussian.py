@@ -376,6 +376,88 @@ def test_site_set_dedup_and_coercion():
     assert SiteSet.from_points(s) is s
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_site_set_dedup_is_np_unique(dim):
+    # Shuffled sets with ties in the leading coordinates, exact duplicate
+    # rows and -0.0 beside 0.0 in the last coordinate: the representatives
+    # are np.unique(axis=0)'s by value and the map to them is its inverse.
+    rng = np.random.default_rng(dim)
+    for n in (1, 2, 5, 40, 300):
+        pts = rng.integers(-2, 3, size=(n, dim)) * 0.5
+        pts = pts[rng.integers(0, n, size=n + n // 2)]
+        flip = (pts[:, -1] == 0.0) & (rng.random(len(pts)) < 0.5)
+        pts[flip, -1] = -0.0
+        rng.shuffle(pts)
+        s = SiteSet(pts)
+        reps, index = np.unique(pts, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(s.rep_points, reps)
+        assert s.rep_index.dtype == index.dtype
+        assert s.rep_index.tobytes() == index.reshape(-1).tobytes()
+        if n >= 40:
+            assert np.signbit(pts[:, -1]).any() and s.num_representatives < len(pts)
+
+
+def _reference_build(points, model):
+    """factor, gamma, prefix widths and jitter of a build that deduplicates
+    with np.unique(axis=0), evaluates gamma through gamma() and
+    covariance_matrix, and lists every jitter before the first attempt."""
+    pts = SiteSet(points).points
+    reps, index = np.unique(pts, axis=0, return_inverse=True)
+    index = index.reshape(-1)
+    is_origin = np.all(reps == 0.0, axis=1)
+    g = np.atleast_1d(gamma(model, pts))
+    cov = covariance_matrix(model, reps[~is_origin])
+    sub, jitter = np.zeros((1, 0)), 0.0
+    if len(cov):
+        mean_diag = float(np.mean(np.diag(cov)))
+        for j in [0.0] + [mean_diag * 10.0 ** k for k in range(-12, -5)]:
+            try:
+                sub = np.linalg.cholesky(cov + j * np.eye(len(cov)) if j else cov)
+                jitter = j
+                break
+            except np.linalg.LinAlgError:
+                continue
+    row = np.cumsum(~is_origin)[index] - 1
+    at_origin = is_origin[index]
+    factor = sub[np.maximum(row, 0)]
+    factor[at_origin] = 0.0
+    widths = np.maximum.reduceat(np.where(at_origin, 0, row + 1),
+                                 np.arange(0, len(pts), gaussian._ROWS)).tolist()
+    return factor, g, widths, jitter
+
+
+_PLANE3 = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
+_CUBE = box_grid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.5)
+_CUBE = np.random.default_rng(3).permutation(np.vstack([_CUBE, _CUBE[[0, 4, 13, 26]]]))
+_CUBE[(_CUBE[:, 1] == 0.0) & (np.arange(len(_CUBE)) % 2 == 1), 1] = -0.0
+BUILD_SETS = {
+    "sites-5": np.array([0.0, 0.2, 0.45, 0.7, 1.0]),
+    "line-65": box_grid(0.0, 4.0, 1.0 / 16.0),
+    "plane-9x9": box_grid([0.0, 0.0], [2.0, 2.0], 0.25),
+    "sites-7-dup-origin": np.vstack([[0.0, 0.0], _PLANE3, [0.0, 0.0], _PLANE3[1:]]),
+    "cube-3x3x3-shuffled": _CUBE,
+}
+
+
+@pytest.mark.parametrize("name", list(BUILD_SETS))
+def test_build_keeps_the_bytes_of_the_reference_build(name):
+    # The sampler's arrays equal the reference build's byte for byte; at
+    # alpha 2 the jitter ladder runs.
+    points = BUILD_SETS[name]
+    dim = SiteSet(points).dim
+    for alpha in (0.5, 1.0, 1.5, 2.0):
+        model = VariogramModel(alpha=alpha, dim=dim)
+        fg = build_sampler(points, model)
+        factor, g, widths, jitter = _reference_build(points, model)
+        assert fg.factor.tobytes() == factor.tobytes()
+        assert fg.factor.shape == factor.shape
+        assert fg.gamma.tobytes() == g.tobytes()
+        assert fg._widths == widths
+        assert np.float64(fg.jitter_used).tobytes() == np.float64(jitter).tobytes()
+        if alpha == 2.0 and fg.m > dim:
+            assert jitter > 0.0
+
+
 def test_site_set_shifted():
     s = SiteSet([[0.0, 1.0], [2.0, 3.0]]).shifted((10.0, -1.0))
     np.testing.assert_array_equal(s.points, [[10.0, 0.0], [12.0, 2.0]])

@@ -2,6 +2,7 @@ import multiprocessing
 import sys
 import time
 import tracemalloc
+from contextlib import closing
 from itertools import islice
 
 import numpy as np
@@ -723,6 +724,32 @@ def test_normals_drawn_ahead_keep_every_byte(sites, dim, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert outputs[1] == outputs[0]
+
+
+@pytest.mark.skipif(streams._worker_count() < 2, reason="draws ahead only with 2 CPUs")
+def test_blocks_drawn_ahead_are_read(monkeypatch):
+    # The next block's normals are drawn ahead only while the sample may
+    # still read them, so of the blocks drawn on the 17x17 plane, on the
+    # helper or not, at most 1% go unread; drawing ahead before every
+    # block leaves one per sample unread, about 5.6%.
+    sites, dim = AHEAD_CASES[0]
+    pool = _KeptPool(0.0)
+    monkeypatch.setattr(streams, "_executor", lambda: pool)
+    drawn, read = [], []
+    normals = RandomStream.normals
+    monkeypatch.setattr(RandomStream, "normals",
+                        lambda self, size: drawn.append(size) or normals(self, size))
+    blocks = simulator._blocks
+
+    def counted(*args):
+        with closing(blocks(*args)) as inner:
+            for block in inner:
+                read.append(block[0])
+                yield block
+    monkeypatch.setattr(simulator, "_blocks", counted)
+    samples = list(replications(sites, VariogramModel(alpha=1.0, dim=dim), 100, seed=7))
+    assert len(samples) == 100 and len(pool.futures) > 100
+    assert len(read) <= len(drawn) <= len(read) + 0.01 * len(drawn)
 
 
 def test_small_blocks_draw_on_the_calling_thread(monkeypatch):

@@ -61,6 +61,12 @@ STREAM_PARTS = (0, 1, 2 ** 64 - 1)
 STREAM_DRAWS = 1000
 
 _PLANE = np.array([[0.0, 0.0], [1.0, 0.5], [2.0, 0.0]])
+# The 3x3x3 cube's rows shuffled, four of them twice, with -0.0 for 0.0 in
+# the second coordinate of every odd row: the origin appears as (0, 0, 0)
+# and (0, -0, 0).
+_CUBE = br.box_grid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0.5)
+_CUBE = np.random.default_rng(3).permutation(np.vstack([_CUBE, _CUBE[[0, 4, 13, 26]]]))
+_CUBE[(_CUBE[:, 1] == 0.0) & (np.arange(len(_CUBE)) % 2 == 1), 1] = -0.0
 SITE_SETS = {
     "sites-5": ([0.0, 0.2, 0.45, 0.7, 1.0], [0.6, 0.1, 0.1, 0.1, 0.1]),
     "line-65": (br.box_grid(0.0, 4.0, 1.0 / 16.0), None),
@@ -70,6 +76,9 @@ SITE_SETS = {
     # and rows that are pinned to zero.
     "sites-7-dup-origin": (np.vstack([[0.0, 0.0], _PLANE, [0.0, 0.0], _PLANE[1:]]),
                            None),
+    # Unsorted rows in 3-d with duplicates and signed zeros: a change to the
+    # order of the deduplicated sites moves these lines.
+    "cube-3x3x3-shuffled": (_CUBE, None),
 }
 
 
