@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .variogram import VariogramModel, _gamma_points, as_points, covariance_matrix
+from .variogram import VariogramModel, _covariance, _gamma_points, as_points
 
 # Largest diagonal jitter tried, as a fraction of the mean covariance diagonal.
 _MAX_JITTER_FACTOR = 1e-6
@@ -252,11 +252,14 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
     sites = SiteSet.from_points(sites)
 
     # The factorized sites: the representatives off the origin, in
-    # representative order.
+    # representative order.  Each takes gamma from a raw site it stands for,
+    # whose coordinates are equal to its own (-0.0 for 0.0 at most).
     is_origin = ~sites.rep_points.any(axis=1)
+    raw = np.empty(sites.num_representatives, dtype=np.intp)
+    raw[sites.rep_index] = np.arange(sites.n)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         g = _gamma_points(model, as_points(model, sites.points))
-        cov = covariance_matrix(model, sites.rep_points[~is_origin])
+        cov = _covariance(model, sites.rep_points[~is_origin], g[raw[~is_origin]])
 
     def failure(reason):
         # The largest distance one row at a time: no (m, m, d) difference array.

@@ -19,19 +19,28 @@ reads row k of the stream's uniforms, its Poisson point and then its anchor,
 and normals [k m, (k + 1) m) of the stream's normals (m the number of
 factorized sites; ``streams`` draws the two from separate generators, both
 derived from the stream's key).  One block reader, ``_blocks``, reads every
-sample's stream, for the exact loop and for ``simulate_naive`` alike.  It
-draws in blocks of a fixed private size B: one ``uniforms`` call, one pass
-for the block's Poisson points, one anchor lookup and one ``normals`` call
-per block; the draws past the stopping cluster go unused.  From ``_AHEAD``
-normals per block, with a second CPU free to the process, the next block's
-``normals`` call runs on a helper thread of ``streams``' pool while the
-caller screens and merges this block, unless the block's last point already
-meets the stopping bound: numpy draws them without holding the
-interpreter lock, and the draws and their order, and so the output bytes,
-are those of one thread.  The reader waits for that draw before the sample
-returns, whether it stops, raises or is dropped.  The Poisson points come
-out of a running sum taken in sequence, so they do not depend on B, nor
-does which draws a cluster reads.  Distinct keys give independent streams,
+sample's stream, for the exact loop and for ``simulate_naive`` alike.  Per
+block it makes one ``uniforms`` call, one pass for the block's Poisson
+points, one anchor lookup and one ``normals`` call.  The first block has
+``_BLOCK`` rows and each later one twice the rows of the one before, up to
+``_CAP``: a private schedule, not a parameter.  The stopping bound
+``min_j (sup_j + log w_j)`` only rises, so once a block's points are drawn
+it is known which of its rows the sample can still reach: the block is cut
+at its first point at or below the bound as it stands, and only the rows
+before that point get anchors and normals.  The stopping point needs none,
+and the uniforms past it go unread, since the sample ends in that block.
+The first block is read before the first merge, while the bound is -inf,
+so it is never cut.  From ``_AHEAD`` normals per first block, with a second
+CPU free to the process, the next block's points and anchors are read and
+cut at the bound as it stands, and its normals are drawn on a helper thread
+of ``streams``' pool while the caller screens and merges this block; that
+happens only after the first merge, and only while this block is above the
+bound.  numpy draws them without holding the interpreter lock, and the
+draws and their order, and so the output bytes, are those of one thread.
+The reader waits for that draw before the sample returns, whether it
+stops, raises or is dropped.  The Poisson points come out of a running sum
+taken in sequence, so they do not depend on the block sizes, nor does
+which draws a cluster reads.  Distinct keys give independent streams,
 so two samples share a draw only with the vanishing odds that ``streams``
 bounds, and each replays bit for bit from its key.  A run builds one stream
 and re-keys it for each sample.
@@ -50,7 +59,7 @@ include those open at each later point of the block, since v falls and sup
 only rises.  A cluster is ``C_j = v + X_j - lse``, where X is the draw tilted
 by the anchor T less gamma and lse the log-sum-exp of ``log w_l + X_l`` over
 every site.  Over the open sites S, one product with the factor's rows at S
-gives ``X_S`` for the block's B clusters, and ``L = max(lse_S, log w_T +
+gives ``X_S`` for the block's clusters, and ``L = max(lse_S, log w_T +
 X_T)`` is a lower bound on lse: the max of the two terms, not their
 log-sum, since T may lie in S.  So ``C_j <= v + X_j - L``, and only the
 clusters for which that exceeds ``sup_j`` less a margin at some open j, sup
@@ -64,9 +73,9 @@ stopping point are those of merging all.  Only the first block, read while
 some ``sup_j`` is still -inf and every site open, forms every cluster in
 one product, unscreened.  On large grids the products read only each row
 block's nonzero prefix of the factor, and each formed cluster's draw is
-one column of the product.  Which clusters share a product, set by B and
-by the screen, changes the output bytes only by the rounding of that
-product.
+one column of the product.  Which clusters share a product, set by the
+block schedule and by the screen, changes the output bytes only by the
+rounding of that product.
 
 A deliberately naive truncated variant is included to demonstrate the bias
 that the exact algorithm removes.
@@ -91,14 +100,18 @@ from .streams import RandomStream, positive_int
 DEFAULT_MAX_CLUSTERS = 10_000_000
 DEFAULT_V_TRACE_CAP = 100_000
 
-# Rows (clusters, or simulate_naive points) drawn per block.
+# Rows (clusters, or simulate_naive points) of the first block, which is
+# read before the first merge and so is neither cut nor screened; each
+# later block has twice the rows of the one before, up to ``_CAP``.
 _BLOCK = 64
-# Normals per block from which the next block's are drawn on a helper
-# thread (``_blocks``): on 2 CPUs the hand-off cost more than the overlap
-# saved at 6,144 normals per block and below, about broke even from 8,192
-# to 11,264, and gained x1.2 at 12,288 (64 rows at m = 192).  Those figures
-# were taken when the normals came from Philox; SFC64's are about 30%
-# cheaper, which shortens the helper's share of the overlap.
+_CAP = 256
+# Normals per first block from which each next block's are drawn on a
+# helper thread (``_blocks``): on 2 CPUs the hand-off cost more than the
+# overlap saved at 6,144 normals per block and below, about broke even
+# from 8,192 to 11,264, and gained x1.2 at 12,288 (64 rows at m = 192).
+# Those figures were taken with blocks of 64 rows throughout and with
+# Philox normals; SFC64's are about 30% cheaper, which shortens the
+# helper's share of the overlap, and the later blocks are now longer.
 _AHEAD = 12_288
 # The screen's margin, relative to the magnitudes it compares.
 _MARGIN = 1e-9
@@ -189,45 +202,73 @@ def _prepare(sites, model, measure, sampler):
 
 
 def _blocks(stream, m, measure=None, sup=None):
-    """Yield ``(v, anchors, z)`` for block after block of ``_BLOCK`` rows.
+    """Yield ``(v, anchors, z)`` for block after block of points.
 
     The one reader of a sample's stream.  Row k is the Poisson point's
     uniform, then with a ``measure`` the anchor's, and normals [k m,
     (k + 1) m): per block one ``uniforms`` call, one ``poisson_points``
     pass, one ``anchors`` lookup (None without a measure) and one
-    ``normals`` call, whose (``_BLOCK``, m) array z is the caller's to
-    overwrite.  From ``_AHEAD`` normals per block, with a second CPU free,
-    the next block's ``normals`` call is submitted to the helper pool
-    before the block is yielded, so it runs while the caller works on this
-    one; the draws and their order are those of one thread.  With ``sup``,
-    the exact loop's running suprema, it is submitted only while the
-    block's last point is above the stopping bound ``min_j (sup_j +
-    log w_j)`` as the block is read: the bound only rises, so otherwise
-    the sample stops inside this block.  Closing the generator waits for
-    the draw in flight, so none is left once the caller is done with the
-    stream.
+    ``normals`` call, whose (rows, m) array z is the caller's to
+    overwrite.  With ``sup``, the exact loop's running suprema, a block
+    is cut at its first point at or below the stopping bound ``min_j
+    (sup_j + log w_j)`` as the block is read: the bound only rises, so
+    the sample stops at that point or before it.  v then ends with that
+    stopping point, which gets no anchor and no normals, and no block
+    follows; the uniforms past it go unread.  From ``_AHEAD`` normals per
+    first block, with a second CPU free, the next block's points and
+    anchors are read, and its normals submitted to the helper pool, before
+    this block is yielded, so they are drawn while the caller works on
+    this one; the draws and their order are those of one thread.  That
+    next block is cut at the bound as it stands then, and it is not read
+    ahead at all while some ``sup_j`` is still -inf, before the first
+    merge, since the sample may then stop anywhere in this block.  Closing
+    the generator waits for the draw in flight, so none is left once the
+    caller is done with the stream.
     """
     lead = 1 if measure is None else 2
-    size = (_BLOCK, m)
     pool = None
     if _BLOCK * m >= _AHEAD and streams._worker_count() >= 2:
         pool = streams._executor()
-    gamma_sum = 0.0
+    size, bound = _BLOCK, -math.inf  # the first block is read before the first merge
+    head = _head(stream, size, lead, 0.0, measure, bound)
     pending = None
     try:
         while True:
-            block = stream.uniforms((_BLOCK, lead))
-            gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
-            anchors = None if measure is None else measure.anchors(block[:, 1])
-            z = stream.normals(size) if pending is None else pending.result()
+            gamma_sum, v, anchors, rows = head
+            z = stream.normals((rows, m)) if pending is None else pending.result()
             pending = None
-            if pool is not None and (sup is None or v[-1] > np.minimum.reduce(
-                    sup + measure.log_weights)):
-                pending = pool.submit(stream.normals, size)
+            if v[-1] <= bound:  # the sample stops in this block
+                yield v, anchors, z
+                return
+            size = min(2 * size, _CAP)
+            ahead = pool is not None and (sup is None or bound > -math.inf)
+            if ahead:
+                head = _head(stream, size, lead, gamma_sum, measure, bound)
+                pending = pool.submit(stream.normals, (head[3], m))
             yield v, anchors, z
+            if sup is not None:
+                bound = np.minimum.reduce(sup + measure.log_weights)
+            if not ahead:
+                head = _head(stream, size, lead, gamma_sum, measure, bound)
     finally:
         if pending is not None:
             wait((pending,))
+
+
+def _head(stream, size, lead, gamma_sum, measure, bound):
+    """``(gamma_sum, v, anchors, rows)`` of the block of ``size`` rows that
+    follows the running sum ``gamma_sum``: its points v cut after the first
+    at or below ``bound``, the anchors of the ``rows`` points above it, and
+    the running sum at its end."""
+    block = stream.uniforms((size, lead))
+    gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
+    if bound == -math.inf:  # nothing to cut, and no pass to find it
+        rows = len(v)
+    else:
+        rows = int(np.count_nonzero(v > bound))  # v decreases
+        v = v[:rows + 1]
+    anchors = None if measure is None else measure.anchors(block[:rows, 1])
+    return gamma_sum, v, anchors, rows
 
 
 def _rows(stream, sampler, measure=None, sup=None):
@@ -243,7 +284,8 @@ def _rows(stream, sampler, measure=None, sup=None):
     against ``sup`` as it stands when the block is read, after the merges
     of every earlier row: the column is None where no draw is formed, and
     the formed ones equal this view's unscreened columns up to the
-    rounding of the product they share.
+    rounding of the product they share.  The stopping point that ends a
+    cut block has no draw and is never formed.
     """
     with closing(_blocks(stream, sampler.m, measure, sup)) as blocks:
         for v, anchors, z in blocks:
@@ -265,19 +307,25 @@ def _screen(sampler, log_w, sup, v, anchors, z):
 
     ``z`` holds the block's tilted normals, one row per cluster, shifted by
     the factor's rows at its anchors, which are gathered again here for the
-    anchor's own term rather than held through the screen.  Returns
-    None, for every column, while some ``sup_j`` is still -inf, before the
-    first merge.  Otherwise returns the indices of the columns that pass
-    the screen (module docstring) and, one per row, their draws
+    anchor's own term rather than held through the screen; ``v`` may end
+    with the block's stopping point, which has no row and is never formed.
+    Returns None, for every column, while some ``sup_j`` is still -inf,
+    before the first merge.  Otherwise returns the indices of the columns
+    that pass the screen (module docstring) and, one per row, their draws
     ``from_normals(z[i])``.
     """
     g = sup + log_w
     if np.minimum.reduce(g) == -math.inf:  # no merge yet: every site open
         return None
+    if not len(z):  # the block holds only its stopping point
+        return (), ()
+    v = v[:len(z)]
     v0 = float(v[0])
     # Magnitudes the margin is relative to.
     scale = 1.0 + abs(v0) + abs(float(v[-1])) + float(np.maximum.reduce(np.abs(g)))
     open_ = np.flatnonzero(g < v0 + _MARGIN * scale)
+    # A block read ahead was cut at the bound of one block before, so the
+    # bound may have passed its first point since.
     if not len(open_):  # the block's first point stops the loop
         return (), ()
     # log w_T + X_T, the anchor's own term of the log-sum-exp.

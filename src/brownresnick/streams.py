@@ -53,11 +53,15 @@ Row i of part c gives the chunk's draws 2i and 2i + 1, an antithetic pair
 (y and -y - 2 gamma), so a shorter run's draws are the first of a longer
 run's.  Only the oracles pair their draws; the simulator reads m fresh
 normals per cluster, so its clusters stay independent.  Consumers draw in
-blocks of their own choosing (``simulator``, ``statseval.mc_mean``).  On
-large sets the simulator draws each block's normals one block ahead, on a
-helper thread, while the calling thread goes on with the uniforms: the two
-spaces are separate generators, each read in sequence by one thread at a
-time, so neither space's draws change.
+blocks of their own choosing (``simulator``, ``statseval.mc_mean``).  The
+simulator draws a block's uniforms first, and then normals only for the
+rows that the sample can still reach under its stopping bound as it
+stands.  So the uniforms past a sample's stopping point go unread, and its
+normals only in its first block or in a block drawn ahead (``simulator``).
+On large sets it draws each block's normals one block ahead, on a helper
+thread, while the calling thread goes on with the uniforms: the two spaces
+are separate generators, each read in sequence by one thread at a time,
+so neither space's draws change.
 
 This module also keeps the package's one pool of helper threads
 (``_executor``), built on first use and again in a forked child, and the

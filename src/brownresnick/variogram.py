@@ -109,7 +109,12 @@ def pairwise_gamma(model: VariogramModel, points) -> np.ndarray:
 def covariance_matrix(model: VariogramModel, points) -> np.ndarray:
     """Assemble the (n, n) covariance matrix of W over ``points``."""
     pts = as_points(model, points)
-    g = _gamma_points(model, pts)
+    return _covariance(model, pts, _gamma_points(model, pts))
+
+
+def _covariance(model: VariogramModel, pts: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The covariance of W over the (k, dim) points ``pts``, given their
+    gamma values ``g``: ``g_j + g_l - gamma(t_j - t_l)``."""
     cov = g[:, None] + g[None, :]
     cov -= pairwise_gamma(model, pts)
     return cov

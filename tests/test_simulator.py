@@ -3,7 +3,7 @@ import sys
 import time
 import tracemalloc
 from contextlib import closing
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -639,11 +639,21 @@ def test_sample_values_own_their_memory():
         assert fs.values.base is None
 
 
+def _block_rows(count):
+    """Rows of the first ``count`` blocks of the schedule: ``_BLOCK``, then
+    twice the rows of the block before, up to ``_CAP``."""
+    rows = [simulator._BLOCK]
+    while len(rows) < count:
+        rows.append(min(2 * rows[-1], simulator._CAP))
+    return rows
+
+
 def test_sample_memory_peak_is_a_few_blocks():
     sites = box_grid(0.0, 4.0, 1.0 / 64.0)
     fg = build_sampler(sites, M1)
     mu = SamplingMeasure.uniform(fg.n)
-    block_bytes = 8 * simulator._BLOCK * ((fg.m + 2) + fg.n)  # uniforms and W
+    # The largest block's uniforms, normals and W.
+    block_bytes = 8 * simulator._CAP * ((fg.m + 2) + fg.n)
     # The first draw in a process makes one-time allocations of about three
     # blocks; a warm-up draw keeps them out, so the guard reads the same run
     # alone as after other tests.
@@ -655,7 +665,7 @@ def test_sample_memory_peak_is_a_few_blocks():
     finally:
         tracemalloc.stop()
     # Five or more blocks: keeping each block alive would pass the bound.
-    assert fs.num_clusters > 4 * simulator._BLOCK
+    assert fs.num_clusters > sum(_block_rows(4))
     assert peak < 3 * block_bytes
 
 
@@ -726,30 +736,93 @@ def test_normals_drawn_ahead_keep_every_byte(sites, dim, monkeypatch):
     assert outputs[1] == outputs[0]
 
 
-@pytest.mark.skipif(streams._worker_count() < 2, reason="draws ahead only with 2 CPUs")
-def test_blocks_drawn_ahead_are_read(monkeypatch):
-    # The next block's normals are drawn ahead only while the sample may
-    # still read them, so of the blocks drawn on the 17x17 plane, on the
-    # helper or not, at most 1% go unread; drawing ahead before every
-    # block leaves one per sample unread, about 5.6%.
-    sites, dim = AHEAD_CASES[0]
+def _counted_blocks(monkeypatch, sites, dim, workers, reps=100, seed=7):
+    """The samples of ``replications`` on ``sites`` with ``workers`` CPUs,
+    the rows of each of their ``normals`` calls, and per sample the points
+    and rows of normals of each block that ``_blocks`` yields."""
     pool = _KeptPool(0.0)
     monkeypatch.setattr(streams, "_executor", lambda: pool)
-    drawn, read = [], []
+    monkeypatch.setattr(streams, "_worker_count", lambda: workers)
+    drawn, blocks = [], []
     normals = RandomStream.normals
     monkeypatch.setattr(RandomStream, "normals",
-                        lambda self, size: drawn.append(size) or normals(self, size))
-    blocks = simulator._blocks
+                        lambda self, size: drawn.append(size[0]) or normals(self, size))
+    read = simulator._blocks
 
     def counted(*args):
-        with closing(blocks(*args)) as inner:
-            for block in inner:
-                read.append(block[0])
-                yield block
+        blocks.append([])
+        with closing(read(*args)) as inner:
+            for v, anchors, z in inner:
+                blocks[-1].append((len(v), len(z)))
+                yield v, anchors, z
     monkeypatch.setattr(simulator, "_blocks", counted)
-    samples = list(replications(sites, VariogramModel(alpha=1.0, dim=dim), 100, seed=7))
-    assert len(samples) == 100 and len(pool.futures) > 100
-    assert len(read) <= len(drawn) <= len(read) + 0.01 * len(drawn)
+    samples = list(replications(sites, VariogramModel(alpha=1.0, dim=dim), reps, seed=seed))
+    assert len(samples) == len(blocks) == reps
+    return samples, drawn, blocks, len(pool.futures)
+
+
+def test_blocks_drawn_ahead_are_read(monkeypatch):
+    # Every row of normals drawn, on the helper or not, is yielded.  A block
+    # is read ahead only after the first merge, while the block before it
+    # is read, and only if that block's last point is above the stopping
+    # bound: so with two workers every block from the third on is drawn
+    # ahead, and no other.
+    for (sites, dim), workers in product(AHEAD_CASES, (1, 2)):
+        with monkeypatch.context() as patch:
+            samples, drawn, blocks, ahead = _counted_blocks(patch, sites, dim, workers)
+        assert sum(drawn) == sum(rows for sample in blocks for _, rows in sample)
+        assert ahead == (workers == 2) * sum(max(len(sample) - 2, 0) for sample in blocks)
+        assert ahead > 2 * len(samples) or workers == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("sites, dim", AHEAD_CASES, ids=["plane-17x17", "line-257"])
+def test_block_schedule_ends_at_the_stopping_point(sites, dim, workers, monkeypatch):
+    # Blocks of 64, 128, then 256 rows.  The first is read before any merge
+    # and is never cut; a later block is cut at its first point at or below
+    # the bound, so the sample's last block ends at its stopping point, and
+    # the rows before it have normals and that point none.  A block read
+    # ahead is cut at the bound one block earlier, so it may end past it.
+    assert _block_rows(5) == [64, 128, 256, 256, 256]
+    samples, _, blocks, _ = _counted_blocks(monkeypatch, sites, dim, workers)
+    for fs, sample in zip(samples, blocks):
+        points = [n for n, _ in sample]
+        full = _block_rows(len(sample))
+        assert points[:-1] == full[:-1]
+        assert all(rows == n for n, rows in sample[:-1])
+        if len(sample) == 1:
+            assert sample == [(64, 64)] and fs.num_clusters <= 64
+            continue
+        last, rows = sample[-1]
+        if workers == 1 or sum(points) == fs.num_clusters:
+            assert sum(points) == fs.num_clusters
+            assert rows == last - 1
+        else:
+            assert sum(points) > fs.num_clusters and rows <= last <= full[-1]
+
+
+def test_a_block_read_ahead_is_cut_at_the_bound_it_was_read_at(monkeypatch):
+    # A block read ahead is cut at the bound as it stood while the block
+    # before it was read.  If merges have since raised the bound past its
+    # points, it is the sample's last block, and the screen forms none of
+    # its columns.
+    monkeypatch.setattr(streams, "_worker_count", lambda: 2)
+    sites, dim = AHEAD_CASES[0]
+    fg = build_sampler(sites, VariogramModel(alpha=1.0, dim=dim))
+    mu = SamplingMeasure.uniform(fg.n)
+    sup = np.full(fg.n, -np.inf)
+    with closing(simulator._blocks(RandomStream(5, 0), fg.m, mu, sup)) as blocks:
+        v, _, z = next(blocks)
+        assert len(v) == len(z) == 64
+        sup[:] = v[-1] - 50.0 - mu.log_weights  # far below the next blocks
+        v, _, z = next(blocks)  # the third is read ahead at this bound
+        assert len(v) == len(z) == 128
+        sup[:] = v[0] - mu.log_weights  # above every later point
+        v, anchors, z = next(blocks)
+        assert len(v) == len(z) == len(anchors) == 256
+        assert next(blocks, None) is None
+    z += fg.factor[anchors]
+    assert simulator._screen(fg, mu.log_weights, sup, v, anchors, z) == ((), ())
 
 
 def test_small_blocks_draw_on_the_calling_thread(monkeypatch):
@@ -781,7 +854,9 @@ def test_no_draw_in_flight_after_a_sample_ends(monkeypatch):
 
     stream = RandomStream(83, 0)
     with monkeypatch.context() as patch:
-        patch.setattr(simulator, "DEFAULT_MAX_CLUSTERS", 2 * simulator._BLOCK + 5)
+        # Past three blocks: blocks 3, 4 and 5 are drawn ahead, the first
+        # while the second is read.
+        patch.setattr(simulator, "DEFAULT_MAX_CLUSTERS", sum(_block_rows(3)) + 5)
         with pytest.raises(ClusterLimitError, match="no termination"):
             simulator._simulate(mu, fg, stream)
     assert len(pool.futures) >= 3 and not in_flight()

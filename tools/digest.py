@@ -72,6 +72,9 @@ SITE_SETS = {
     "line-65": (br.box_grid(0.0, 4.0, 1.0 / 16.0), None),
     "plane-9x9": (br.box_grid([0.0, 0.0], [2.0, 2.0], 0.25), None),
     "plane-17x17": (br.box_grid([0.0, 0.0], [4.0, 4.0], 0.25), None),
+    # 1-d, m = 256: its normals are drawn a block ahead on 2 CPUs, and its
+    # samples reach blocks of the full 256 rows.
+    "line-257": (br.box_grid(0.0, 32.0, 0.125), None),
     # Duplicates and two rows at the origin: rows that share a factor row
     # and rows that are pinned to zero.
     "sites-7-dup-origin": (np.vstack([[0.0, 0.0], _PLANE, [0.0, 0.0], _PLANE[1:]]),
