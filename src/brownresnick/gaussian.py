@@ -296,18 +296,22 @@ def build_sampler(sites, model: VariogramModel) -> FactorizedGaussian:
 def _cholesky(cov, failure):
     """The Cholesky factor of ``cov + j * I`` and j, for the first jitter j
     of ``build_sampler``'s ladder that gives one: 0, then the jitter list,
-    built only once the jitter-free attempt has failed."""
+    built only once the jitter-free attempt has failed.  Each jitter is
+    added to the diagonal of one working copy of ``cov``, whose other
+    entries are those of ``cov + j * I`` (``cov`` holds no -0.0)."""
     try:
         return np.linalg.cholesky(cov), 0.0
     except np.linalg.LinAlgError:
         pass
     mean_diag = float(cov.diagonal().mean())
-    eye = np.eye(len(cov))
     jitters = [mean_diag * 10.0 ** k for k in range(-12, 1)
                if 10.0 ** k <= _MAX_JITTER_FACTOR * (1 + 1e-9)]
+    work = cov.copy()
+    diagonal = work.reshape(-1)[::len(cov) + 1]  # a writable view
     for j in jitters:
+        np.add(cov.diagonal(), j, out=diagonal)
         try:
-            return np.linalg.cholesky(cov + j * eye), j
+            return np.linalg.cholesky(work), j
         except np.linalg.LinAlgError:
             continue
     raise failure(f"covariance factorization failed even with jitter "

@@ -106,13 +106,12 @@ DEFAULT_V_TRACE_CAP = 100_000
 _BLOCK = 64
 _CAP = 256
 # Normals per first block from which each next block's are drawn on a
-# helper thread (``_blocks``): on 2 CPUs the hand-off cost more than the
-# overlap saved at 6,144 normals per block and below, about broke even
-# from 8,192 to 11,264, and gained x1.2 at 12,288 (64 rows at m = 192).
-# Those figures were taken with blocks of 64 rows throughout and with
-# Philox normals; SFC64's are about 30% cheaper, which shortens the
-# helper's share of the overlap, and the later blocks are now longer.
-_AHEAD = 12_288
+# helper thread (``_blocks``).  On 2 CPUs, with SFC64 normals and blocks
+# growing from 64 rows, drawing ahead on every set against never, per
+# sample: x0.90-0.96 at m = 64 and 80, about even from m = 88 to 104
+# (x0.99-1.02), x1.03-1.05 at m = 112 and 120, x1.09 at 128 and x1.17 at
+# 160.  So the threshold is 64 rows at m = 104.
+_AHEAD = 6_656
 # The screen's margin, relative to the magnitudes it compares.
 _MARGIN = 1e-9
 

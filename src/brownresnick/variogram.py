@@ -86,24 +86,10 @@ def cov_w(model: VariogramModel, s, t):
 
 
 def pairwise_gamma(model: VariogramModel, points) -> np.ndarray:
-    """(n, n) matrix of ``gamma(t_j - t_k)`` over ``points``.
-
-    Squared differences are summed one axis at a time into one (n, n)
-    array, so the work space is at most two (n, n) arrays in any dimension.
-    The diagonal is exactly zero.
-    """
-    pts = as_points(model, points)
-    out = pts[:, None, 0] - pts[None, :, 0]
-    out *= out
-    for axis in range(1, pts.shape[1]):
-        diff = pts[:, None, axis] - pts[None, :, axis]
-        diff *= diff
-        out += diff
-    np.sqrt(out, out=out)
-    out **= model.alpha
-    out *= model.scale
-    out /= 2.0
-    return out
+    """(n, n) matrix of ``gamma(t_j - t_k)`` over ``points``, assembled as
+    ``_covariance`` assembles it: the work space is at most two (n, n)
+    arrays in any dimension, and the diagonal is exactly zero."""
+    return _covariance(model, as_points(model, points), None)
 
 
 def covariance_matrix(model: VariogramModel, points) -> np.ndarray:
@@ -112,9 +98,35 @@ def covariance_matrix(model: VariogramModel, points) -> np.ndarray:
     return _covariance(model, pts, _gamma_points(model, pts))
 
 
-def _covariance(model: VariogramModel, pts: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _covariance(model: VariogramModel, pts: np.ndarray, g) -> np.ndarray:
     """The covariance of W over the (k, dim) points ``pts``, given their
-    gamma values ``g``: ``g_j + g_l - gamma(t_j - t_l)``."""
-    cov = g[:, None] + g[None, :]
-    cov -= pairwise_gamma(model, pts)
-    return cov
+    gamma values ``g``: ``g_j + g_l - gamma(t_j - t_l)``; with ``g`` None,
+    the matrix of ``gamma(t_j - t_l)`` alone.
+
+    Every pass reads contiguous memory, and none leaves its data unchanged.
+    Each axis's differences come from a contiguous copy of its coordinate
+    column, and their squares are summed into one (k, k) array, from the
+    second axis on through one (k, k) work array.  The power is skipped at
+    alpha 1 (``x ** 1.0 == x``) and the product at scale 1; the halving is
+    its own pass, a product with 0.5, which rounds as a division by 2 does.
+    ``g_j + g_l`` is formed in the work array and subtracted into the first
+    in place, so at most two (k, k) arrays are live.
+    """
+    col = np.ascontiguousarray(pts[:, 0])
+    out = np.subtract.outer(col, col)
+    out *= out
+    work = None
+    for axis in range(1, pts.shape[1]):
+        col = np.ascontiguousarray(pts[:, axis])
+        work = np.subtract.outer(col, col, out=work)
+        work *= work
+        out += work
+    np.sqrt(out, out=out)
+    if model.alpha != 1.0:
+        out **= model.alpha
+    if model.scale != 1.0:
+        out *= model.scale
+    out *= 0.5
+    if g is not None:
+        np.subtract(np.add.outer(g, g, out=work), out, out=out)
+    return out

@@ -319,6 +319,30 @@ def test_alpha2_requires_jitter_but_samples_correctly():
     assert corr > 0.999
 
 
+def test_jitter_ladder_keeps_the_bytes_of_a_full_jittered_copy():
+    # The ladder adds each jitter to the diagonal of one working copy; the
+    # factor is that of cov + j * I formed in full, at the first rung (the
+    # alpha-2 plane off the origin) and after three failed ones (a matrix
+    # with two eigenvalues of -1e-9).
+    model = VariogramModel(alpha=2.0, dim=2)
+    points = box_grid([0.0, 0.0], [1.0, 1.0], 0.25)
+    plane = covariance_matrix(model, points[1:])
+    shifted = 2.0 - 1e-9 * np.eye(4) + 0.25 * np.outer(np.arange(4), np.arange(4))
+    for cov, rung in ((plane, 1e-12), (shifted, 1e-9)):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov)
+        before = cov.copy()
+        factor, j = gaussian._cholesky(cov, None)
+        assert cov.tobytes() == before.tobytes()
+        assert j == rung * cov.diagonal().mean()
+        expected = np.linalg.cholesky(cov + j * np.eye(len(cov)))
+        assert factor.tobytes() == expected.tobytes()
+    fg = build_sampler(points, model)
+    assert fg.jitter_used == 1e-12 * plane.diagonal().mean()
+    assert fg.factor[1:].tobytes() == np.linalg.cholesky(
+        plane + fg.jitter_used * np.eye(len(plane))).tobytes()
+
+
 def test_factorization_error_names_model_and_diameter(monkeypatch):
     monkeypatch.setattr(gaussian, "_MAX_JITTER_FACTOR", 0.0)
     with pytest.raises(FactorizationError, match="alpha=2"):

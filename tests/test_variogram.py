@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import brownresnick
+from brownresnick import variogram
 from brownresnick import (
     VariogramModel,
     as_points,
@@ -114,6 +115,48 @@ def test_covariance_matrix_matches_pairwise_kernel():
             for k in range(3):
                 assert cov[j, k] == pytest.approx(
                     cov_w(m, pts[j], pts[k]), rel=1e-13, abs=1e-15)
+
+
+def _broadcast_pairwise(model, pts):
+    """The pairwise gamma by strided broadcasts, every pass taken: the
+    reference assembly."""
+    out = pts[:, None, 0] - pts[None, :, 0]
+    out *= out
+    for axis in range(1, pts.shape[1]):
+        diff = pts[:, None, axis] - pts[None, :, axis]
+        diff *= diff
+        out += diff
+    np.sqrt(out, out=out)
+    out **= model.alpha
+    out *= model.scale
+    out /= 2.0
+    return out
+
+
+def test_assembly_keeps_the_bytes_of_the_broadcast_formula():
+    rng = np.random.default_rng(41)
+    for dim in (1, 2, 3):
+        pts = rng.uniform(-2.0, 2.0, size=(23, dim))
+        pts[5] = pts[2]                      # a duplicate
+        pts[9] = 0.0                         # the origin
+        pts[11, 0] = -0.0                    # a -0.0 coordinate
+        pts[17, :] = pts[11, :]
+        pts[17, 0] = 0.0                     # equal to row 11 up to the sign
+        for alpha in (0.5, 1.0, 1.5, 2.0):
+            # A subnormal scale rounds twice, so the halving must stay its
+            # own pass after the scale's product.
+            for scale in (1.0, 0.3, 2.5, 1e-310):
+                model = VariogramModel(alpha=alpha, scale=scale, dim=dim)
+                g = variogram._gamma_points(model, pts)
+                pairwise = _broadcast_pairwise(model, pts)
+                expected = g[:, None] + g[None, :]
+                expected -= pairwise
+                got = variogram.pairwise_gamma(model, pts)
+                assert got.tobytes() == pairwise.tobytes()
+                cov = variogram._covariance(model, pts, g)
+                assert cov.tobytes() == expected.tobytes()
+                assert got.diagonal().tobytes() == np.zeros(len(pts)).tobytes()
+                assert cov.diagonal().tobytes() == (2.0 * g).tobytes()
 
 
 def test_import_leaves_scipy_spatial_unloaded():
