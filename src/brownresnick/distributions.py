@@ -11,21 +11,14 @@ change-of-measure identity E e^{W(t)-gamma(t)} F(W - gamma) = E F(Z(. - t))
 for translation-invariant F.  The oracles draw W - gamma as the simulator
 does, through ``build_sampler``, ``RandomStream.normals`` and
 ``from_normals``, but untilted, so their agreement with it checks what the
-exact sampler adds: the Poisson points, the anchor tilt (the simulator's
-shift of the normals by the factor's anchor row), the cluster
-normalization and the stopping rule.
+exact sampler adds: the Poisson points, the anchor tilt
+(``simulator._rows``), the cluster normalization and the stopping rule.
 The shared draw path is checked by references outside it: the closed forms
 here (acceptance criteria 1-2) and the ``math.erf`` laws of
 ``bench/checks.py``.
 Both oracles are means taken by ``statseval.mc_mean`` from the stream
-``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``).  It draws in
-antithetic pairs: row i of normal part c gives chunk c's draws 2i, y, and
-2i + 1, -y - 2 gamma, each of the law of W - gamma, so a chunk of k draws
-reads ceil(k / 2) x m normals and a shorter run's draws are the first
-``reps`` of a longer one's.  Its standard error,
-sqrt((s^2 + 2 (P / reps) c) / reps), counts the covariance c within the P
-pairs.  Its docstring tells how it bounds memory and spreads the work over
-threads.  The exact sampler pairs nothing: its clusters stay independent.
+``(seed, 0)`` (the tilt check's right side from ``(seed, 1)``); its
+docstring states their draws, pairing and standard errors.
 """
 
 from __future__ import annotations

@@ -8,13 +8,10 @@ sites at the origin are pinned to zero rather than factorized, because
 ``Cov(W(0), W(t)) = 0`` makes their covariance row identically zero.  The
 m remaining distinct sites are factorized, and the stored factor has one
 row per raw site: the Cholesky row of its representative, or zeros at the
-origin.  A draw reads m standard normals from its stream (``streams``)
-and maps them through one product with the factor, less ``gamma``:
-``from_normals`` is the one draw, at every site or at a subset of the
-rows.  A cluster's tilt by its anchor site T, the Cameron-Martin shift of
-the normals by row T of the factor, is the simulator's, and so are how it
-groups its draws into blocks and screens them on a subset of the rows
-(``simulator``).
+origin.  A draw maps m standard normals through one product with the
+factor, less ``gamma``: ``from_normals`` is the one draw, at every site
+or at a subset of the rows.  A cluster's tilt by its anchor is
+``simulator._rows``'s.
 
 Row j of the factor is zero past column ``rep(j)``, its representative's
 rank, so the product need not read the rest.  The sampler records, per
@@ -182,7 +179,7 @@ class FactorizedGaussian:
     the lower-triangular Cholesky row of site j's representative, so
     duplicates share a row and sites at the origin get a zero row; with
     duplicates F is larger than the m x m Cholesky factor.  ``gamma`` holds
-    ``gamma(t_j)`` at the raw sites.  ``widths`` lists, per block of
+    ``gamma(t_j)`` at the raw sites.  ``_widths`` lists, per block of
     ``_ROWS`` raw rows, the width of the block's nonzero column prefix.
     Immutable after construction and safe to share across threads; every
     draw is one product of the factor with normals the caller draws.
@@ -216,11 +213,7 @@ class FactorizedGaussian:
         of ``_ROWS`` rows, a view if consecutive and a copy otherwise, is
         multiplied over the nonzero column prefix of the row blocks it
         spans: with one block the dense product, with more the same up to
-        rounding.  The tilt by ``e^{W(T) - gamma(T)}`` is the caller's
-        shift ``z + factor[T]``, the Cameron-Martin shift of the mean by
-        ``Cov(., T)`` of the jittered covariance the factor draws; the
-        result then equals ``W - gamma(. - T)`` plus the constant
-        ``gamma(T)`` plus ``jitter_used`` at T's own sites.
+        rounding.
         """
         rows = np.arange(self.n) if rows is None else rows
         x = np.empty((len(rows),) + z.shape[1:])

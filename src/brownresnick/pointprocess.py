@@ -5,11 +5,10 @@ The points ``V_1 > V_2 > ...`` of a Poisson process with intensity
 ``V_k = -log(Gamma_k)``, where ``Gamma_k`` is the running sum of i.i.d.
 standard exponentials (a unit-rate Poisson process on the positive axis).
 Anchor sites are drawn independently from a discrete probability measure
-on the evaluation sites.  Both take one uniform each, so a cluster's row of
-uniforms is its Poisson point's and then its anchor's.
+on the evaluation sites.  Both take one uniform each.
 ``poisson_points`` carries the Gamma sum from one block of rows to the
 next, and ``SamplingMeasure.anchors`` looks up a block's anchors at once;
-how the rows are read is told in ``simulator``.
+how the rows are read is ``simulator._blocks``'s.
 """
 
 from __future__ import annotations

@@ -14,44 +14,10 @@ rounded, so the tests check at fixed seeds that the merge would change no
 byte of the output.
 
 Random streams: sample r of ``replications(seed=s)`` draws everything from
-the one stream (s, r), and ``simulate(seed=s)`` is sample 0.  Cluster k
-reads row k of the stream's uniforms, its Poisson point and then its anchor,
-and normals [k m, (k + 1) m) of the stream's normals (m the number of
-factorized sites; ``streams`` draws the two from separate generators, both
-derived from the stream's key).  One block reader, ``_blocks``, reads every
-sample's stream, for the exact loop and for ``simulate_naive`` alike.  Per
-block it makes one ``uniforms`` call, one pass for the block's Poisson
-points, one anchor lookup and one ``normals`` call.  The first block has
-``_BLOCK`` rows and each later one twice the rows of the one before, up to
-``_CAP``: a private schedule, not a parameter.  The stopping bound
-``min_j (sup_j + log w_j)`` only rises, so once a block's points are drawn
-it is known which of its rows the sample can still reach: the block is cut
-at its first point at or below the bound as it stands, and only the rows
-before that point get anchors and normals.  The stopping point needs none,
-and the uniforms past it go unread, since the sample ends in that block.
-The first block is read before the first merge, while the bound is -inf,
-so it is never cut.  From ``_AHEAD`` normals per first block, with a second
-CPU free to the process, the next block's points and anchors are read and
-cut at the bound as it stands, and its normals are drawn on a helper thread
-of ``streams``' pool while the caller screens and merges this block; that
-happens only after the first merge, and only while this block is above the
-bound.  numpy draws them without holding the interpreter lock, and the
-draws and their order, and so the output bytes, are those of one thread.
-The reader waits for that draw before the sample returns, whether it
-stops, raises or is dropped.  The Poisson points come out of a running sum
-taken in sequence, so they do not depend on the block sizes, nor does
-which draws a cluster reads.  Distinct keys give independent streams,
-so two samples share a draw only with the vanishing odds that ``streams``
-bounds, and each replays bit for bit from its key.  A run builds one stream
-and re-keys it for each sample.
-
-The tilt: the paper's change of measure tilts each cluster's Gaussian by
-``e^{W(T) - gamma(T)}`` at its anchor T, and for a Gaussian that tilt is
-the Cameron-Martin shift of the normals by row T of the factor.  ``_rows``
-applies it once per block, ``z + factor[T]`` for each row, before the
-screen, so every draw of the block, screened or not, is
-``gaussian.FactorizedGaussian.from_normals`` of the tilted normals:
-``X = factor @ (z + factor[T]) - gamma``.
+the one stream (s, r), whose recipe ``streams`` states, and
+``simulate(seed=s)`` is sample 0.  ``_blocks`` states how a sample reads
+its stream, and ``_rows`` the tilt.  So a sample is a function of its key
+alone: same seed, same library stack, same bytes.
 
 The screen: only an *open* site, one with ``sup_j + log w_j < v``, can be
 raised by the cluster at v, and the sites open at a block's first point
@@ -77,8 +43,8 @@ one column of the product.  Which clusters share a product, set by the
 block schedule and by the screen, changes the output bytes only by the
 rounding of that product.
 
-A deliberately naive truncated variant is included to demonstrate the bias
-that the exact algorithm removes.
+``simulate_naive`` is a deliberately naive truncated variant, kept to
+demonstrate the bias that the exact algorithm removes.
 """
 
 from __future__ import annotations
@@ -88,7 +54,6 @@ import time
 from concurrent.futures import wait
 from contextlib import closing
 from dataclasses import dataclass, replace
-from itertools import islice
 
 import numpy as np
 
@@ -100,9 +65,7 @@ from .streams import RandomStream, positive_int
 DEFAULT_MAX_CLUSTERS = 10_000_000
 DEFAULT_V_TRACE_CAP = 100_000
 
-# Rows (clusters, or simulate_naive points) of the first block, which is
-# read before the first merge and so is neither cut nor screened; each
-# later block has twice the rows of the one before, up to ``_CAP``.
+# Rows of the first block and the most of any later one (``_blocks``).
 _BLOCK = 64
 _CAP = 256
 # Normals per first block from which each next block's are drawn on a
@@ -200,36 +163,44 @@ def _prepare(sites, model, measure, sampler):
     return measure, sampler
 
 
-def _blocks(stream, m, measure=None, sup=None):
+def _blocks(stream, m, measure, sup=None):
     """Yield ``(v, anchors, z)`` for block after block of points.
 
-    The one reader of a sample's stream.  Row k is the Poisson point's
-    uniform, then with a ``measure`` the anchor's, and normals [k m,
+    The one reader of a sample's stream.  Row k reads the uniform of its
+    Poisson point, then that of its anchor, and normals [k m,
     (k + 1) m): per block one ``uniforms`` call, one ``poisson_points``
-    pass, one ``anchors`` lookup (None without a measure) and one
-    ``normals`` call, whose (rows, m) array z is the caller's to
-    overwrite.  With ``sup``, the exact loop's running suprema, a block
-    is cut at its first point at or below the stopping bound ``min_j
-    (sup_j + log w_j)`` as the block is read: the bound only rises, so
-    the sample stops at that point or before it.  v then ends with that
-    stopping point, which gets no anchor and no normals, and no block
-    follows; the uniforms past it go unread.  From ``_AHEAD`` normals per
-    first block, with a second CPU free, the next block's points and
-    anchors are read, and its normals submitted to the helper pool, before
-    this block is yielded, so they are drawn while the caller works on
-    this one; the draws and their order are those of one thread.  That
-    next block is cut at the bound as it stands then, and it is not read
-    ahead at all while some ``sup_j`` is still -inf, before the first
-    merge, since the sample may then stop anywhere in this block.  Closing
-    the generator waits for the draw in flight, so none is left once the
-    caller is done with the stream.
+    pass, one ``measure.anchors`` lookup and one ``normals`` call, whose
+    (rows, m) array z is the caller's to overwrite.  The points come out of
+    a running sum taken in sequence, so neither they nor the draws a row
+    reads depend on the block sizes.  The first block has ``_BLOCK`` rows
+    and each later one twice the rows of the one before, up to ``_CAP``: a
+    private schedule, not a parameter.
+
+    With ``sup``, the exact loop's running suprema, a block is cut at its
+    first point at or below the stopping bound ``min_j (sup_j + log w_j)``
+    as the block is read: the bound only rises, so the sample stops at that
+    point or before it.  v then ends with that stopping point, which gets
+    no anchor and no normals, and no block follows; the uniforms past it go
+    unread.  The first block is read before the first merge, while the
+    bound is -inf, so it is never cut.
+
+    From ``_AHEAD`` normals per first block, with a second CPU free, the
+    next block's points and anchors are read, and its normals submitted to
+    ``streams``' helper pool, before this block is yielded, so they are
+    drawn while the caller works on this one.  numpy draws them without
+    holding the interpreter lock, and the draws and their order, and so the
+    output bytes, are those of one thread.  That next block is cut at the
+    bound as it stands then; with ``sup`` it is not read ahead while some
+    ``sup_j`` is still -inf, before the first merge, since the sample may
+    then stop anywhere in this block.  Closing the generator waits for the
+    draw in flight, so none is left once the caller is done with the
+    stream, whether the sample stops, raises or is dropped.
     """
-    lead = 1 if measure is None else 2
     pool = None
     if _BLOCK * m >= _AHEAD and streams._worker_count() >= 2:
         pool = streams._executor()
     size, bound = _BLOCK, -math.inf  # the first block is read before the first merge
-    head = _head(stream, size, lead, 0.0, measure, bound)
+    head = _head(stream, size, 0.0, measure, bound)
     pending = None
     try:
         while True:
@@ -242,54 +213,60 @@ def _blocks(stream, m, measure=None, sup=None):
             size = min(2 * size, _CAP)
             ahead = pool is not None and (sup is None or bound > -math.inf)
             if ahead:
-                head = _head(stream, size, lead, gamma_sum, measure, bound)
+                head = _head(stream, size, gamma_sum, measure, bound)
                 pending = pool.submit(stream.normals, (head[3], m))
             yield v, anchors, z
             if sup is not None:
                 bound = np.minimum.reduce(sup + measure.log_weights)
             if not ahead:
-                head = _head(stream, size, lead, gamma_sum, measure, bound)
+                head = _head(stream, size, gamma_sum, measure, bound)
     finally:
         if pending is not None:
             wait((pending,))
 
 
-def _head(stream, size, lead, gamma_sum, measure, bound):
+def _head(stream, size, gamma_sum, measure, bound):
     """``(gamma_sum, v, anchors, rows)`` of the block of ``size`` rows that
     follows the running sum ``gamma_sum``: its points v cut after the first
     at or below ``bound``, the anchors of the ``rows`` points above it, and
     the running sum at its end."""
-    block = stream.uniforms((size, lead))
+    block = stream.uniforms((size, 2))
     gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
     if bound == -math.inf:  # nothing to cut, and no pass to find it
         rows = len(v)
     else:
         rows = int(np.count_nonzero(v > bound))  # v decreases
         v = v[:rows + 1]
-    anchors = None if measure is None else measure.anchors(block[:rows, 1])
-    return gamma_sum, v, anchors, rows
+    return gamma_sum, v, measure.anchors(block[:rows, 1]), rows
 
 
-def _rows(stream, sampler, measure=None, sup=None):
+def _rows(stream, sampler, measure, sup=None):
     """Yield ``(v, column)`` for row after row of ``_blocks``.
 
     v is the row's Poisson point and the column is its draw at the raw
-    sites of W tilted by its anchor T, less gamma, or of W less gamma
-    without a measure.  Each block is tilted once, its normals shifted by
-    the factor's rows at its anchors (``z + factor[T]``), and drawn in one
-    ``from_normals`` product.  The columns are views into the block's
-    draw, free for the caller to overwrite.  With ``sup``, the exact
-    loop's running suprema, each block is first screened (``_screen``)
-    against ``sup`` as it stands when the block is read, after the merges
-    of every earlier row: the column is None where no draw is formed, and
-    the formed ones equal this view's unscreened columns up to the
-    rounding of the product they share.  The stopping point that ends a
-    cut block has no draw and is never formed.
+    sites of W tilted by its anchor T, less gamma.  The paper's change of
+    measure tilts each cluster's Gaussian by ``e^{W(T) - gamma(T)}``, and
+    for a Gaussian that tilt is the Cameron-Martin shift of the mean by
+    ``Cov(., T)``: here a shift of the normals by row T of the factor.
+    Each block is tilted once, ``z + factor[T]`` for each row, before the
+    screen, and every draw of the block, screened or not, is
+    ``from_normals`` of the tilted normals, ``factor @ (z + factor[T]) -
+    gamma``.  That is the exact tilt of the jittered covariance the factor
+    draws: ``W - gamma(. - T)`` plus the constant ``gamma(T)``, which the
+    cluster step cancels, plus ``jitter_used`` at T's own sites.  The
+    columns are views into the block's draw, free for the caller to
+    overwrite.
+
+    With ``sup``, the exact loop's running suprema, each block is first
+    screened (``_screen``) against ``sup`` as it stands when the block is
+    read, after the merges of every earlier row: the column is None where
+    no draw is formed, and the formed ones equal this view's unscreened
+    columns up to the rounding of the product they share.  The stopping
+    point that ends a cut block has no draw and is never formed.
     """
     with closing(_blocks(stream, sampler.m, measure, sup)) as blocks:
         for v, anchors, z in blocks:
-            if measure is not None:
-                z += sampler.factor[anchors]
+            z += sampler.factor[anchors]
             formed = None if sup is None else _screen(
                 sampler, measure.log_weights, sup, v, anchors, z)
             if formed is None:
@@ -475,12 +452,12 @@ def simulate_naive(
     where gamma is large, so far-field marginals come out stochastically
     too small.  Kept only to demonstrate that failure mode.
 
-    W_i is drawn pinned at the origin.  Point i takes uniform i of the one
-    stream (seed, 0) for V_i and normals [i m, (i + 1) m) for W_i.  The
-    draws come in full blocks whatever N, so a point's draws, W_i's bits
-    included, do not depend on N: a shorter run consumes a prefix of the
-    same draws, and for a fixed seed the output is coordinatewise
-    nondecreasing in N.
+    W_i is drawn pinned at the origin, untilted.  Point i reads uniform i
+    of the one stream (seed, 0) for V_i and normals [i m, (i + 1) m) for
+    W_i, in whole blocks of ``_blocks``' schedule whatever N, so a point's
+    draws, W_i's bits included, do not depend on N: a shorter run reads a
+    prefix of the same draws, and for a fixed seed the output is
+    coordinatewise nondecreasing in N.
     """
     truncation = positive_int("truncation", truncation)
     stream = RandomStream(seed, 0)
@@ -488,19 +465,17 @@ def simulate_naive(
     t0 = time.perf_counter()
     sup = np.full(sampler.n, -np.inf)
     v_trace: list = []
-    with closing(_rows(stream, sampler)) as rows:
-        for v, w in islice(rows, truncation):
-            np.maximum(sup, v + w, out=sup)
-            if len(v_trace) < DEFAULT_V_TRACE_CAP:
-                v_trace.append(v)
-
-    return FieldSample(
-        values=sup,
-        num_clusters=truncation,
-        v_trace=v_trace,
-        seed=stream.seed,
-        elapsed=time.perf_counter() - t0,
-    )
+    gamma_sum, size, left = 0.0, _BLOCK, truncation
+    while left:
+        gamma_sum, v = poisson_points(gamma_sum, stream.uniforms(size))
+        x = sampler.from_normals(stream.normals((size, sampler.m)).T)
+        k = min(size, left)
+        np.maximum(sup, np.maximum.reduce(x[:, :k] + v[:k], axis=1), out=sup)
+        v_trace += v[:min(k, DEFAULT_V_TRACE_CAP - len(v_trace))].tolist()
+        left -= k
+        size = min(2 * size, _CAP)
+    return FieldSample(values=sup, num_clusters=truncation, v_trace=v_trace,
+                       seed=stream.seed, elapsed=time.perf_counter() - t0)
 
 
 def transform_marginals(sample: FieldSample, target: str) -> FieldSample:

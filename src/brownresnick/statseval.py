@@ -5,24 +5,11 @@ the Pickands set function f(A) = E exp(sup_{t in A} Z(t)) and the discrete
 extremal index theta(n) = n^{-1} E max_{i<=n} e^{Z(i)} reproduce the
 classical constants attached to the field Z.  Every Monte Carlo estimate,
 the oracles of ``distributions`` included, is a plain mean taken by
-``mc_mean``: it factorizes W at the given points, keys the stream
-``(seed, stream_id)`` and reads m standard normals per pair of draws,
-mapped to y = W - gamma by ``from_normals`` as in the simulator.  The pair
-is y and its antithetic mirror -y - 2 gamma (Glasserman, *Monte Carlo
-Methods in Financial Engineering*, 2004, section 4.2): each has the law of
-Z, so the mean is unchanged, and the standard error
-sqrt((s^2 + 2 (P / reps) c) / reps) counts the within-pair covariance c of
-the P pairs.  Chunk c of k draws, at most 2^16 doubles per array, reads
-ceil(k / 2) x m normals from part c of the stream's normals, row i giving
-draws 2i and 2i + 1, so a shorter run's draws are the first ``reps`` of a
-longer one's, and the chunks run on up to 4 threads chosen from the CPU
-affinity with the same bytes for any thread count; the helper threads are
-the package's one pool, which ``streams`` keeps.  Only these means pair
-their draws: the exact sampler's clusters stay independent.
-theta(n) is f({1, ..., n}) / n, the same mean over the same draws divided
-by n.  A coupled mode shares the Gaussian draws across several grids so
-that set inclusions become exact inequalities between the estimates rather
-than statistical ones.
+``mc_mean``, whose docstring states its draws, their antithetic pairing
+and the standard error.  theta(n) is f({1, ..., n}) / n, the same mean
+over the same draws divided by n.  A coupled mode shares the Gaussian
+draws across several grids so that set inclusions become exact
+inequalities between the estimates rather than statistical ones.
 """
 
 from __future__ import annotations
@@ -134,20 +121,22 @@ def mc_mean(model: VariogramModel, points, offset, reps: int, seed: int,
     narrower, so each chunk array holds at most 512 KiB whatever n and
     ``reps``.
 
-    The draws come in antithetic pairs.  Chunk c restarts the stream's
-    normals at part c and reads ceil(k_c / 2) rows of m normals in one
-    ``normals((ceil(k_c / 2), m))`` call (m the number of factorized sites,
-    k_c the chunk's width); row i, mapped by ``from_normals`` to
-    y = F z - gamma, gives the chunk's draws 2i, y + ``offset``, and
-    2i + 1, its reflection through the mean -y - 2 gamma + ``offset``.  An
-    odd chunk's last row gives draw 2i alone.  Each draw has the law of
-    Z + ``offset``; only the two draws of a pair depend on each other.  A
-    chunk's statistics depend on its part alone, so the draws do not depend
-    on ``reps`` (a shorter run's are the first ``reps`` of a longer one's),
-    but they do depend on k, which sets the draw each part starts at.  The
-    chunks are dealt round-robin to up to ``streams._MAX_WORKERS`` threads,
-    as many as the CPUs this process may run on allow, the calling thread
-    among them; ``reduce_fn`` must be a pure function of its chunk.
+    The draws come in antithetic pairs (Glasserman, *Monte Carlo Methods in
+    Financial Engineering*, 2004, section 4.2).  Chunk c restarts the
+    stream's normals at part c and reads ceil(k_c / 2) rows of m normals
+    in one ``normals`` call (m the number of factorized sites, k_c the
+    chunk's width); row i, mapped by ``from_normals`` to y = F z - gamma,
+    gives the chunk's draws 2i, y + ``offset``, and 2i + 1, its reflection
+    through the mean -y - 2 gamma + ``offset``.  An odd chunk's last row
+    gives draw 2i alone.  Each draw has the law of Z + ``offset``; only the
+    two draws of a pair depend on each other, and the exact sampler pairs
+    nothing.  A chunk's statistics depend on its part alone, so the draws
+    do not depend on ``reps`` (a shorter run's are the first ``reps`` of a
+    longer one's), but they do depend on k, which sets the draw each part
+    starts at.  The chunks are dealt round-robin to up to
+    ``streams._MAX_WORKERS`` threads of ``streams``' pool, as many as the
+    CPUs this process may run on allow, the calling thread among them;
+    ``reduce_fn`` must be a pure function of its chunk.
 
     Returns one :class:`EstimateWithError` per statistic: the mean and its
     standard error sqrt((s^2 + 2 (P / reps) c) / reps), with s^2 the

@@ -37,31 +37,12 @@ numpy's, so, like the uniforms, the normals replay bit for bit on the
 same library stack; an inverse CDF of one uniform per normal would cost
 more and need scipy.
 
-The simulator reads one stream per sample, keyed ``(seed, replication)``; a
-run builds one stream and re-keys it for each sample, which gives the same
-draws as a new stream without numpy seeding a fresh Philox from OS entropy
-first.  Cluster k reads uniform row k (its Poisson point, then its anchor;
-``simulate_naive`` points have no anchor) and normals [k m, (k + 1) m), m
-being the number of factorized sites; shifted by the anchor's row of the
-factor (the tilt, ``simulator``), they go through one product with the
-factor (``gaussian.FactorizedGaussian.from_normals``), which returns W less
-gamma.  The Monte
-Carlo oracles key theirs as ``(seed, 0)`` and ``(seed, 1)`` and read normals
-only: chunk c of ``statseval.mc_mean``, k draws wide, reads ceil(k / 2) x m
-normals from part c, so chunks can be drawn in any order, on any thread.
-Row i of part c gives the chunk's draws 2i and 2i + 1, an antithetic pair
-(y and -y - 2 gamma), so a shorter run's draws are the first of a longer
-run's.  Only the oracles pair their draws; the simulator reads m fresh
-normals per cluster, so its clusters stay independent.  Consumers draw in
-blocks of their own choosing (``simulator``, ``statseval.mc_mean``).  The
-simulator draws a block's uniforms first, and then normals only for the
-rows that the sample can still reach under its stopping bound as it
-stands.  So the uniforms past a sample's stopping point go unread, and its
-normals only in its first block or in a block drawn ahead (``simulator``).
-On large sets it draws each block's normals one block ahead, on a helper
-thread, while the calling thread goes on with the uniforms: the two spaces
-are separate generators, each read in sequence by one thread at a time,
-so neither space's draws change.
+A run of the simulator builds one stream and re-keys it for each sample,
+which gives the same draws as a new stream without numpy seeding a fresh
+Philox from OS entropy first.  The two spaces may be drawn on two threads,
+each space by one thread at a time, and neither space's draws change.
+How the simulator reads a stream is ``simulator._blocks``'s to state, and
+how the Monte Carlo oracles read theirs is ``statseval.mc_mean``'s.
 
 This module also keeps the package's one pool of helper threads
 (``_executor``), built on first use and again in a forked child, and the

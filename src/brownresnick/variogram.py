@@ -85,13 +85,6 @@ def cov_w(model: VariogramModel, s, t):
     return out[0] if out.shape[0] == 1 else out
 
 
-def pairwise_gamma(model: VariogramModel, points) -> np.ndarray:
-    """(n, n) matrix of ``gamma(t_j - t_k)`` over ``points``, assembled as
-    ``_covariance`` assembles it: the work space is at most two (n, n)
-    arrays in any dimension, and the diagonal is exactly zero."""
-    return _covariance(model, as_points(model, points), None)
-
-
 def covariance_matrix(model: VariogramModel, points) -> np.ndarray:
     """Assemble the (n, n) covariance matrix of W over ``points``."""
     pts = as_points(model, points)
@@ -100,8 +93,7 @@ def covariance_matrix(model: VariogramModel, points) -> np.ndarray:
 
 def _covariance(model: VariogramModel, pts: np.ndarray, g) -> np.ndarray:
     """The covariance of W over the (k, dim) points ``pts``, given their
-    gamma values ``g``: ``g_j + g_l - gamma(t_j - t_l)``; with ``g`` None,
-    the matrix of ``gamma(t_j - t_l)`` alone.
+    gamma values ``g``: ``g_j + g_l - gamma(t_j - t_l)``.
 
     Every pass reads contiguous memory, and none leaves its data unchanged.
     Each axis's differences come from a contiguous copy of its coordinate
@@ -127,6 +119,5 @@ def _covariance(model: VariogramModel, pts: np.ndarray, g) -> np.ndarray:
     if model.scale != 1.0:
         out *= model.scale
     out *= 0.5
-    if g is not None:
-        np.subtract(np.add.outer(g, g, out=work), out, out=out)
+    np.subtract(np.add.outer(g, g, out=work), out, out=out)
     return out

@@ -146,12 +146,45 @@ def test_truncated_variant_monotone_in_truncation():
     hi = simulate_naive(sites, M1, seed=11, truncation=6)
     assert np.all(hi.values >= lo.values)
     assert hi.num_clusters == 6
-    # 64, 65 and 130 points cross the boundaries of the rows drawn per block.
+    # Blocks hold 64, 128, 256 and 256 points: 64 points end the first
+    # block, 65 and 130 end in the second, 193 in the third, 450 in the fourth.
     runs = [hi] + [simulate_naive(sites, M1, seed=11, truncation=n)
-                   for n in (64, 65, 130)]
+                   for n in (64, 65, 130, 193, 450)]
     for short, long in zip(runs, runs[1:]):
         assert np.all(long.values >= short.values)
         assert long.v_trace[:len(short.v_trace)] == short.v_trace
+
+
+def _naive_reference(sampler, seed, truncation):
+    """``simulate_naive`` written out plainly on stream (seed, 0): per point
+    one uniform, added to the running sum as an exponential, then m normals
+    through ``factor @ z - gamma``, with no anchor."""
+    tiny = np.finfo(np.float64).tiny
+    stream = RandomStream(seed, 0)
+    sup = np.full(sampler.n, -np.inf)
+    gamma_sum, trace = 0.0, []
+    for _ in range(truncation):
+        e = -np.log1p(-stream.uniforms())
+        gamma_sum += e if e > 0.0 else tiny
+        v = -np.log(gamma_sum)
+        trace.append(v)
+        w = sampler.factor @ stream.normals(sampler.m) - sampler.gamma
+        np.maximum(sup, v + w, out=sup)
+    return sup, trace
+
+
+@pytest.mark.parametrize("sites, dim", [(box_grid([0, 0], [1, 1], 0.25), 2),
+                                        ([0.0, 0.5, -0.7, 0.5, 1.2, 0.0], 1)])
+def test_naive_matches_reference_loop(sites, dim):
+    # Truncations inside and at the edges of the first four blocks.
+    model = VariogramModel(alpha=1.0, dim=dim)
+    fg = build_sampler(sites, model)
+    for truncation in (1, 64, 65, 192, 193, 450):
+        fs = simulate_naive(sites, model, seed=13, truncation=truncation, sampler=fg)
+        values, trace = _naive_reference(fg, 13, truncation)
+        assert fs.num_clusters == truncation
+        assert fs.v_trace == trace
+        assert np.all(np.abs(fs.values - values) <= 1e-12 * np.maximum(1.0, np.abs(values)))
 
 
 def test_truncated_variant_first_point_at_origin():

@@ -16,14 +16,17 @@ Groups:
 * ``streams``: the uniforms and the normals of ``RandomStream`` at the keys
   in ``STREAM_KEYS``, the normals at each part in ``STREAM_PARTS``.  A change
   to the stream recipe moves this line, besides every line that draws.
-* ``sampler <site set> counts``, ``... values`` and ``... screen``:
-  ``replications`` (``REPS`` samples), ``simulate`` and ``simulate_naive``
-  on each site set, at each alpha in ``ALPHAS`` and seed in ``SEEDS``.
+* ``sampler <site set> counts``, ``... values`` and ``... screen``: the
+  exact sampler, ``replications`` (``REPS`` samples) and ``simulate``, on
+  each site set, at each alpha in ``ALPHAS`` and seed in ``SEEDS``.
   ``counts`` hashes ``num_clusters`` and ``v_trace``; ``values`` hashes the
   values and ``bound_gap``; ``screen`` hashes ``formed_clusters`` and
   ``raising_clusters``.  So a change that moves values only by rounding
   keeps the counts lines, and one that changes only which clusters are
   formed keeps them too but moves the screen lines.
+* ``sampler <site set> naive``: every field of ``simulate_naive`` at
+  ``NAIVE_TRUNCATION`` points, at the same alphas and seeds, apart from the
+  exact sampler's lines, so a reader can tell which sampler moved.
 * ``oracle <name>``: the four Monte Carlo oracles and ``pickands_estimate``
   at the same alphas and seeds.
 * ``cli <subcommand>``: stdout, exit status and every file written by each
@@ -109,21 +112,25 @@ def stream_groups():
 
 def sampler_groups():
     for name, (points, weights) in SITE_SETS.items():
-        counts, values, screen = [], [], []
+        counts, values, screen, naive = [], [], [], []
         for alpha in ALPHAS:
             model = _model(alpha, points)
             measure = None if weights is None else br.SamplingMeasure(weights)
             for seed in SEEDS:
                 samples = list(br.replications(points, model, REPS, measure, seed))
                 samples.append(br.simulate(points, model, measure, seed))
-                samples.append(br.simulate_naive(points, model, seed, NAIVE_TRUNCATION))
                 for fs in samples:
                     counts += [fs.num_clusters, np.asarray(fs.v_trace).tobytes()]
                     values += [fs.values.tobytes(), np.float64(fs.bound_gap).tobytes()]
                     screen += [fs.formed_clusters, fs.raising_clusters]
+                fs = br.simulate_naive(points, model, seed, NAIVE_TRUNCATION)
+                naive += [fs.num_clusters, np.asarray(fs.v_trace).tobytes(),
+                          fs.values.tobytes(), np.float64(fs.bound_gap).tobytes(),
+                          fs.formed_clusters, fs.raising_clusters]
         yield f"sampler {name} counts", _hash(counts)
         yield f"sampler {name} values", _hash(values)
         yield f"sampler {name} screen", _hash(screen)
+        yield f"sampler {name} naive", _hash(naive)
 
 
 def _estimate(e) -> bytes:
