@@ -12,7 +12,7 @@ for translation-invariant F.  The oracles draw W - gamma as the simulator
 does, through ``build_sampler``, ``RandomStream.normals`` and
 ``from_normals``, but untilted, so their agreement with it checks what the
 exact sampler adds: the Poisson points, the anchor tilt
-(``simulator._rows``), the cluster normalization and the stopping rule.
+(``simulator._simulate``), the cluster normalization and the stopping rule.
 The shared draw path is checked by references outside it: the closed forms
 here (acceptance criteria 1-2) and the ``math.erf`` laws of
 ``bench/checks.py``.

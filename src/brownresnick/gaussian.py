@@ -11,7 +11,7 @@ row per raw site: the Cholesky row of its representative, or zeros at the
 origin.  A draw maps m standard normals through one product with the
 factor, less ``gamma``: ``from_normals`` is the one draw, at every site
 or at a subset of the rows.  A cluster's tilt by its anchor is
-``simulator._rows``'s.
+``simulator._simulate``'s.
 
 Row j of the factor is zero past column ``rep(j)``, its representative's
 rank, so the product need not read the rest.  The sampler records, per

@@ -16,8 +16,8 @@ byte of the output.
 Random streams: sample r of ``replications(seed=s)`` draws everything from
 the one stream (s, r), whose recipe ``streams`` states, and
 ``simulate(seed=s)`` is sample 0.  ``_blocks`` states how a sample reads
-its stream, and ``_rows`` the tilt.  So a sample is a function of its key
-alone: same seed, same library stack, same bytes.
+its stream, and ``_simulate`` the tilt.  So a sample is a function of its
+key alone: same seed, same library stack, same bytes.
 
 The screen: only an *open* site, one with ``sup_j + log w_j < v``, can be
 raised by the cluster at v, and the sites open at a block's first point
@@ -33,9 +33,10 @@ as it stood at the block's start, have their draw at every site formed, in
 one product over those clusters, and stepped, and merged if they raise a
 value.  The margin (``_MARGIN``, relative to the magnitudes compared) is
 far above the rounding of either product, so a screened cluster would
-raise no value in floating point either.  Every cluster still takes its
-turn in order, so ``num_clusters``, ``v_trace``, ``bound_gap`` and the
-stopping point are those of merging all.  Only the first block, read while
+raise no value in floating point either.  The loop walks the formed
+clusters in order and finds each block's stopping point by one count, so
+``num_clusters``, ``v_trace``, ``bound_gap`` and the stopping point are
+those of merging every cluster in turn.  Only the first block, read while
 some ``sup_j`` is still -inf and every site open, forms every cluster in
 one product, unscreened.  On large grids the products read only each row
 block's nonzero prefix of the factor, and each formed cluster's draw is
@@ -163,7 +164,7 @@ def _prepare(sites, model, measure, sampler):
     return measure, sampler
 
 
-def _blocks(stream, m, measure, sup=None):
+def _blocks(stream, m, measure, sup):
     """Yield ``(v, anchors, z)`` for block after block of points.
 
     The one reader of a sample's stream.  Row k reads the uniform of its
@@ -176,7 +177,7 @@ def _blocks(stream, m, measure, sup=None):
     and each later one twice the rows of the one before, up to ``_CAP``: a
     private schedule, not a parameter.
 
-    With ``sup``, the exact loop's running suprema, a block is cut at its
+    ``sup`` is the exact loop's running suprema.  A block is cut at its
     first point at or below the stopping bound ``min_j (sup_j + log w_j)``
     as the block is read: the bound only rises, so the sample stops at that
     point or before it.  v then ends with that stopping point, which gets
@@ -190,11 +191,11 @@ def _blocks(stream, m, measure, sup=None):
     drawn while the caller works on this one.  numpy draws them without
     holding the interpreter lock, and the draws and their order, and so the
     output bytes, are those of one thread.  That next block is cut at the
-    bound as it stands then; with ``sup`` it is not read ahead while some
-    ``sup_j`` is still -inf, before the first merge, since the sample may
-    then stop anywhere in this block.  Closing the generator waits for the
-    draw in flight, so none is left once the caller is done with the
-    stream, whether the sample stops, raises or is dropped.
+    bound as it stands then; it is not read ahead while some ``sup_j`` is
+    still -inf, before the first merge, since the sample may then stop
+    anywhere in this block.  Closing the generator waits for the draw in
+    flight, so none is left once the caller is done with the stream,
+    whether the sample stops, raises or is dropped.
     """
     pool = None
     if _BLOCK * m >= _AHEAD and streams._worker_count() >= 2:
@@ -211,13 +212,12 @@ def _blocks(stream, m, measure, sup=None):
                 yield v, anchors, z
                 return
             size = min(2 * size, _CAP)
-            ahead = pool is not None and (sup is None or bound > -math.inf)
+            ahead = pool is not None and bound > -math.inf
             if ahead:
                 head = _head(stream, size, gamma_sum, measure, bound)
                 pending = pool.submit(stream.normals, (head[3], m))
             yield v, anchors, z
-            if sup is not None:
-                bound = np.minimum.reduce(sup + measure.log_weights)
+            bound = np.minimum.reduce(sup + measure.log_weights)
             if not ahead:
                 head = _head(stream, size, gamma_sum, measure, bound)
     finally:
@@ -232,50 +232,9 @@ def _head(stream, size, gamma_sum, measure, bound):
     the running sum at its end."""
     block = stream.uniforms((size, 2))
     gamma_sum, v = poisson_points(gamma_sum, block[:, 0])
-    if bound == -math.inf:  # nothing to cut, and no pass to find it
-        rows = len(v)
-    else:
-        rows = int(np.count_nonzero(v > bound))  # v decreases
-        v = v[:rows + 1]
+    rows = int(np.count_nonzero(v > bound))  # v decreases
+    v = v[:rows + 1]
     return gamma_sum, v, measure.anchors(block[:rows, 1]), rows
-
-
-def _rows(stream, sampler, measure, sup=None):
-    """Yield ``(v, column)`` for row after row of ``_blocks``.
-
-    v is the row's Poisson point and the column is its draw at the raw
-    sites of W tilted by its anchor T, less gamma.  The paper's change of
-    measure tilts each cluster's Gaussian by ``e^{W(T) - gamma(T)}``, and
-    for a Gaussian that tilt is the Cameron-Martin shift of the mean by
-    ``Cov(., T)``: here a shift of the normals by row T of the factor.
-    Each block is tilted once, ``z + factor[T]`` for each row, before the
-    screen, and every draw of the block, screened or not, is
-    ``from_normals`` of the tilted normals, ``factor @ (z + factor[T]) -
-    gamma``.  That is the exact tilt of the jittered covariance the factor
-    draws: ``W - gamma(. - T)`` plus the constant ``gamma(T)``, which the
-    cluster step cancels, plus ``jitter_used`` at T's own sites.  The
-    columns are views into the block's draw, free for the caller to
-    overwrite.
-
-    With ``sup``, the exact loop's running suprema, each block is first
-    screened (``_screen``) against ``sup`` as it stands when the block is
-    read, after the merges of every earlier row: the column is None where
-    no draw is formed, and the formed ones equal this view's unscreened
-    columns up to the rounding of the product they share.  The stopping
-    point that ends a cut block has no draw and is never formed.
-    """
-    with closing(_blocks(stream, sampler.m, measure, sup)) as blocks:
-        for v, anchors, z in blocks:
-            z += sampler.factor[anchors]
-            formed = None if sup is None else _screen(
-                sampler, measure.log_weights, sup, v, anchors, z)
-            if formed is None:
-                yield from zip(v.tolist(), sampler.from_normals(z.T).T)
-                continue
-            row = [None] * len(v)
-            for i, x in zip(*formed):
-                row[i] = x
-            yield from zip(v.tolist(), row)
 
 
 def _screen(sampler, log_w, sup, v, anchors, z):
@@ -333,8 +292,25 @@ def _screen(sampler, log_w, sup, v, anchors, z):
 
 
 def _simulate(measure, sampler, stream) -> FieldSample:
-    """The sample drawn from ``stream``, one screened row of ``_rows`` per
-    cluster; only the formed ones are stepped and merged."""
+    """The sample drawn from ``stream``, block by block of ``_blocks``.
+
+    The paper's change of measure tilts each cluster's Gaussian by
+    ``e^{W(T) - gamma(T)}``, and for a Gaussian that tilt is the
+    Cameron-Martin shift of the mean by ``Cov(., T)``: here a shift of the
+    normals by row T of the factor.  Each block is tilted once, ``z +
+    factor[T]`` for each row, before the screen (``_screen``), and every
+    draw of the block, screened or not, is ``from_normals`` of the tilted
+    normals, ``factor @ (z + factor[T]) - gamma``.  That is the exact tilt
+    of the jittered covariance the factor draws: ``W - gamma(. - T)`` plus
+    the constant ``gamma(T)``, which the cluster step cancels, plus
+    ``jitter_used`` at T's own sites.
+
+    Only the formed columns are stepped and merged, in order, each while
+    it lies within the cluster cap and its point above the bound.  The
+    bound moves only at a merge and v decreases, so after the block's last
+    formed column the stopping row is the first row past it at or below
+    the bound, found by one count.
+    """
     t0 = time.perf_counter()
     max_clusters, v_trace_cap = DEFAULT_MAX_CLUSTERS, DEFAULT_V_TRACE_CAP
     sites, alpha = sampler.sites, sampler.model.alpha
@@ -342,10 +318,34 @@ def _simulate(measure, sampler, stream) -> FieldSample:
     sup = np.full(sites.n, -np.inf)
     bound = -math.inf
     v_trace: list = []
-    formed = raising = 0
-    with closing(_rows(stream, sampler, measure, sup)) as rows:
-        for k, (v, x) in enumerate(rows, 1):
-            if k > max_clusters:
+    done = formed = raising = 0  # done: the rows of the blocks before this one
+    with closing(_blocks(stream, sampler.m, measure, sup)) as blocks:
+        for v, anchors, z in blocks:
+            z += sampler.factor[anchors]
+            cols = _screen(sampler, log_w, sup, v, anchors, z)
+            if cols is None:
+                cols = range(len(z)), sampler.from_normals(z.T).T
+            vs, left = v.tolist(), max_clusters - done  # rows left under the cap
+            start = 0  # the rows before it have had their turn
+            for i, x in zip(*cols):
+                if i >= left or not vs[i] > bound:
+                    break
+                x = _cluster_step(x, log_w, vs[i])
+                formed += 1
+                start = i + 1
+                # A cluster that raises no value leaves sup and the bound as
+                # they are; a NaN merges, so that the bound turns NaN.
+                if np.logical_and.reduce(x <= sup):
+                    continue
+                raising += 1
+                np.maximum(sup, x, out=sup)
+                bound = np.minimum.reduce(sup + log_w)
+            # No point lies above a NaN bound, so a NaN stops the loop at
+            # row start, the one after its merge.
+            stop = start + int(np.count_nonzero(v[start:] > bound))
+            rows = min(stop + 1, len(vs))
+            v_trace += vs[:min(rows, left, v_trace_cap - len(v_trace))]
+            if rows > left:
                 raise ClusterLimitError(
                     f"no termination after {max_clusters} clusters "
                     f"(alpha={alpha}, n={sites.n}, last v="
@@ -353,35 +353,23 @@ def _simulate(measure, sampler, stream) -> FieldSample:
                     f"bound={float((sup + log_w).min())}, "
                     f"{_worst_site(sites, sup, log_w)})"
                 )
-            if math.isnan(bound):
-                raise ClusterLimitError(
-                    f"dominance bound turned NaN before cluster {k}: a merged "
-                    f"cluster had a NaN value (alpha={alpha}, n={sites.n}, "
-                    f"{_worst_site(sites, sup, log_w)}), "
-                    f"so no Poisson point could ever stop the loop")
-            if len(v_trace) < v_trace_cap:
-                v_trace.append(v)
-            if v <= bound:
+            done += rows
+            if stop < len(vs):
                 break
-            if x is None:
-                continue
-            x = _cluster_step(x, log_w, v)
-            formed += 1
-            # A cluster that raises no value leaves sup and the bound as they
-            # are; a NaN merges, so that the bound turns NaN.
-            if np.logical_and.reduce(x <= sup):
-                continue
-            raising += 1
-            np.maximum(sup, x, out=sup)
-            bound = np.minimum.reduce(sup + log_w)
+    if math.isnan(bound):
+        raise ClusterLimitError(
+            f"dominance bound turned NaN before cluster {done}: a merged "
+            f"cluster had a NaN value (alpha={alpha}, n={sites.n}, "
+            f"{_worst_site(sites, sup, log_w)}), "
+            f"so no Poisson point could ever stop the loop")
 
     return FieldSample(
         values=sup,
-        num_clusters=k,
+        num_clusters=done,
         v_trace=v_trace,
         seed=stream.seed,
         elapsed=time.perf_counter() - t0,
-        bound_gap=float(bound - v),
+        bound_gap=float(bound - vs[stop]),
         formed_clusters=formed,
         raising_clusters=raising,
     )

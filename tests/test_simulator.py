@@ -246,6 +246,80 @@ def test_nan_bound_fails_fast(monkeypatch):
     assert len(calls) == 1
 
 
+# The 65-site line and the 17x17 plane, at seeds whose samples run past
+# the first block, so that they end in cut and screened blocks.
+EDGE_CASES = [(box_grid(0.0, 4.0, 1 / 16), 1), (box_grid([0, 0], [4, 4], 0.25), 2)]
+
+
+def _edge_samples():
+    """``(sampler, measure, seed, uncapped sample)`` for each edge case."""
+    samples = []
+    for sites, dim in EDGE_CASES:
+        fg = build_sampler(sites, VariogramModel(alpha=1.0, dim=dim))
+        mu = SamplingMeasure.uniform(fg.n)
+        for seed in (1, 2, 3):
+            fs = simulator._simulate(mu, fg, RandomStream(seed, 0))
+            assert fs.num_clusters > simulator._BLOCK and fs.formed_clusters >= 30
+            samples.append((fg, mu, seed, fs))
+    return samples
+
+
+def test_cluster_cap_past_the_first_block(monkeypatch):
+    # At the sample's cluster count N the cap changes no byte; below it the
+    # loop aborts after cap clusters, the last of them the uncapped one,
+    # and steps no cluster past them.
+    stepped = []
+    step = simulator._cluster_step
+    monkeypatch.setattr(simulator, "_cluster_step",
+                        lambda x, log_w, v: stepped.append(v) or step(x, log_w, v))
+    for fg, mu, seed, ref in _edge_samples():
+        n = ref.num_clusters
+        for cap in (n, n - 1, 64, 65, 193):
+            if cap > n:
+                continue
+            monkeypatch.setattr(simulator, "DEFAULT_MAX_CLUSTERS", cap)
+            if cap == n:
+                fs = simulator._simulate(mu, fg, RandomStream(seed, 0))
+                assert _sample_bytes([fs]) == _sample_bytes([ref])
+                continue
+            stepped.clear()
+            with pytest.raises(ClusterLimitError) as err:
+                simulator._simulate(mu, fg, RandomStream(seed, 0))
+            assert min(stepped) >= ref.v_trace[cap - 1]
+            assert f"no termination after {cap} clusters " in str(err.value)
+            assert f"last v={ref.v_trace[cap - 1]}," in str(err.value)
+
+
+def test_v_trace_cap_past_the_first_block(monkeypatch):
+    for fg, mu, seed, ref in _edge_samples():
+        for cap in (1, 70, ref.num_clusters - 1):
+            monkeypatch.setattr(simulator, "DEFAULT_V_TRACE_CAP", cap)
+            fs = simulator._simulate(mu, fg, RandomStream(seed, 0))
+            assert fs.v_trace == ref.v_trace[:cap]
+            assert fs.values.tobytes() == ref.values.tobytes()
+            assert fs.num_clusters == ref.num_clusters
+
+
+def test_nan_past_the_first_block(monkeypatch):
+    # The c-th formed cluster turns NaN, and the loop stops at the row after
+    # it; the last value of c is the sample's last formed cluster.
+    step = simulator._cluster_step
+    for fg, mu, seed, ref in _edge_samples():
+        for c in (1, 4, 30, ref.formed_clusters):
+            calls = []
+
+            def nan_from(x, log_w, v, c=c, calls=calls):
+                calls.append(v)
+                return step(x, log_w, v) if len(calls) < c else np.full(x.shape, np.nan)
+
+            monkeypatch.setattr(simulator, "_cluster_step", nan_from)
+            with pytest.raises(ClusterLimitError) as err:
+                simulator._simulate(mu, fg, RandomStream(seed, 0))
+            assert len(calls) == c
+            k = ref.v_trace.index(calls[-1]) + 2
+            assert f"NaN before cluster {k}:" in str(err.value)
+
+
 def test_elapsed_excludes_factorization(monkeypatch):
     def slow_build(sites, model):
         time.sleep(0.2)
@@ -518,20 +592,31 @@ def test_final_cluster_changes_no_value(sites, dim, weights):
         fg = build_sampler(sites, model)
         mu = SamplingMeasure.uniform(fg.n) if weights is None else SamplingMeasure(weights)
         for r, fs in enumerate(replications(sites, model, 100, mu, seed=41, sampler=fg)):
-            rows = simulator._rows(RandomStream(41, r), fg, mu)
+            rows = _unscreened_rows(RandomStream(41, r), fg, mu)
             v, x = next(islice(rows, fs.num_clusters - 1, None))
             assert v == fs.v_trace[-1]
             merged = np.maximum(fs.values, simulator._cluster_step(x, mu.log_weights, v))
             assert merged.tobytes() == fs.values.tobytes()
 
 
+def _unscreened_rows(stream, sampler, measure):
+    """Yield ``(v, column)`` for row after row of ``_blocks``, every column
+    tilted and formed: read with a sup that stays at -inf, as the first
+    block is, so every site stays open and no block is cut."""
+    sup = np.full(sampler.n, -np.inf)
+    with closing(simulator._blocks(stream, sampler.m, measure, sup)) as blocks:
+        for v, anchors, z in blocks:
+            z += sampler.factor[anchors]
+            yield from zip(v.tolist(), sampler.from_normals(z.T).T)
+
+
 def _plain_loop(measure, sampler, stream):
-    """The exact loop with no screen: every row of ``_rows`` is stepped and
-    merged, in order, until a point meets the bound."""
+    """The exact loop with no screen: every row of ``_unscreened_rows`` is
+    stepped and merged, in order, until a point meets the bound."""
     log_w = measure.log_weights
     sup = np.full(sampler.n, -np.inf)
     trace = []
-    for v, x in simulator._rows(stream, sampler, measure):
+    for v, x in _unscreened_rows(stream, sampler, measure):
         bound = np.min(sup + log_w)
         trace.append(v)
         if v <= bound:
@@ -870,9 +955,9 @@ def test_small_blocks_draw_on_the_calling_thread(monkeypatch):
 
 def test_no_draw_in_flight_after_a_sample_ends(monkeypatch):
     # A sample that ends in ClusterLimitError, a replications generator
-    # dropped mid-run and a block reader closed mid-block each wait for the
-    # draw in flight, so the stream re-keyed after them gives the bytes of a
-    # fresh one.
+    # dropped mid-run and a block reader closed with a draw in flight each
+    # wait for that draw, so the stream re-keyed after them gives the bytes
+    # of a fresh one.
     sites, dim = AHEAD_CASES[0]
     model = VariogramModel(alpha=1.0, dim=dim)
     fg = build_sampler(sites, model)
@@ -902,10 +987,17 @@ def test_no_draw_in_flight_after_a_sample_ends(monkeypatch):
     del samples
     assert not in_flight()
 
-    rows = simulator._rows(stream, fg, mu)
-    for _ in islice(rows, simulator._BLOCK + 3):
-        pass
-    rows.close()
+    # Past the first merge the reader draws the third block's normals
+    # ahead while the second is read; closing it waits for that draw,
+    # delayed long enough that it is still in flight when checked.
+    pool.delay = 0.2
+    sup = np.full(fg.n, -np.inf)
+    blocks = simulator._blocks(stream, fg.m, mu, sup)
+    v, _, _ = next(blocks)
+    sup[:] = v[-1] - 50.0 - mu.log_weights  # far below the next blocks
+    next(blocks)
+    assert in_flight()
+    blocks.close()
     assert not in_flight()
     for r in (2, 3):
         stream.rekey(r)
